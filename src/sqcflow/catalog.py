@@ -69,7 +69,7 @@ def sqrt_norm(dim: int, radius: float) -> CatalogEntry:
 
     domain = DomainSpec.ball(
         np.zeros(dim), radius,
-        predicate=lambda x: float(np.linalg.norm(x)) >= _ORIGIN_EXCLUSION)
+        predicate=lambda x: np.linalg.norm(x, axis=-1) >= _ORIGIN_EXCLUSION)
     oracle = FunctionOracle(dim=dim, value=value, grad=grad,
                             known_modulus=gamma,
                             known_minimizer=np.zeros(dim), domain=domain)
@@ -144,8 +144,8 @@ def quadratic_fraction(A, a, alpha: float, B, b, beta: float,
         return (df * gx[..., None] - fx[..., None] * dg) / (gx ** 2)[..., None]
 
     def member(x):
-        gx = float(g(x))
-        return m <= gx <= M
+        gx = g(x)
+        return (m <= gx) & (gx <= M)
 
     domain = _bounding_domain(B, b, beta, m, M, dim, member)
     premise_verified = True
@@ -193,7 +193,7 @@ def _intersect_domains(d1: DomainSpec, d2: DomainSpec) -> DomainSpec:
         return d1
 
     def both(x):
-        return d1.contains(x) and d2.contains(x)
+        return d1.contains(x) & d2.contains(x)
 
     def bbox(d):
         if d.kind == "box":

@@ -30,7 +30,8 @@ from .catalog import CatalogEntry, default_catalog, get_entry
 from .core import (DomainExit, DomainSamplingFailure, InvalidParameter,
                    NumericalBlowup, ParameterWindowViolation, SqcflowError,
                    StagnationFailure, Trajectory)
-from .estimate import (SAFETY_MODULUS, empirical_modulus, estimate_kappa,
+from .estimate import (SAFETY_KAPPA, SAFETY_LIPSCHITZ, SAFETY_MODULUS,
+                       empirical_modulus, estimate_kappa,
                        estimate_lipschitz_sublevel, reference_minimizer)
 from .flows import (FlowConfig, LyapunovParams, certify_first_order,
                     certify_first_order_values, certify_second_order,
@@ -39,13 +40,8 @@ from .solvers import (ConstantStep, GDConfig, HBConfig, OptimalStep,
                       certify_gd_contraction, certify_gd_values,
                       certify_hb_energy, gradient_descent, heavy_ball, hb_rho)
 from .solvers import step_window as solvers_step_window
-from .verify import (SampleBudget, check_convexity,
-                     check_gradient_characterization, check_implication_ladder,
-                     check_monotone_operator, check_offset_monotonicity,
-                     check_pl, check_quasi_strong_convexity,
-                     check_sharp_quasiconvexity, check_strong_pseudomonotonicity,
-                     check_strong_quasiconvexity, check_strong_quasimonotonicity,
-                     ladder_soundness)
+from .verify import (PROPERTIES, SampleBudget, check_implication_ladder,
+                     check_property, ladder_soundness)
 
 EXIT_OK = 0
 EXIT_CERT_FAILED = 1
@@ -161,24 +157,6 @@ def _with_reference_minimizer(entry: CatalogEntry, x0, notes: list):
     return oracle
 
 
-_PROPERTY_RUNNERS = {
-    "strong_quasiconvexity": lambda o, p, b: check_strong_quasiconvexity(o, p["gamma"], b),
-    "quasiconvexity": lambda o, p, b: check_strong_quasiconvexity(o, 0.0, b),
-    "convexity": lambda o, p, b: check_convexity(o, 0.0, b),
-    "strong_convexity": lambda o, p, b: check_convexity(o, p["gamma"], b),
-    "gradient_characterization": lambda o, p, b: check_gradient_characterization(o, p["gamma"], b),
-    "offset_monotonicity": lambda o, p, b: check_offset_monotonicity(o, p["gamma"], b),
-    "strong_pseudomonotonicity": lambda o, p, b: check_strong_pseudomonotonicity(o, p["gamma"], b),
-    "monotonicity": lambda o, p, b: check_monotone_operator(o, 0.0, b),
-    "strong_monotonicity": lambda o, p, b: check_monotone_operator(o, p["gamma"], b),
-    "quasimonotonicity": lambda o, p, b: check_strong_quasimonotonicity(o, 0.0, b),
-    "strong_quasimonotonicity": lambda o, p, b: check_strong_quasimonotonicity(o, p["gamma"], b),
-    "pl": lambda o, p, b: check_pl(o, p["mu"], b),
-    "quasi_strong_convexity": lambda o, p, b: check_quasi_strong_convexity(o, p["mu"], b),
-    "sharp_quasiconvexity": lambda o, p, b: check_sharp_quasiconvexity(o, p["gamma"], b),
-}
-
-
 def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
     name = params.get("property")
@@ -189,39 +167,37 @@ def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Pat
     if gamma is None:
         gamma = entry.oracle.known_modulus
     mu = params.get("mu")
-    resolved = {"gamma": gamma, "mu": mu}
     if name == "ladder":
         if gamma is None:
             gamma = empirical_modulus(entry.oracle, None, seed=config.seed) \
                 * SAFETY_MODULUS
-            resolved["gamma"] = gamma
         reports = check_implication_ladder(entry.oracle, gamma, budget)
         broken = ladder_soundness(reports)
         payload = {"reports": [r.to_dict() for r in reports],
                    "implications_broken": broken}
         ok = not broken
     else:
-        if name not in _PROPERTY_RUNNERS:
+        if name not in PROPERTIES:
             raise InvalidParameter(
                 f"unknown property {name!r}; available: "
-                f"{', '.join(sorted(_PROPERTY_RUNNERS))}, ladder")
-        needs_mu = name in ("pl", "quasi_strong_convexity")
-        if needs_mu and mu is None:
+                f"{', '.join(sorted(PROPERTIES))}, ladder")
+        param = PROPERTIES[name].param
+        if param == "mu" and mu is None:
             raise InvalidParameter(f"property {name!r} needs --mu")
-        if not needs_mu and gamma is None:
+        if param != "mu" and gamma is None:
             raise InvalidParameter(
                 f"property {name!r} needs --gamma (none known for "
                 f"{entry.name!r})")
-        if name == "strong_pseudomonotonicity":
-            resolved["gamma"] = gamma = 0.5 * gamma
-        report = _PROPERTY_RUNNERS[name](entry.oracle, resolved, budget)
+        if param == "gamma_half":
+            gamma = 0.5 * gamma
+        report = check_property(name, entry.oracle,
+                                mu if param == "mu" else gamma, budget)
         payload = report.to_dict()
         ok = report.holds_on_samples
     print(json.dumps(payload, sort_keys=True))
     if out is not None:
         write_json(out / "certificate.json", payload)
-        _write_meta(out, config, {"gamma": resolved.get("gamma"),
-                                  "mu": resolved.get("mu")})
+        _write_meta(out, config, {"gamma": gamma, "mu": mu})
     return EXIT_OK if ok else EXIT_CERT_FAILED
 
 
@@ -374,7 +350,7 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
     if which == "L0":
         adjusted = estimate_lipschitz_sublevel(entry.oracle, x0,
                                                samples=samples, seed=config.seed)
-        payload = {"constant": "L0", "value": adjusted / 1.1,
+        payload = {"constant": "L0", "value": adjusted / SAFETY_LIPSCHITZ,
                    "safety_adjusted_value": adjusted, "samples": samples}
     elif which == "gamma":
         raw = empirical_modulus(entry.oracle, None, samples=samples,
@@ -389,7 +365,7 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
                          dt=float(params.get("dt", 1e-3)))
         traj = integrate_first_order(oracle, cfg)
         adjusted = estimate_kappa(oracle, traj, oracle.known_minimizer)
-        payload = {"constant": "kappa", "value": adjusted / 0.95,
+        payload = {"constant": "kappa", "value": adjusted / SAFETY_KAPPA,
                    "safety_adjusted_value": adjusted, "samples": len(traj)}
     elif which == "minimizer":
         x_bar = reference_minimizer(entry.oracle, x0)

@@ -90,18 +90,16 @@ def as_point(x, dim: Optional[int] = None) -> Vector:
     return p
 
 
-def grad_zero_tol(x_bar: Vector) -> float:
-    """Tolerance for treating a gradient as zero at a claimed minimizer."""
-    return 1e-8 * (1.0 + float(np.linalg.norm(x_bar)))
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """Convex domain: all of R^n, a closed ball, or an axis-aligned box.
 
     An optional ``predicate`` restricts membership further (used for
     domains given implicitly through inequalities); the base kind then
-    acts as the bounding region for samplers.
+    acts as the bounding region for samplers.  Like the oracles, the
+    predicate is vectorized: it takes ``(..., dim)`` points and returns a
+    boolean mask of shape ``(...)``, or a scalar that broadcasts to it.
+    ``contains`` broadcasts the same way, so a single point gives a scalar.
     """
 
     kind: str  # "all_space" | "ball" | "box"
@@ -109,7 +107,7 @@ class DomainSpec:
     radius: Optional[float] = None
     lower: Optional[Vector] = None
     upper: Optional[Vector] = None
-    predicate: Optional[Callable[[Vector], bool]] = None
+    predicate: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @staticmethod
     def all_space(predicate=None) -> "DomainSpec":
@@ -129,30 +127,29 @@ class DomainSpec:
             raise InvalidParameter("box needs lower <= upper componentwise")
         return DomainSpec(kind="box", lower=lo, upper=hi, predicate=predicate)
 
-    def contains(self, x: Vector) -> bool:
+    def predicate_mask(self, X: np.ndarray) -> np.ndarray:
+        """The predicate alone on ``(..., dim)`` points, as a ``(...)`` mask."""
+        if self.predicate is None:
+            return np.ones(X.shape[:-1], dtype=bool)
+        mask = np.asarray(self.predicate(X), dtype=bool)
+        if mask.shape not in ((), X.shape[:-1]):
+            raise InvalidParameter(
+                f"domain predicate returned shape {mask.shape} for points of "
+                f"shape {X.shape}; expected () or {X.shape[:-1]}")
+        return np.broadcast_to(mask, X.shape[:-1])
+
+    def contains(self, x) -> np.ndarray:
+        """Membership of ``(..., dim)`` points, as a ``(...)`` mask."""
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "ball":
-            ok = float(np.linalg.norm(x - self.center)) <= self.radius * (1 + 1e-12)
+            ok = np.linalg.norm(x - self.center, axis=-1) <= self.radius * (1 + 1e-12)
         elif self.kind == "box":
-            ok = bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+            ok = np.all((x >= self.lower) & (x <= self.upper), axis=-1)
         else:
-            ok = True
-        if ok and self.predicate is not None:
-            ok = bool(self.predicate(x))
-        return ok
-
-    def contains_many(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an (n, dim) array of points."""
-        X = np.asarray(X, dtype=np.float64)
-        if self.kind == "ball":
-            ok = np.linalg.norm(X - self.center, axis=-1) <= self.radius * (1 + 1e-12)
-        elif self.kind == "box":
-            ok = np.all(X >= self.lower, axis=-1) & np.all(X <= self.upper, axis=-1)
-        else:
-            ok = np.ones(X.shape[0], dtype=bool)
+            # a single point, as the step loops pass, needs no allocation
+            ok = np.True_ if x.ndim == 1 else np.ones(x.shape[:-1], dtype=bool)
         if self.predicate is not None:
-            pred = np.array([bool(self.predicate(x)) for x in X])
-            ok = ok & pred
+            ok = ok & self.predicate_mask(x)
         return ok
 
 
@@ -210,6 +207,14 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=np.float64)
         if np.any(np.diff(self.times) <= 0):
             raise InvalidParameter("trajectory times must be strictly increasing")
+        n = self.times.shape[0]
+        columns = [("states", self.states), ("h_values", self.h_values),
+                   ("grad_norms", self.grad_norms), *self.diagnostics.items()]
+        for name, values in columns:
+            if np.shape(values)[:1] != (n,):
+                raise InvalidParameter(
+                    f"trajectory {name!r} has shape {np.shape(values)}, "
+                    f"expected {n} rows to match the times")
 
     def __len__(self) -> int:
         return self.times.shape[0]

@@ -6,12 +6,17 @@ stream position after n rows does not depend on chunking, so a run with a
 larger budget reproduces the smaller run's samples as a prefix.  That
 makes refinement monotone (min/max estimates only improve) and keeps every
 report reproducible from its seed.
+
+Rows map onto the domain's base region by construction; only the
+domain's vectorized predicate (and an optional ``accept`` mask) can
+reject a candidate.  Sampling fails once 1000 consecutive candidates
+before the last one needed are rejected, counted exactly across chunk
+boundaries, so neither the samples nor the failure depend on chunking.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import DomainSamplingFailure, DomainSpec, InvalidParameter
 
@@ -20,6 +25,33 @@ DEFAULT_HALFWIDTH = 3.0
 
 _CHUNK = 4096
 _MAX_CONSECUTIVE_REJECTS = 1000
+
+# Acklam's rational approximation of the standard normal quantile: central
+# region |p - 1/2| <= 1/2 - _P_LOW, tails beyond it.
+_P_LOW = 0.02425
+_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+      6.680131188771972e+01, -1.328068155288572e+01, 1.0)
+_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+      3.754408661907416e+00, 1.0)
+
+
+def inverse_normal_cdf(p) -> np.ndarray:
+    """Standard normal quantile for p in ]0, 1[, relative error below 1.2e-9."""
+    p = np.asarray(p, dtype=np.float64)
+    out = np.empty_like(p)
+    tail_p = np.minimum(p, 1.0 - p)
+    tail = tail_p < _P_LOW
+    q = p[~tail] - 0.5
+    r = q * q
+    out[~tail] = np.polyval(_A, r) * q / np.polyval(_B, r)
+    s = np.sqrt(-2.0 * np.log(tail_p[tail]))
+    lower = np.polyval(_C, s) / np.polyval(_D, s)
+    out[tail] = np.where(p[tail] < 0.5, lower, -lower)
+    return out
 
 
 class NestedSampler:
@@ -30,7 +62,7 @@ class NestedSampler:
 
     def rows(self, n: int, width: int) -> np.ndarray:
         u = self._gen.random((n, width))
-        # ndtri(0) is -inf; keep uniforms strictly inside (0, 1)
+        # the normal quantile is infinite at 0; keep uniforms strictly inside (0, 1)
         return np.clip(u, 1e-15, 1.0 - 1e-15)
 
 
@@ -54,7 +86,7 @@ def points_from_rows(domain: DomainSpec, dim: int, rows: np.ndarray) -> np.ndarr
     if domain.kind == "all_space":
         return -DEFAULT_HALFWIDTH + rows[:, :dim] * (2.0 * DEFAULT_HALFWIDTH)
     if domain.kind == "ball":
-        g = ndtri(rows[:, :dim])
+        g = inverse_normal_cdf(rows[:, :dim])
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         r = domain.radius * rows[:, dim:dim + 1] ** (1.0 / dim)
@@ -62,10 +94,25 @@ def points_from_rows(domain: DomainSpec, dim: int, rows: np.ndarray) -> np.ndarr
     raise InvalidParameter(f"unknown domain kind {domain.kind!r}")
 
 
-def _predicate_mask(domain: DomainSpec, X: np.ndarray) -> np.ndarray:
-    if domain.predicate is None:
-        return np.ones(X.shape[0], dtype=bool)
-    return np.array([bool(domain.predicate(x)) for x in X])
+def _first_accepted(keep: np.ndarray, need: int, run: int) -> tuple[np.ndarray, int]:
+    """Indices of the first ``need`` accepted candidates of a chunk.
+
+    Also returns the reject run left open at the chunk's end (0 once
+    ``need`` candidates are found).  ``run`` is the open run carried in
+    from earlier chunks.  Every reject run before the need-th accept is
+    measured exactly; later candidates are not looked at.
+    """
+    idx = np.flatnonzero(keep)[:need]
+    open_end = [keep.shape[0]] if idx.size < need else []
+    # run lengths between boundaries; a virtual accept before the carried
+    # run starts the first one
+    runs = np.diff(np.concatenate(([-1 - run], idx, open_end))) - 1
+    longest = int(runs.max())
+    if longest >= _MAX_CONSECUTIVE_REJECTS:
+        raise DomainSamplingFailure(
+            f"{longest} consecutive candidates rejected; "
+            "domain appears unreachable by the sampler")
+    return idx, int(runs[-1]) if open_end else 0
 
 
 def sample_points(domain: DomainSpec, dim: int, n: int,
@@ -80,18 +127,16 @@ def sample_points(domain: DomainSpec, dim: int, n: int,
     w = point_width(domain, dim)
     out = []
     got = 0
-    consecutive = 0
+    run = 0
     while got < n:
         rows = sampler.rows(min(_CHUNK, max(n - got, 64)), w)
         X = points_from_rows(domain, dim, rows)
-        keep = _predicate_mask(domain, X)
+        keep = domain.predicate_mask(X)
         if accept is not None:
             keep = keep & np.asarray(accept(X), dtype=bool)
-        consecutive = _update_rejects(keep, consecutive)
-        kept = X[keep]
-        if kept.shape[0]:
-            out.append(kept[: n - got])
-            got += min(kept.shape[0], n - got)
+        idx, run = _first_accepted(keep, n - got, run)
+        out.append(X[idx])
+        got += idx.size
     return np.concatenate(out, axis=0)
 
 
@@ -109,36 +154,17 @@ def sample_pairs(domain: DomainSpec, dim: int, pairs: int, n_lambdas: int,
     lo, span = lam_range[0], lam_range[1] - lam_range[0]
     xs, ys, ls = [], [], []
     got = 0
-    consecutive = 0
+    run = 0
     while got < pairs:
         rows = sampler.rows(min(_CHUNK, max(pairs - got, 64)), width)
         X = points_from_rows(domain, dim, rows[:, :w])
         Y = points_from_rows(domain, dim, rows[:, w:2 * w])
         LAM = lo + span * rows[:, 2 * w:]
-        keep = _predicate_mask(domain, X) & _predicate_mask(domain, Y)
-        consecutive = _update_rejects(keep, consecutive)
-        take = min(int(np.count_nonzero(keep)), pairs - got)
-        if take:
-            idx = np.nonzero(keep)[0][:take]
-            xs.append(X[idx])
-            ys.append(Y[idx])
-            ls.append(LAM[idx])
-            got += take
+        keep = domain.predicate_mask(X) & domain.predicate_mask(Y)
+        idx, run = _first_accepted(keep, pairs - got, run)
+        xs.append(X[idx])
+        ys.append(Y[idx])
+        ls.append(LAM[idx])
+        got += idx.size
     return (np.concatenate(xs), np.concatenate(ys),
             np.concatenate(ls) if n_lambdas else np.empty((pairs, 0)))
-
-
-def _update_rejects(keep: np.ndarray, consecutive: int) -> int:
-    """Track the longest run of rejected candidates across chunks."""
-    if keep.all():
-        return 0
-    if not keep.any():
-        consecutive += keep.shape[0]
-    else:
-        last_accept = np.nonzero(keep)[0][-1]
-        consecutive = keep.shape[0] - 1 - int(last_accept)
-    if consecutive >= _MAX_CONSECUTIVE_REJECTS:
-        raise DomainSamplingFailure(
-            f"{consecutive} consecutive candidates rejected; "
-            "domain appears unreachable by the sampler")
-    return consecutive

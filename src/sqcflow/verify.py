@@ -11,12 +11,18 @@ Margins follow one convention throughout: an inequality is stored as
 exactly when ``margin < -tol`` with the one-sided relative tolerance
 ``tol = 1e-9 (1 + |lhs| + |rhs|)``.  The tolerance is applied so that
 roundoff can never manufacture a violation.
+
+Every inequality is written once, as an entry of the property table
+``PROPERTIES``.  The ``check_*`` functions, ``witness_margin``,
+``check_property`` (the command line's dispatch) and
+``check_implication_ladder`` all evaluate those entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -99,54 +105,230 @@ def derive_pl_modulus(gamma: float, L: float) -> float:
     return gamma * gamma / (2.0 * L)
 
 
-def _build_report(name, params, margin, tol, active, witnesses_of) -> ClassReport:
-    """Assemble a report from vectorized margins.
+class _Batch:
+    """Sampled points ``x`` and, for pair properties, partners ``y`` and
+    interpolation weights ``lam`` of shape (pairs, weights).
 
-    ``witnesses_of(flat_indices)`` materializes Witness objects for the
-    given flattened violation positions, in sample order.
+    Oracle values are evaluated on first use, once per batch.
     """
-    viol = active & (margin < -tol)
-    flat = np.flatnonzero(viol)
-    report = ClassReport(
-        property_name=name,
-        holds_on_samples=flat.size == 0,
-        violations=witnesses_of(flat[:MAX_WITNESSES]),
-        samples_tested=int(np.count_nonzero(active)),
-        violations_count=int(flat.size),
-        params=params,
-    )
-    return report
+
+    def __init__(self, oracle: FunctionOracle, x, y=None, lam=None):
+        self.oracle, self.x, self.y, self.lam = oracle, x, y, lam
+
+    @cached_property
+    def hx(self):
+        return np.asarray(self.oracle.value(self.x))
+
+    @cached_property
+    def hy(self):
+        return np.asarray(self.oracle.value(self.y))
+
+    @cached_property
+    def gx(self):
+        return np.asarray(self.oracle.grad(self.x))
+
+    @cached_property
+    def gy(self):
+        return np.asarray(self.oracle.grad(self.y))
+
+    @cached_property
+    def h_mid(self):
+        """h(x + lam (y - x)) for every pair and weight."""
+        mid = self.x[:, None, :] + self.lam[:, :, None] * (self.y - self.x)[:, None, :]
+        return np.asarray(self.oracle.value(mid))
+
+    @cached_property
+    def d2(self):
+        return np.sum((self.x - self.y) ** 2, axis=-1)
+
+    @cached_property
+    def h_star(self):
+        return self.oracle.minimum_value()
 
 
-def _interpolation_margins(oracle, gamma, X, Y, LAM, chord_upper):
-    """lhs/rhs for the interpolation inequalities (quasiconvex family).
+def _inner(g, v):
+    return np.sum(g * v, axis=-1)
 
-    ``chord_upper(hx, hy, lam)`` gives the upper bound before the quadratic
-    penalty: max{hx, hy} for the quasiconvex family, the chord for the
-    convex family.
+
+def _offset(s: _Batch, gamma: float):
+    """-(gamma/2)|x - y|^2."""
+    return -(0.5 * gamma) * s.d2
+
+
+def _nonnegative(v):
+    """v >= 0 up to roundoff."""
+    return v >= -ineq_tol(v, 0.0)
+
+
+def _positive(v):
+    """v > 0 beyond roundoff."""
+    return v > ineq_tol(v, 0.0)
+
+
+def _penalty(s: _Batch, gamma: float):
+    """lam (1-lam)(gamma/2)|x - y|^2 for every pair and weight."""
+    return s.lam * (1.0 - s.lam) * (0.5 * gamma) * s.d2[:, None]
+
+
+def _below_max(s: _Batch, gamma: float):
+    return np.maximum(s.hx, s.hy)[:, None] - _penalty(s, gamma), s.h_mid
+
+
+def _below_chord(s: _Batch, gamma: float):
+    return (s.lam * s.hy[:, None] + (1.0 - s.lam) * s.hx[:, None]
+            - _penalty(s, gamma), s.h_mid)
+
+
+def _offset_premises(s: _Batch, gamma: float):
+    """<g(x), y-x> > -(gamma/2)|y-x|^2 ("strict", with a +tol guard so that
+    near-equality cases go to the non-strict variant only) and the same
+    premise with >= ("non_strict")."""
+    p, pen = _inner(s.gx, s.y - s.x), _offset(s, gamma)
+    tol = ineq_tol(p, pen)
+    return {"strict": p > pen + tol, "non_strict": p >= pen - tol}
+
+
+def _quasi_strong_convexity(s: _Batch, mu: float):
+    diff = s.x - s.oracle.known_minimizer
+    return (_inner(s.gx, diff),
+            s.hx - s.h_star + (0.5 * mu) * np.sum(diff * diff, axis=-1))
+
+
+@dataclass(frozen=True)
+class Property:
+    """One sampled inequality ``lhs >= rhs``, written once.
+
+    ``sample`` is "points", "pairs" or "ordered pairs" (each pair in both
+    orders); with ``lambdas`` every pair also gets the interpolation
+    weights ``lam`` (the budget's random ones, then 0, 1/2, 1).
+    ``inequality(batch, modulus)`` gives (lhs, rhs) on a batch and
+    ``premise(batch, modulus)`` maps a witness note to the mask of samples
+    the inequality is asserted on (all samples when None).  ``param`` names
+    the modulus: "gamma", "gamma_half" (half the function's modulus) or
+    "mu" (which also needs a known minimizer).  At modulus 0 the report is
+    called ``weak_name`` when one is given.  ``ladder`` lists the multiples
+    of the function's modulus at which the implication ladder runs it.
     """
-    hx, hy = np.asarray(oracle.value(X)), np.asarray(oracle.value(Y))
-    d2 = np.sum((X - Y) ** 2, axis=-1)
-    mid = X[:, None, :] + LAM[:, :, None] * (Y - X)[:, None, :]
-    h_mid = np.asarray(oracle.value(mid))
-    lhs = chord_upper(hx[:, None], hy[:, None], LAM) \
-        - LAM * (1.0 - LAM) * (0.5 * gamma) * d2[:, None]
-    return lhs, h_mid
+
+    name: str
+    checker: str
+    param: str
+    sample: str
+    lambdas: bool
+    inequality: Callable
+    premise: Optional[Callable] = None
+    weak_name: Optional[str] = None
+    ladder: tuple[float, ...] = ()
 
 
-def _lambda_grid(budget: SampleBudget, LAM_random: np.ndarray) -> np.ndarray:
-    fixed = np.broadcast_to(_FIXED_LAMBDAS, (LAM_random.shape[0], 3))
-    return np.concatenate([LAM_random, fixed], axis=1)
+# In ladder order.
+_TABLE = (
+    Property("strong_convexity", "check_convexity", "gamma",
+             sample="pairs", lambdas=True, inequality=_below_chord,
+             weak_name="convexity", ladder=(1.0, 0.0)),
+    Property("strong_quasiconvexity", "check_strong_quasiconvexity", "gamma",
+             sample="pairs", lambdas=True, inequality=_below_max,
+             weak_name="quasiconvexity", ladder=(1.0, 0.0)),
+    Property("gradient_characterization", "check_gradient_characterization",
+             "gamma", sample="ordered pairs", lambdas=False,
+             inequality=lambda s, m: (_offset(s, m), _inner(s.gy, s.x - s.y)),
+             premise=lambda s, m: {"": s.hx <= s.hy}, ladder=(1.0,)),
+    Property("sharp_quasiconvexity", "check_sharp_quasiconvexity", "gamma",
+             sample="ordered pairs", lambdas=True, inequality=_below_max,
+             premise=lambda s, m: {
+                 "": _nonnegative(_inner(s.gy, s.x - s.y))[:, None]},
+             ladder=(1.0,)),
+    Property("strong_monotonicity", "check_monotone_operator", "gamma",
+             sample="pairs", lambdas=False,
+             inequality=lambda s, m: (_inner(s.gy - s.gx, s.y - s.x), m * s.d2),
+             weak_name="monotonicity", ladder=(1.0, 0.0)),
+    Property("offset_monotonicity", "check_offset_monotonicity", "gamma",
+             sample="ordered pairs", lambdas=False,
+             inequality=lambda s, m: (_offset(s, m), _inner(s.gy, s.x - s.y)),
+             premise=_offset_premises, ladder=(1.0,)),
+    Property("strong_pseudomonotonicity", "check_strong_pseudomonotonicity",
+             "gamma_half", sample="ordered pairs", lambdas=False,
+             inequality=lambda s, m: (-m * s.d2, _inner(s.gx, s.y - s.x)),
+             premise=lambda s, m: {"": _nonnegative(_inner(s.gy, s.x - s.y))},
+             ladder=(0.5,)),
+    Property("strong_quasimonotonicity", "check_strong_quasimonotonicity",
+             "gamma", sample="ordered pairs", lambdas=False,
+             inequality=lambda s, m: (-m * s.d2, _inner(s.gx, s.y - s.x)),
+             premise=lambda s, m: {"": _positive(_inner(s.gy, s.x - s.y))},
+             weak_name="quasimonotonicity", ladder=(0.5, 0.0)),
+    Property("pl", "check_pl", "mu", sample="points", lambdas=False,
+             inequality=lambda s, m: (_inner(s.gx, s.gx), m * (s.hx - s.h_star)),
+             ladder=(1.0,)),
+    Property("quasi_strong_convexity", "check_quasi_strong_convexity", "mu",
+             sample="points", lambdas=False, inequality=_quasi_strong_convexity),
+)
+
+# Every report name, the weak ones included.
+PROPERTIES = {name: prop for prop in _TABLE
+              for name in (prop.name, prop.weak_name) if name}
 
 
-def _pair_witnesses(X, Y, LAM, lhs, rhs, note=""):
-    def make(flat_idx):
-        pairs_idx, lam_idx = np.unravel_index(flat_idx, lhs.shape)
-        return [Witness(x=X[i].copy(), y=Y[i].copy(), lam=float(LAM[i, j]),
-                        lhs=float(lhs[i, j]), rhs=float(rhs[i, j]),
-                        margin=float(lhs[i, j] - rhs[i, j]), note=note)
-                for i, j in zip(pairs_idx, lam_idx)]
-    return make
+def _draw(prop: Property, oracle: FunctionOracle, budget: SampleBudget) -> _Batch:
+    sampler = NestedSampler(budget.seed)
+    if prop.sample == "points":
+        return _Batch(oracle, sample_points(oracle.domain, oracle.dim,
+                                            budget.pairs, sampler))
+    X, Y, LAM = sample_pairs(oracle.domain, oracle.dim, budget.pairs,
+                             budget.lambdas_per_pair if prop.lambdas else 1,
+                             sampler)
+    if prop.sample == "ordered pairs":
+        X, Y, LAM = (np.concatenate([X, Y]), np.concatenate([Y, X]),
+                     np.concatenate([LAM, LAM]))
+    if not prop.lambdas:
+        return _Batch(oracle, X, Y)
+    fixed = np.broadcast_to(_FIXED_LAMBDAS, (LAM.shape[0], 3))
+    return _Batch(oracle, X, Y, np.concatenate([LAM, fixed], axis=1))
+
+
+def _witness(s: _Batch, lhs, rhs, flat_index: int, note: str) -> Witness:
+    at = np.unravel_index(flat_index, lhs.shape)
+    i = at[0]
+    return Witness(x=s.x[i].copy(), y=None if s.y is None else s.y[i].copy(),
+                   lam=None if s.lam is None else float(s.lam[at]),
+                   lhs=float(lhs[at]), rhs=float(rhs[at]),
+                   margin=float(lhs[at] - rhs[at]), note=note)
+
+
+def _check(name: str, oracle: FunctionOracle, modulus: float,
+           budget: SampleBudget) -> ClassReport:
+    """Sample the named property at the modulus and report every violation."""
+    prop = PROPERTIES[name]
+    if prop.param == "mu":
+        if modulus <= 0:
+            raise InvalidParameter("mu must be positive")
+        if oracle.known_minimizer is None:
+            raise MissingMinimizer(f"{prop.checker} needs a known minimizer")
+    elif modulus < 0:
+        raise InvalidParameter(f"{prop.param} must be nonnegative")
+    s = _draw(prop, oracle, budget)
+    lhs, rhs = prop.inequality(s, modulus)
+    violated = lhs - rhs < -ineq_tol(lhs, rhs)
+    premises = {"": True} if prop.premise is None else prop.premise(s, modulus)
+    witnesses, tested, count = [], 0, 0
+    for note, mask in premises.items():
+        active = np.broadcast_to(mask, violated.shape)
+        flat = np.flatnonzero(active & violated)
+        tested += int(np.count_nonzero(active))
+        count += flat.size
+        witnesses += [_witness(s, lhs, rhs, i, note) for i in flat[:MAX_WITNESSES]]
+    weak = modulus == 0 and prop.weak_name is not None
+    return ClassReport(property_name=prop.weak_name if weak else prop.name,
+                       holds_on_samples=count == 0,
+                       violations=witnesses[:MAX_WITNESSES],
+                       samples_tested=tested, violations_count=count,
+                       params={prop.param: modulus})
+
+
+def _run(prop: Property, oracle: FunctionOracle, modulus: float,
+         budget: SampleBudget) -> ClassReport:
+    # through the module attribute, so a wrapper installed on the public
+    # name (e.g. by a profiler) sees every call
+    return globals()[prop.checker](oracle, modulus, budget)
 
 
 def check_strong_quasiconvexity(oracle: FunctionOracle, gamma: float,
@@ -155,58 +337,14 @@ def check_strong_quasiconvexity(oracle: FunctionOracle, gamma: float,
 
     gamma = 0 degenerates to the plain quasiconvexity test.
     """
-    if gamma < 0:
-        raise InvalidParameter("gamma must be nonnegative")
-    X, Y, LAM_r = sample_pairs(oracle.domain, oracle.dim, budget.pairs,
-                               budget.lambdas_per_pair, NestedSampler(budget.seed))
-    LAM = _lambda_grid(budget, LAM_r)
-    lhs, rhs = _interpolation_margins(
-        oracle, gamma, X, Y, LAM, lambda hx, hy, lam: np.maximum(hx, hy))
-    margin = lhs - rhs
-    name = "strong_quasiconvexity" if gamma > 0 else "quasiconvexity"
-    return _build_report(name, {"gamma": gamma}, margin, ineq_tol(lhs, rhs),
-                         np.ones_like(margin, dtype=bool),
-                         _pair_witnesses(X, Y, LAM, lhs, rhs))
+    return _check("strong_quasiconvexity", oracle, gamma, budget)
 
 
 def check_convexity(oracle: FunctionOracle, gamma: float,
                     budget: SampleBudget) -> ClassReport:
     """Chord inequality with quadratic penalty: strong convexity (gamma > 0)
     or plain convexity (gamma = 0)."""
-    if gamma < 0:
-        raise InvalidParameter("gamma must be nonnegative")
-    X, Y, LAM_r = sample_pairs(oracle.domain, oracle.dim, budget.pairs,
-                               budget.lambdas_per_pair, NestedSampler(budget.seed))
-    LAM = _lambda_grid(budget, LAM_r)
-    lhs, rhs = _interpolation_margins(
-        oracle, gamma, X, Y, LAM,
-        lambda hx, hy, lam: lam * hy + (1.0 - lam) * hx)
-    margin = lhs - rhs
-    name = "strong_convexity" if gamma > 0 else "convexity"
-    return _build_report(name, {"gamma": gamma}, margin, ineq_tol(lhs, rhs),
-                         np.ones_like(margin, dtype=bool),
-                         _pair_witnesses(X, Y, LAM, lhs, rhs))
-
-
-def _ordered_pair_data(oracle, budget):
-    """Sampled pairs with values and gradients, doubled to both orderings."""
-    X, Y, _ = sample_pairs(oracle.domain, oracle.dim, budget.pairs, 1,
-                           NestedSampler(budget.seed))
-    A = np.concatenate([X, Y])
-    B = np.concatenate([Y, X])
-    hA, hB = np.asarray(oracle.value(A)), np.asarray(oracle.value(B))
-    gA, gB = np.asarray(oracle.grad(A)), np.asarray(oracle.grad(B))
-    return A, B, hA, hB, gA, gB
-
-
-def _point_witnesses(A, B, lhs, rhs, note=""):
-    def make(flat_idx):
-        return [Witness(x=A[i].copy(),
-                        y=None if B is None else B[i].copy(),
-                        lam=None, lhs=float(lhs[i]), rhs=float(rhs[i]),
-                        margin=float(lhs[i] - rhs[i]), note=note)
-                for i in flat_idx]
-    return make
+    return _check("strong_convexity", oracle, gamma, budget)
 
 
 def check_gradient_characterization(oracle: FunctionOracle, gamma: float,
@@ -218,18 +356,7 @@ def check_gradient_characterization(oracle: FunctionOracle, gamma: float,
     quasiconvexity characterization.  The witness stores the sublevel
     point in ``x`` and the point where the gradient was taken in ``y``.
     """
-    if gamma < 0:
-        raise InvalidParameter("gamma must be nonnegative")
-    A, B, hA, hB, gA, gB = _ordered_pair_data(oracle, budget)
-    # direction: gradient at B, premise h(A) <= h(B)
-    active = hA <= hB
-    d2 = np.sum((A - B) ** 2, axis=-1)
-    rhs = np.sum(gB * (A - B), axis=-1)
-    lhs = -(0.5 * gamma) * d2
-    margin = lhs - rhs
-    return _build_report("gradient_characterization", {"gamma": gamma},
-                         margin, ineq_tol(lhs, rhs), active,
-                         _point_witnesses(A, B, lhs, rhs))
+    return _check("gradient_characterization", oracle, gamma, budget)
 
 
 def check_offset_monotonicity(oracle: FunctionOracle, gamma: float,
@@ -240,55 +367,15 @@ def check_offset_monotonicity(oracle: FunctionOracle, gamma: float,
                    <g(y), x-y> <= -(gamma/2)|y-x|^2.
     Both the strict-premise form and the non-strict variant (premise with
     >=) are evaluated; witnesses are tagged "strict" / "non_strict".
-    The strict premise is applied with a +tol guard so that near-equality
-    cases are routed to the non-strict variant only.  gamma = 0 reduces to
-    quasimonotonicity of the gradient.
+    gamma = 0 reduces to quasimonotonicity of the gradient.
     """
-    if gamma < 0:
-        raise InvalidParameter("gamma must be nonnegative")
-    A, B, hA, hB, gA, gB = _ordered_pair_data(oracle, budget)
-    d2 = np.sum((A - B) ** 2, axis=-1)
-    pen = -(0.5 * gamma) * d2
-    p = np.sum(gA * (B - A), axis=-1)
-    q = np.sum(gB * (A - B), axis=-1)
-    tol_p = ineq_tol(p, pen)
-    lhs, rhs = pen, q
-    margin = lhs - rhs
-    tol_c = ineq_tol(lhs, rhs)
-
-    strict = p > pen + tol_p
-    non_strict = p >= pen - tol_p
-    rep_strict = _build_report("offset_monotonicity", {"gamma": gamma},
-                               margin, tol_c, strict,
-                               _point_witnesses(A, B, lhs, rhs, note="strict"))
-    rep_ns = _build_report("offset_monotonicity", {"gamma": gamma},
-                           margin, tol_c, non_strict,
-                           _point_witnesses(A, B, lhs, rhs, note="non_strict"))
-    return ClassReport(
-        property_name="offset_monotonicity",
-        holds_on_samples=rep_strict.holds_on_samples and rep_ns.holds_on_samples,
-        violations=(rep_strict.violations + rep_ns.violations)[:MAX_WITNESSES],
-        samples_tested=rep_strict.samples_tested + rep_ns.samples_tested,
-        violations_count=rep_strict.violations_count + rep_ns.violations_count,
-        params={"gamma": gamma},
-    )
+    return _check("offset_monotonicity", oracle, gamma, budget)
 
 
 def check_strong_pseudomonotonicity(oracle: FunctionOracle, gamma_half: float,
                                     budget: SampleBudget) -> ClassReport:
     """<g(y), x-y> >= 0 implies <g(x), y-x> <= -gamma_half |y-x|^2."""
-    if gamma_half < 0:
-        raise InvalidParameter("modulus must be nonnegative")
-    A, B, hA, hB, gA, gB = _ordered_pair_data(oracle, budget)
-    d2 = np.sum((A - B) ** 2, axis=-1)
-    prem = np.sum(gB * (A - B), axis=-1)
-    active = prem >= -ineq_tol(prem, 0.0)
-    rhs = np.sum(gA * (B - A), axis=-1)
-    lhs = -gamma_half * d2
-    margin = lhs - rhs
-    return _build_report("strong_pseudomonotonicity", {"gamma_half": gamma_half},
-                         margin, ineq_tol(lhs, rhs), active,
-                         _point_witnesses(A, B, lhs, rhs))
+    return _check("strong_pseudomonotonicity", oracle, gamma_half, budget)
 
 
 def check_strong_quasimonotonicity(oracle: FunctionOracle, gamma: float,
@@ -298,100 +385,43 @@ def check_strong_quasimonotonicity(oracle: FunctionOracle, gamma: float,
     gamma = 0 is plain quasimonotonicity of the gradient.  The strict
     premise carries a +tol guard so roundoff cannot activate it.
     """
-    if gamma < 0:
-        raise InvalidParameter("modulus must be nonnegative")
-    A, B, hA, hB, gA, gB = _ordered_pair_data(oracle, budget)
-    d2 = np.sum((A - B) ** 2, axis=-1)
-    prem = np.sum(gB * (A - B), axis=-1)
-    active = prem > ineq_tol(prem, 0.0)
-    rhs = np.sum(gA * (B - A), axis=-1)
-    lhs = -gamma * d2
-    margin = lhs - rhs
-    name = "strong_quasimonotonicity" if gamma > 0 else "quasimonotonicity"
-    return _build_report(name, {"gamma": gamma}, margin, ineq_tol(lhs, rhs),
-                         active, _point_witnesses(A, B, lhs, rhs))
+    return _check("strong_quasimonotonicity", oracle, gamma, budget)
 
 
 def check_monotone_operator(oracle: FunctionOracle, gamma: float,
                             budget: SampleBudget) -> ClassReport:
     """<g(y) - g(x), y - x> >= gamma |y - x|^2 (monotone when gamma = 0)."""
-    if gamma < 0:
-        raise InvalidParameter("gamma must be nonnegative")
-    X, Y, _ = sample_pairs(oracle.domain, oracle.dim, budget.pairs, 1,
-                           NestedSampler(budget.seed))
-    gX, gY = np.asarray(oracle.grad(X)), np.asarray(oracle.grad(Y))
-    d2 = np.sum((X - Y) ** 2, axis=-1)
-    lhs = np.sum((gY - gX) * (Y - X), axis=-1)
-    rhs = gamma * d2
-    margin = lhs - rhs
-    name = "strong_monotonicity" if gamma > 0 else "monotonicity"
-    return _build_report(name, {"gamma": gamma}, margin, ineq_tol(lhs, rhs),
-                         np.ones_like(margin, dtype=bool),
-                         _point_witnesses(X, Y, lhs, rhs))
+    return _check("strong_monotonicity", oracle, gamma, budget)
 
 
 def check_pl(oracle: FunctionOracle, mu: float,
              budget: SampleBudget) -> ClassReport:
     """|grad h(x)|^2 >= mu (h(x) - h(x_bar)) on sampled points."""
-    if mu <= 0:
-        raise InvalidParameter("mu must be positive")
-    if oracle.known_minimizer is None:
-        raise MissingMinimizer("check_pl needs a known minimizer")
-    h_star = oracle.minimum_value()
-    X = sample_points(oracle.domain, oracle.dim, budget.pairs,
-                      NestedSampler(budget.seed))
-    g = np.asarray(oracle.grad(X))
-    lhs = np.sum(g * g, axis=-1)
-    rhs = mu * (np.asarray(oracle.value(X)) - h_star)
-    margin = lhs - rhs
-    return _build_report("pl", {"mu": mu}, margin, ineq_tol(lhs, rhs),
-                         np.ones_like(margin, dtype=bool),
-                         _point_witnesses(X, None, lhs, rhs))
+    return _check("pl", oracle, mu, budget)
 
 
 def check_quasi_strong_convexity(oracle: FunctionOracle, mu: float,
                                  budget: SampleBudget) -> ClassReport:
     """<grad h(x), x - x_bar> >= h(x) - h(x_bar) + (mu/2)|x - x_bar|^2."""
-    if mu <= 0:
-        raise InvalidParameter("mu must be positive")
-    if oracle.known_minimizer is None:
-        raise MissingMinimizer("check_quasi_strong_convexity needs a minimizer")
-    x_bar = oracle.known_minimizer
-    h_star = oracle.minimum_value()
-    X = sample_points(oracle.domain, oracle.dim, budget.pairs,
-                      NestedSampler(budget.seed))
-    g = np.asarray(oracle.grad(X))
-    diff = X - x_bar
-    lhs = np.sum(g * diff, axis=-1)
-    rhs = np.asarray(oracle.value(X)) - h_star \
-        + (0.5 * mu) * np.sum(diff * diff, axis=-1)
-    margin = lhs - rhs
-    return _build_report("quasi_strong_convexity", {"mu": mu}, margin,
-                         ineq_tol(lhs, rhs), np.ones_like(margin, dtype=bool),
-                         _point_witnesses(X, None, lhs, rhs))
+    return _check("quasi_strong_convexity", oracle, mu, budget)
 
 
 def check_sharp_quasiconvexity(oracle: FunctionOracle, gamma: float,
                                budget: SampleBudget) -> ClassReport:
     """Strong-quasiconvexity inequality required only under the premise
     <grad h(y), x - y> >= 0."""
-    if gamma < 0:
-        raise InvalidParameter("gamma must be nonnegative")
-    X, Y, LAM_r = sample_pairs(oracle.domain, oracle.dim, budget.pairs,
-                               budget.lambdas_per_pair, NestedSampler(budget.seed))
-    A = np.concatenate([X, Y])
-    B = np.concatenate([Y, X])
-    LAM = _lambda_grid(budget, np.concatenate([LAM_r, LAM_r]))
-    gB = np.asarray(oracle.grad(B))
-    prem = np.sum(gB * (A - B), axis=-1)
-    active_pair = prem >= -ineq_tol(prem, 0.0)
-    lhs, rhs = _interpolation_margins(
-        oracle, gamma, A, B, LAM, lambda ha, hb, lam: np.maximum(ha, hb))
-    margin = lhs - rhs
-    active = np.broadcast_to(active_pair[:, None], margin.shape)
-    return _build_report("sharp_quasiconvexity", {"gamma": gamma}, margin,
-                         ineq_tol(lhs, rhs), active,
-                         _pair_witnesses(A, B, LAM, lhs, rhs))
+    return _check("sharp_quasiconvexity", oracle, gamma, budget)
+
+
+def check_property(name: str, oracle: FunctionOracle, modulus: float,
+                   budget: SampleBudget) -> ClassReport:
+    """Run the check that reports under ``name`` (a key of PROPERTIES).
+
+    ``modulus`` is the check's own parameter (see ``Property.param``); the
+    weak names run at modulus 0 whatever is passed.
+    """
+    prop = PROPERTIES[name]
+    return _run(prop, oracle, 0.0 if name == prop.weak_name else modulus, budget)
 
 
 # Forward implications asserted on samples: (upper property, lower property).
@@ -418,32 +448,21 @@ def check_implication_ladder(oracle: FunctionOracle, gamma: float,
 
     Returns reports for the value inequalities (convexity family) and the
     gradient inequalities (monotonicity family), all at the given gamma
-    (the pseudomonotonicity check runs at gamma/2, the PL check at
-    gamma^2 / 2L when the oracle knows L and a minimizer).
+    (the pseudo- and quasimonotonicity checks run at gamma/2, the PL check
+    at gamma^2 / 2L when the oracle knows L and a minimizer).
     """
     if gamma < 0:
         raise InvalidParameter("gamma must be nonnegative")
     reports = []
-    if gamma > 0:
-        reports.append(check_convexity(oracle, gamma, budget))
-    reports.append(check_convexity(oracle, 0.0, budget))
-    if gamma > 0:
-        reports.append(check_strong_quasiconvexity(oracle, gamma, budget))
-    reports.append(check_strong_quasiconvexity(oracle, 0.0, budget))
-    reports.append(check_gradient_characterization(oracle, gamma, budget))
-    reports.append(check_sharp_quasiconvexity(oracle, gamma, budget))
-    if gamma > 0:
-        reports.append(check_monotone_operator(oracle, gamma, budget))
-    reports.append(check_monotone_operator(oracle, 0.0, budget))
-    reports.append(check_offset_monotonicity(oracle, gamma, budget))
-    reports.append(check_strong_pseudomonotonicity(oracle, 0.5 * gamma, budget))
-    if gamma > 0:
-        reports.append(check_strong_quasimonotonicity(oracle, 0.5 * gamma, budget))
-    reports.append(check_strong_quasimonotonicity(oracle, 0.0, budget))
-    if (gamma > 0 and oracle.known_lipschitz is not None
-            and oracle.known_minimizer is not None):
-        mu = derive_pl_modulus(gamma, oracle.known_lipschitz)
-        reports.append(check_pl(oracle, mu, budget))
+    for prop in _TABLE:
+        # at gamma = 0 a property runs once, under its weak name if any
+        for modulus in dict.fromkeys(f * gamma for f in prop.ladder):
+            if prop.param == "mu":
+                L = oracle.known_lipschitz
+                if modulus == 0 or L is None or oracle.known_minimizer is None:
+                    continue
+                modulus = derive_pl_modulus(modulus, L)
+            reports.append(_run(prop, oracle, modulus, budget))
     return reports
 
 
@@ -464,58 +483,17 @@ def witness_margin(oracle: FunctionOracle, report: ClassReport,
                    witness: Witness) -> tuple[float, float]:
     """Recompute (margin, tol) for a stored witness from scratch.
 
-    Used to confirm that every reported violation reproduces
+    The report's inequality is evaluated on a batch of one with fresh
+    oracle calls, to confirm that every reported violation reproduces
     margin < -tol independently of the bulk evaluation.
     """
-    name, params = report.property_name, report.params
-    x = np.asarray(witness.x, dtype=np.float64)
-    y = None if witness.y is None else np.asarray(witness.y, dtype=np.float64)
-    gamma = params.get("gamma", params.get("gamma_half", params.get("mu", 0.0)))
+    prop = PROPERTIES.get(report.property_name)
+    if prop is None:
+        raise InvalidParameter(f"unknown property {report.property_name!r}")
 
-    if name in ("strong_quasiconvexity", "quasiconvexity", "sharp_quasiconvexity",
-                "strong_convexity", "convexity"):
-        lam = witness.lam
-        mid = x + lam * (y - x)
-        d2 = float(np.sum((x - y) ** 2))
-        h_mid = float(oracle.value(mid))
-        hx, hy = float(oracle.value(x)), float(oracle.value(y))
-        if name in ("strong_convexity", "convexity"):
-            upper = lam * hy + (1.0 - lam) * hx
-        else:
-            upper = max(hx, hy)
-        lhs = upper - lam * (1.0 - lam) * 0.5 * gamma * d2
-        rhs = h_mid
-    elif name == "gradient_characterization":
-        d2 = float(np.sum((x - y) ** 2))
-        lhs = -0.5 * gamma * d2
-        rhs = float(np.sum(np.asarray(oracle.grad(y)) * (x - y)))
-    elif name == "offset_monotonicity":
-        d2 = float(np.sum((x - y) ** 2))
-        lhs = -0.5 * gamma * d2
-        rhs = float(np.sum(np.asarray(oracle.grad(y)) * (x - y)))
-    elif name == "strong_pseudomonotonicity":
-        d2 = float(np.sum((x - y) ** 2))
-        lhs = -params["gamma_half"] * d2
-        rhs = float(np.sum(np.asarray(oracle.grad(x)) * (y - x)))
-    elif name in ("strong_quasimonotonicity", "quasimonotonicity"):
-        d2 = float(np.sum((x - y) ** 2))
-        lhs = -gamma * d2
-        rhs = float(np.sum(np.asarray(oracle.grad(x)) * (y - x)))
-    elif name in ("monotonicity", "strong_monotonicity"):
-        d2 = float(np.sum((x - y) ** 2))
-        gx, gy = np.asarray(oracle.grad(x)), np.asarray(oracle.grad(y))
-        lhs = float(np.sum((gy - gx) * (y - x)))
-        rhs = gamma * d2
-    elif name == "pl":
-        g = np.asarray(oracle.grad(x))
-        lhs = float(np.sum(g * g))
-        rhs = params["mu"] * (float(oracle.value(x)) - oracle.minimum_value())
-    elif name == "quasi_strong_convexity":
-        x_bar = oracle.known_minimizer
-        diff = x - x_bar
-        lhs = float(np.sum(np.asarray(oracle.grad(x)) * diff))
-        rhs = (float(oracle.value(x)) - oracle.minimum_value()
-               + 0.5 * params["mu"] * float(np.sum(diff * diff)))
-    else:
-        raise InvalidParameter(f"unknown property {name!r}")
+    def one(v):
+        return None if v is None else np.asarray(v, dtype=np.float64).reshape(1, -1)
+    s = _Batch(oracle, one(witness.x), one(witness.y), one(witness.lam))
+    lhs, rhs = prop.inequality(s, report.params.get(prop.param, 0.0))
+    lhs, rhs = float(np.ravel(lhs)[0]), float(np.ravel(rhs)[0])
     return lhs - rhs, float(ineq_tol(lhs, rhs))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sqcflow
 from sqcflow import cli
 
 
@@ -260,3 +265,10 @@ class TestBenchCommand:
         from sqcflow.core import InvalidParameter
         with pytest.raises(InvalidParameter):
             bench_suite("nope", tmp_path)
+
+
+def test_import_does_not_load_scipy():
+    # numpy is the only runtime dependency
+    env = dict(os.environ, PYTHONPATH=str(Path(sqcflow.__file__).parents[1]))
+    code = "import sys, sqcflow.cli; sys.exit('scipy' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

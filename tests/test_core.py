@@ -1,12 +1,16 @@
+import itertools
+import statistics
+
 import numpy as np
 import pytest
 
-from sqcflow import catalog
-from sqcflow.core import (DomainSpec, DomainViolation, FunctionOracle,
-                          InvalidParameter, NonPositiveSequence, Trajectory,
-                          as_point, finite_difference_gradient,
-                          fit_decay_exponent, fit_linear_rate, grad_zero_tol)
-from sqcflow.sampling import NestedSampler, sample_points
+from sqcflow import catalog, sampling
+from sqcflow.core import (DomainSamplingFailure, DomainSpec, DomainViolation,
+                          FunctionOracle, InvalidParameter, NonPositiveSequence,
+                          Trajectory, as_point, finite_difference_gradient,
+                          fit_decay_exponent, fit_linear_rate)
+from sqcflow.sampling import (NestedSampler, inverse_normal_cdf, sample_pairs,
+                              sample_points)
 
 
 class TestFiniteDifferenceGradient:
@@ -93,7 +97,7 @@ class TestPointsAndDomains:
         assert not d.contains(np.array([0.0, -0.5]))
 
     def test_predicate_restricts(self):
-        d = DomainSpec.box([-1.0], [1.0], predicate=lambda x: x[0] > 0)
+        d = DomainSpec.box([-1.0], [1.0], predicate=lambda x: x[..., 0] > 0)
         assert d.contains(np.array([0.5]))
         assert not d.contains(np.array([-0.5]))
 
@@ -107,6 +111,138 @@ class TestPointsAndDomains:
         with pytest.raises(InvalidParameter):
             Trajectory(times=[0.0, 0.0], states=np.zeros((2, 1)),
                        h_values=np.zeros(2), grad_norms=np.zeros(2))
+
+    def test_trajectory_rows_must_match_times(self):
+        rows = dict(times=np.arange(3.0), states=np.zeros((3, 1)),
+                    h_values=np.zeros(3), grad_norms=np.zeros(3))
+        Trajectory(**rows, diagnostics={"E": np.zeros(3)})
+        with pytest.raises(InvalidParameter):
+            Trajectory(**dict(rows, states=np.zeros((2, 1))))
+        with pytest.raises(InvalidParameter):
+            Trajectory(**rows, diagnostics={"E": np.zeros(2)})
+
+    def test_predicate_mask_shape_is_checked(self):
+        # elementwise x > 0 instead of x[..., 0] > 0: one value per coordinate
+        d = DomainSpec.box([-1.0, -1.0], [1.0, 1.0], predicate=lambda x: x > 0)
+        with pytest.raises(InvalidParameter):
+            d.contains(np.full(2, 0.5))
+        with pytest.raises(InvalidParameter):
+            d.contains(np.full((5, 2), 0.5))
+        with pytest.raises(InvalidParameter):
+            sample_points(d, 2, 10, NestedSampler(0))
+
+    def test_constant_predicate_broadcasts(self):
+        d = DomainSpec.all_space(predicate=lambda x: False)
+        assert d.contains(np.zeros((4, 3))).shape == (4,)
+        assert not d.contains(np.zeros((4, 3))).any()
+        assert not d.contains(np.zeros(3))
+
+
+def _probe_oracles():
+    """Every catalog oracle, plus ones whose domains are a ball with a
+    predicate, a band and an intersection, built by the catalog."""
+    oracles = {name: e.oracle for name, e in catalog.default_catalog().items()}
+    # f <= 0 on the band 1 <= |x| <= 2, B positive definite: ball + predicate
+    ball_band = catalog.quadratic_fraction(np.eye(2), np.zeros(2), -10.0,
+                                           np.eye(2), np.zeros(2), 1.0, 1.5, 3.0)
+    # f >= 0 and B negative definite: all space + predicate
+    annulus = catalog.quadratic_fraction(np.eye(2), np.zeros(2), 0.0,
+                                         -np.eye(2), np.zeros(2), 3.0, 1.0, 2.5)
+    both = catalog.max_combine(catalog.sqrt_norm(2, 1.5), ball_band)
+    oracles.update({"ball_band": ball_band.oracle, "annulus": annulus.oracle,
+                    "intersection": both.oracle})
+    return oracles
+
+
+def _probe_points(dom, dim, n=1000):
+    """n uniform points around the domain, plus points on and next to the
+    ball, band, origin-exclusion and box boundaries."""
+    rng = np.random.default_rng(0)
+    if dom.kind == "ball":
+        lo, hi = dom.center - 1.5 * dom.radius, dom.center + 1.5 * dom.radius
+    elif dom.kind == "box":
+        lo = dom.lower - 0.5 * (dom.upper - dom.lower)
+        hi = dom.upper + 0.5 * (dom.upper - dom.lower)
+    else:
+        lo, hi = np.full(dim, -4.0), np.full(dim, 4.0)
+    dirs = rng.normal(size=(20, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = [0.0, 1e-13, 1e-12, 1e-11, 1.0, 1.5, 2.0]
+    if dom.kind == "ball":
+        radii += [dom.radius * (1 + e) for e in (-1e-13, 0.0, 1e-13, 1e-11)]
+    center = dom.center if dom.kind == "ball" else np.zeros(dim)
+    pts = [lo + rng.random((n, dim)) * (hi - lo)]
+    pts += [center + r * dirs for r in radii]
+    if dom.kind == "box":
+        pts.append(np.array(list(itertools.product(*zip(dom.lower, dom.upper)))))
+    return np.concatenate(pts)
+
+
+class TestVectorizedDomains:
+    @pytest.mark.parametrize("name", sorted(_probe_oracles()))
+    def test_contains_matches_per_point_loop(self, name):
+        oracle = _probe_oracles()[name]
+        dom = oracle.domain
+        P = _probe_points(dom, oracle.dim)
+
+        def member(p):  # base region, then the predicate, one point at a time
+            if dom.kind == "ball":
+                ok = float(np.linalg.norm(p - dom.center)) <= dom.radius * (1 + 1e-12)
+            elif dom.kind == "box":
+                ok = bool(np.all(p >= dom.lower) and np.all(p <= dom.upper))
+            else:
+                ok = True
+            return ok and (dom.predicate is None or bool(dom.predicate(p)))
+
+        loop = np.array([member(p) for p in P])
+        got = dom.contains(P)
+        assert got.shape == (P.shape[0],)
+        np.testing.assert_array_equal(got, loop)
+        assert loop.any()
+        if dom.kind != "all_space" or name == "annulus":
+            assert not loop.all()
+
+
+class TestSampling:
+    def test_inverse_normal_cdf_matches_stdlib(self):
+        p = np.concatenate([[1e-15, 1e-10, 0.02425, 0.5, 1 - 0.02425, 1 - 1e-15],
+                            np.linspace(1e-6, 1 - 1e-6, 1001)])
+        ref = np.array([statistics.NormalDist().inv_cdf(float(v)) for v in p])
+        np.testing.assert_allclose(inverse_normal_cdf(p), ref, rtol=2e-9, atol=0)
+
+    def test_reject_runs_end_at_the_last_needed_accept(self):
+        keep = np.r_[np.zeros(10, bool), True, np.zeros(1500, bool)]
+        idx, run = sampling._first_accepted(keep, 1, 0)
+        assert idx.tolist() == [10] and run == 0
+        with pytest.raises(DomainSamplingFailure):  # 990 carried + 10 rejects
+            sampling._first_accepted(keep, 1, 990)
+        with pytest.raises(DomainSamplingFailure):  # 1500 before a 2nd accept
+            sampling._first_accepted(keep, 2, 0)
+
+    # seed 3: 1028 rejects precede the 165th accept of x > 2.97 on [-3, 3];
+    # seed 5: the 576th pair with both coordinates > 2.5 follows a run >= 1000
+    @pytest.mark.parametrize("pairs,threshold,seed,n,raises", [
+        (False, 2.97, 3, 164, False), (False, 2.97, 3, 165, True),
+        (False, 2.97, 3, 200, True),
+        (True, 2.5, 5, 575, False), (True, 2.5, 5, 576, True)])
+    def test_reject_limit_is_exact_and_chunk_invariant(
+            self, monkeypatch, pairs, threshold, seed, n, raises):
+        dom = DomainSpec.all_space(predicate=lambda x: x[..., 0] > threshold)
+        outcomes = []
+        for chunk in (64, 4096):
+            monkeypatch.setattr(sampling, "_CHUNK", chunk)
+            try:
+                if pairs:
+                    outcomes.append(sample_pairs(dom, 1, n, 1, NestedSampler(seed)))
+                else:
+                    outcomes.append((sample_points(dom, 1, n, NestedSampler(seed)),))
+            except DomainSamplingFailure:
+                outcomes.append(None)
+        assert (outcomes[0] is None) == raises
+        assert (outcomes[1] is None) == raises
+        if not raises:
+            for a, b in zip(*outcomes):
+                np.testing.assert_array_equal(a, b)
 
 
 def _interior_points(entry, n=100):
@@ -139,7 +275,7 @@ class TestOracleInvariants:
             if x_bar is None or name.startswith("sqrt_norm"):
                 continue  # sqrt norm is nonsmooth at its minimizer
             g = np.asarray(entry.oracle.grad(x_bar))
-            assert np.linalg.norm(g) <= grad_zero_tol(x_bar)
+            assert np.linalg.norm(g) <= 1e-8 * (1.0 + np.linalg.norm(x_bar))
 
     def test_oracles_are_deterministic(self):
         entry = catalog.default_catalog()["sin_quadratic"]

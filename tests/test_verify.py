@@ -338,3 +338,57 @@ class TestBudgets:
         report = check_strong_quasiconvexity(CAT["quadratic_1d"].oracle, 1.0,
                                              budget)
         assert report.samples_tested == 100 * (3 + 3)
+
+
+# Hand-derived (lhs, rhs) of every property at x = (1, 1/2), y = (-1, 1),
+# lambda = 1/4, modulus 1 (mu = 1/2 for pl and quasi_strong_convexity; the
+# weak names at modulus 0).  Shared quantities: x - y = (2, -1/2),
+# |x - y|^2 = 17/4, x + lambda (y - x) = (1/2, 5/8).
+#   quadratic_2d, h = (x1^2 + 4 x2^2)/2: h(x) = 1, h(y) = 5/2,
+#     h(mid) = 29/32, g(x) = (1, 2), g(y) = (-1, 4).
+#   degenerate_quadratic, h = x1^2/2: h(x) = h(y) = 1/2, h(mid) = 1/8,
+#     g(x) = (1, 0), g(y) = (-1, 0).
+# Both minimizers are the origin with h* = 0.
+_PENALTY = 0.25 * 0.75 * 0.5 * 4.25            # lam (1-lam) (gamma/2) |x-y|^2
+_HAND_VALUES = {
+    #                            quadratic_2d                   degenerate_quadratic
+    "strong_quasiconvexity":     ((2.5 - _PENALTY, 29 / 32),    (0.5 - _PENALTY, 1 / 8)),
+    "quasiconvexity":            ((2.5, 29 / 32),               (0.5, 1 / 8)),
+    "sharp_quasiconvexity":      ((2.5 - _PENALTY, 29 / 32),    (0.5 - _PENALTY, 1 / 8)),
+    "strong_convexity":          ((1.375 - _PENALTY, 29 / 32),  (0.5 - _PENALTY, 1 / 8)),
+    "convexity":                 ((1.375, 29 / 32),             (0.5, 1 / 8)),
+    "gradient_characterization": ((-2.125, -4.0),               (-2.125, -2.0)),
+    "offset_monotonicity":       ((-2.125, -4.0),               (-2.125, -2.0)),
+    "strong_pseudomonotonicity": ((-4.25, -1.0),                (-4.25, -2.0)),
+    "strong_quasimonotonicity":  ((-4.25, -1.0),                (-4.25, -2.0)),
+    "quasimonotonicity":         ((0.0, -1.0),                  (0.0, -2.0)),
+    "strong_monotonicity":       ((5.0, 4.25),                  (4.0, 4.25)),
+    "monotonicity":              ((5.0, 0.0),                   (4.0, 0.0)),
+    "pl":                        ((5.0, 0.5),                   (1.0, 0.25)),
+    "quasi_strong_convexity":    ((2.0, 1.3125),                (1.0, 0.8125)),
+}
+_PARAMS = {"strong_pseudomonotonicity": {"gamma_half": 1.0},
+           "pl": {"mu": 0.5}, "quasi_strong_convexity": {"mu": 0.5},
+           "quasiconvexity": {"gamma": 0.0}, "convexity": {"gamma": 0.0},
+           "quasimonotonicity": {"gamma": 0.0}, "monotonicity": {"gamma": 0.0}}
+
+
+@pytest.mark.parametrize("name", sorted(_HAND_VALUES))
+def test_witness_margin_matches_hand_derivation(name):
+    points_only = name in ("pl", "quasi_strong_convexity")
+    pair_only = name in ("gradient_characterization", "offset_monotonicity",
+                         "strong_pseudomonotonicity", "strong_quasimonotonicity",
+                         "quasimonotonicity", "strong_monotonicity",
+                         "monotonicity")
+    witness = verify.Witness(
+        x=np.array([1.0, 0.5]),
+        y=None if points_only else np.array([-1.0, 1.0]),
+        lam=None if points_only or pair_only else 0.25,
+        lhs=0.0, rhs=0.0, margin=0.0)
+    report = verify.ClassReport(name, False, [witness], 1, 1,
+                                params=_PARAMS.get(name, {"gamma": 1.0}))
+    for entry, (lhs, rhs) in zip(("quadratic_2d", "degenerate_quadratic"),
+                                 _HAND_VALUES[name]):
+        margin, tol = witness_margin(CAT[entry].oracle, report, witness)
+        assert margin == pytest.approx(lhs - rhs, rel=1e-12, abs=1e-15)
+        assert tol == pytest.approx(1e-9 * (1 + abs(lhs) + abs(rhs)), rel=1e-12)
