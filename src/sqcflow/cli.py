@@ -78,26 +78,20 @@ class ExperimentConfig:
         }
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float) and np.isnan(x):
-        return "nan"
-    return format(float(x), ".17g")
-
-
 def write_trace_csv(path: Path, traj: Trajectory, index_name: str) -> None:
     dim = traj.states.shape[1]
     diag_names = [n for n in _DIAG_ORDER if n in traj.diagnostics]
     diag_names += sorted(n for n in traj.diagnostics if n not in diag_names)
     header = [index_name] + [f"x{i}" for i in range(dim)] \
         + ["h", "grad_norm"] + diag_names
-    lines = [",".join(header)]
-    for k in range(len(traj)):
-        row = [_fmt(traj.times[k])]
-        row += [_fmt(v) for v in traj.states[k]]
-        row += [_fmt(traj.h_values[k]), _fmt(traj.grad_norms[k])]
-        row += [_fmt(traj.diagnostics[n][k]) for n in diag_names]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    table = np.column_stack([traj.times, traj.states, traj.h_values,
+                             traj.grad_norms]
+                            + [traj.diagnostics[n] for n in diag_names])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for values in table:
+            fh.write(row % tuple(values.tolist()))
 
 
 def write_json(path: Path, obj) -> None:

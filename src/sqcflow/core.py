@@ -1,4 +1,5 @@
-"""Shared data model: oracles, domains, trajectories, and rate certificates.
+"""Shared data model: oracles, domains, trajectories, the step loop of
+flows and solvers, and rate certificates.
 
 Vectors are plain ``numpy.float64`` arrays.  Oracles evaluate a scalar
 objective h and its gradient; both callables must broadcast over leading
@@ -227,6 +228,51 @@ class Trajectory:
         if name not in self.diagnostics:
             raise KeyError(f"trajectory has no diagnostic {name!r}")
         return self.diagnostics[name]
+
+
+def step_rows(first, n_max: int, unit, advance, inside, *, width=None,
+              fill=None, repeat_stops=False, done=None) -> np.ndarray:
+    """Rows 0..n of a fixed-step recursion making at most ``n_max`` steps.
+
+    Rows live in one buffer that doubles when full, so memory follows the
+    steps made, not ``n_max``.  Row 0 begins with ``first``; ``width``
+    (default ``first.size``) leaves room for the columns ``fill`` writes.
+    Step k, in order: ``advance(rows, k)`` returns the next state, or None
+    to stop before stepping; a non-finite state raises NumericalBlowup and
+    one not ``inside`` the domain DomainExit, both at ``(k + 1) * unit``;
+    with ``repeat_stops`` a state equal to the previous one stops the run
+    unrecorded; the state starts row k + 1 and ``fill(rows, k + 1)`` ends
+    it (``fill(rows, 0)`` runs first); ``done(state)`` true stops the run
+    after that row.  The buffer is replaced when it grows, so ``advance``
+    and ``fill`` must keep no reference to it between calls.
+    """
+    n = first.size
+    rows = np.empty((min(n_max, 1024) + 1, width or n))
+    rows[0, :n] = first
+    if fill is not None:
+        fill(rows, 0)
+    k = 0
+    while k < n_max:
+        state = advance(rows, k)
+        if state is None:
+            break
+        if not np.isfinite(state).all():
+            raise NumericalBlowup((k + 1) * unit)
+        if not inside(state):
+            raise DomainExit((k + 1) * unit)
+        if repeat_stops and (state == rows[k, :n]).all():
+            break
+        k += 1
+        if k == rows.shape[0]:
+            grown = np.empty((min(2 * k, n_max + 1), rows.shape[1]))
+            grown[:k] = rows
+            rows = grown
+        rows[k, :n] = state
+        if fill is not None:
+            fill(rows, k)
+        if done is not None and done(state):
+            break
+    return rows[:k + 1]
 
 
 @dataclass

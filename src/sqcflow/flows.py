@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (RATE_SLACK, DomainExit, FunctionOracle, InvalidParameter,
-                   MissingMinimizer, NumericalBlowup, RateCertificate,
-                   Trajectory, as_point, fit_decay_exponent)
+                   MissingMinimizer, RateCertificate, Trajectory, as_point,
+                   fit_decay_exponent, step_rows)
 
 _NOISE_FLOOR = 1e-12
 
@@ -114,6 +114,21 @@ def _n_steps(t_end: float, dt: float) -> int:
     return max(1, int(round(t_end / dt)))
 
 
+def _flow_rows(oracle: FunctionOracle, config: FlowConfig, z0, f):
+    """Times and states of z' = f(z), whose first oracle.dim entries are x."""
+    d, dt, x_bar = oracle.dim, config.dt, oracle.known_minimizer
+    step = _step_fn(config.integrator)
+    done = None
+    if config.stop_dist is not None and x_bar is not None:
+        def done(z):
+            r = z[:d] - x_bar
+            return math.sqrt(r.dot(r)) <= config.stop_dist
+    rows = step_rows(z0, _n_steps(config.t_end, dt), dt,
+                     lambda rows, k: step(f, rows[k], dt),
+                     lambda z: oracle.domain.contains(z[:d]), done=done)
+    return np.arange(rows.shape[0]) * dt, rows
+
+
 def integrate_first_order(oracle: FunctionOracle, config: FlowConfig) -> Trajectory:
     """Integrate dx/dt = -grad h(x) from config.x0 up to t_end."""
     if config.kind != "first_order":
@@ -123,27 +138,8 @@ def integrate_first_order(oracle: FunctionOracle, config: FlowConfig) -> Traject
         raise DomainExit(0.0, "x0 outside the domain")
     x_bar = oracle.known_minimizer
     h_star = oracle.minimum_value() if x_bar is not None else None
-
-    step = _step_fn(config.integrator)
-    f = lambda z: -np.asarray(oracle.grad(z))
-    n = _n_steps(config.t_end, config.dt)
-
-    states = [x.copy()]
-    times = [0.0]
-    for k in range(1, n + 1):
-        x = step(f, x, config.dt)
-        t = k * config.dt
-        if not np.all(np.isfinite(x)):
-            raise NumericalBlowup(t)
-        if not oracle.domain.contains(x):
-            raise DomainExit(t)
-        states.append(x.copy())
-        times.append(t)
-        if (config.stop_dist is not None and x_bar is not None
-                and float(np.linalg.norm(x - x_bar)) <= config.stop_dist):
-            break
-
-    S = np.asarray(states)
+    times, S = _flow_rows(oracle, config, x,
+                          lambda z: -np.asarray(oracle.grad(z)))
     h = np.asarray(oracle.value(S))
     g = np.asarray(oracle.grad(S))
     diags = {}
@@ -151,7 +147,7 @@ def integrate_first_order(oracle: FunctionOracle, config: FlowConfig) -> Traject
         diff = S - x_bar
         diags["E"] = 0.5 * np.sum(diff * diff, axis=-1)
         diags["h_gap"] = h - h_star
-    return Trajectory(times=np.asarray(times), states=S, h_values=h,
+    return Trajectory(times=times, states=S, h_values=h,
                       grad_norms=np.linalg.norm(g, axis=-1), diagnostics=diags)
 
 
@@ -176,25 +172,7 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
         x, v = z[:d], z[d:]
         return np.concatenate([v, -alpha * v - np.asarray(oracle.grad(x))])
 
-    step = _step_fn(config.integrator)
-    z = np.concatenate([x0, config.v0])
-    n = _n_steps(config.t_end, config.dt)
-    zs = [z.copy()]
-    times = [0.0]
-    for k in range(1, n + 1):
-        z = step(f, z, config.dt)
-        t = k * config.dt
-        if not np.all(np.isfinite(z)):
-            raise NumericalBlowup(t)
-        if not oracle.domain.contains(z[:d]):
-            raise DomainExit(t)
-        zs.append(z.copy())
-        times.append(t)
-        if (config.stop_dist is not None and x_bar is not None
-                and float(np.linalg.norm(z[:d] - x_bar)) <= config.stop_dist):
-            break
-
-    Z = np.asarray(zs)
+    times, Z = _flow_rows(oracle, config, np.concatenate([x0, config.v0]), f)
     X, V = Z[:, :d], Z[:, d:]
     h = np.asarray(oracle.value(X))
     g = np.asarray(oracle.grad(X))
@@ -206,7 +184,7 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
         diags["Sigma"] = (h - h_star
                           + 0.5 * np.sum((lyap.lam * diff + V) ** 2, axis=-1)
                           + 0.5 * lyap.xi * np.sum(diff * diff, axis=-1))
-    return Trajectory(times=np.asarray(times), states=X, h_values=h,
+    return Trajectory(times=times, states=X, h_values=h,
                       grad_norms=np.linalg.norm(g, axis=-1), diagnostics=diags)
 
 
@@ -250,8 +228,11 @@ def certify_first_order_values(traj: Trajectory, gamma: float, L: float, x_bar,
                                trust_radius: Optional[float] = None) -> RateCertificate:
     """Value envelope: h gap below the smaller of the two exponential bounds,
 
-        min{ (L/2) |x0 - x_bar| exp(-gamma t / 2),
+        min{ (L/2) |x0 - x_bar|^2 exp(-gamma t),
              (h(x0) - h*) exp(-gamma^2 t / 2L) }
+
+    The first is L-smoothness, h - h* <= (L/2) |x - x_bar|^2, applied to
+    the distance envelope |x - x_bar| <= |x0 - x_bar| exp(-gamma t / 2).
 
     checked from t = 0, or from the first sample inside ``trust_radius``
     of the minimizer when the Lipschitz constant is only local.
@@ -264,7 +245,7 @@ def certify_first_order_values(traj: Trajectory, gamma: float, L: float, x_bar,
     gaps = traj.diagnostic("h_gap")
     dist = np.linalg.norm(traj.states - x_bar, axis=-1)
     t = traj.times
-    env = np.minimum(0.5 * L * dist[0] * np.exp(-0.5 * gamma * t),
+    env = np.minimum(0.5 * L * dist[0] ** 2 * np.exp(-gamma * t),
                      gaps[0] * np.exp(-(gamma ** 2) / (2.0 * L) * t))
     if trust_radius is None:
         t_start = 0.0

@@ -15,14 +15,15 @@ one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .core import (RATE_SLACK, DomainExit, FunctionOracle, InvalidParameter,
-                   MissingMinimizer, NumericalBlowup, ParameterWindowViolation,
-                   RateCertificate, Trajectory, as_point, fit_linear_rate)
+                   MissingMinimizer, ParameterWindowViolation, RateCertificate,
+                   Trajectory, as_point, fit_linear_rate, step_rows)
 
 _GAP_FLOOR = 1e-12
 
@@ -131,13 +132,20 @@ def _resolve_step_rule(oracle: FunctionOracle, rule: StepRule):
     raise InvalidParameter(f"unknown step rule {rule!r}")
 
 
-def _minimizer_diagnostics(oracle, states, h):
+def _trajectory(oracle, rows) -> Trajectory:
+    """Trajectory of solver rows laid out as [x | grad h(x) | step record]."""
+    d = oracle.dim
+    S = np.ascontiguousarray(rows[:, :d])
+    h = np.asarray(oracle.value(S))
     diags = {}
     if oracle.known_minimizer is not None:
-        diff = states - oracle.known_minimizer
+        diff = S - oracle.known_minimizer
         diags["dist"] = np.linalg.norm(diff, axis=-1)
         diags["h_gap"] = h - oracle.minimum_value()
-    return diags
+    return Trajectory(times=np.arange(S.shape[0], dtype=np.float64), states=S,
+                      h_values=h,
+                      grad_norms=np.linalg.norm(rows[:, d:2 * d], axis=-1),
+                      diagnostics=diags)
 
 
 def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
@@ -147,37 +155,25 @@ def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
         raise DomainExit(0, "x0 outside the domain")
     beta_of, limit = _resolve_step_rule(oracle, config.step_rule)
     n_max = config.max_iters if limit is None else min(config.max_iters, limit)
+    d, tol = oracle.dim, config.stop_grad_tol
 
-    states = [x.copy()]
-    grads = [np.asarray(oracle.grad(x))]
-    betas_used: list[float] = []
-    while len(states) - 1 < n_max:
-        k = len(states) - 1
-        g = grads[-1]
-        if float(np.linalg.norm(g)) <= config.stop_grad_tol:
-            break
-        beta_k = float(beta_of(k))
-        x_next = x - beta_k * g
-        if not np.all(np.isfinite(x_next)):
-            raise NumericalBlowup(k + 1)
-        if not oracle.domain.contains(x_next):
-            raise DomainExit(k + 1)
-        if np.array_equal(x_next, x):
-            # exact fixed point: beta_k grad h(x_k) = 0, so x_k is stationary
-            break
-        betas_used.append(beta_k)
-        x = x_next
-        states.append(x.copy())
-        grads.append(np.asarray(oracle.grad(x)))
+    def fill(rows, k):
+        rows[k, d:2 * d] = oracle.grad(rows[k, :d])
 
-    S = np.asarray(states)
-    h = np.asarray(oracle.value(S))
-    diags = _minimizer_diagnostics(oracle, S, h)
-    diags["beta"] = np.asarray(betas_used + [np.nan])
-    return Trajectory(times=np.arange(S.shape[0], dtype=np.float64), states=S,
-                      h_values=h,
-                      grad_norms=np.linalg.norm(np.asarray(grads), axis=-1),
-                      diagnostics=diags)
+    def advance(rows, k):
+        g = rows[k, d:2 * d]
+        if math.sqrt(g.dot(g)) <= tol:
+            return None
+        rows[k, -1] = beta_k = float(beta_of(k))
+        return rows[k, :d] - beta_k * g
+
+    # a next iterate equal to x_k is an exact fixed point: beta_k grad h(x_k)
+    # = 0, so x_k is stationary and the run stops there
+    rows = step_rows(x, n_max, 1, advance, oracle.domain.contains,
+                     width=2 * d + 1, fill=fill, repeat_stops=True)
+    traj = _trajectory(oracle, rows)
+    traj.diagnostics["beta"] = np.append(rows[:-1, -1], np.nan)
+    return traj
 
 
 def heavy_ball(oracle: FunctionOracle, config: HBConfig) -> Trajectory:
@@ -190,38 +186,31 @@ def heavy_ball(oracle: FunctionOracle, config: HBConfig) -> Trajectory:
     if L is not None and config.beta > (1.0 - config.theta ** 2) / L * (1 + 1e-12):
         raise ParameterWindowViolation(
             "beta exceeds (1 - theta^2)/L for the known Lipschitz constant")
+    d, tol = oracle.dim, config.stop_grad_tol
 
-    states = [x.copy()]
-    grads = [np.asarray(oracle.grad(x))]
-    step_norms = [float(np.linalg.norm(x - x_prev))]
-    while len(states) - 1 < config.max_iters:
-        k = len(states) - 1
-        g = grads[-1]
+    def fill(rows, k):
+        x = rows[k, :d]
+        rows[k, d:2 * d] = oracle.grad(x)
+        r = x - (rows[k - 1, :d] if k else x_prev)
+        rows[k, -1] = math.sqrt(r.dot(r))
+
+    def advance(rows, k):
+        x, g = rows[k, :d], rows[k, d:2 * d]
         # a zero gradient alone is not a fixed point while momentum is live
-        if (float(np.linalg.norm(g)) <= config.stop_grad_tol
-                and step_norms[-1] <= config.stop_grad_tol):
-            break
-        x_next = x + config.theta * (x - x_prev) - config.beta * g
-        if not np.all(np.isfinite(x_next)):
-            raise NumericalBlowup(k + 1)
-        if not oracle.domain.contains(x_next):
-            raise DomainExit(k + 1)
-        x_prev, x = x, x_next
-        states.append(x.copy())
-        grads.append(np.asarray(oracle.grad(x)))
-        step_norms.append(float(np.linalg.norm(x - x_prev)))
+        if math.sqrt(g.dot(g)) <= tol and rows[k, -1] <= tol:
+            return None
+        return x + config.theta * (x - (rows[k - 1, :d] if k else x_prev)) \
+            - config.beta * g
 
-    S = np.asarray(states)
-    h = np.asarray(oracle.value(S))
-    diags = _minimizer_diagnostics(oracle, S, h)
-    diags["step_norm"] = np.asarray(step_norms)
+    rows = step_rows(x, config.max_iters, 1, advance, oracle.domain.contains,
+                     width=2 * d + 1, fill=fill)
+    traj = _trajectory(oracle, rows)
+    diags = traj.diagnostics
+    diags["step_norm"] = rows[:, -1]
     if oracle.known_minimizer is not None:
         diags["energy"] = diags["h_gap"] + (config.theta ** 2 / (2.0 * config.beta)) \
             * diags["step_norm"] ** 2
-    return Trajectory(times=np.arange(S.shape[0], dtype=np.float64), states=S,
-                      h_values=h,
-                      grad_norms=np.linalg.norm(np.asarray(grads), axis=-1),
-                      diagnostics=diags)
+    return traj
 
 
 def _betas_from(traj: Trajectory, betas) -> np.ndarray:

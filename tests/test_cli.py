@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import sqcflow
 from sqcflow import cli
+from sqcflow.core import Trajectory
 
 
 def run(argv):
@@ -160,6 +162,14 @@ class TestFlowCommand:
         assert certs[0]["satisfied"]
         assert "probe trajectory" in certs[0]["notes"]
 
+    def test_far_start_value_envelope_passes(self, capsys):
+        code = run(["flow", "--function", "quadratic_1d", "--order", "1",
+                    "--x0", "4"])
+        certs = json.loads(capsys.readouterr().out)
+        assert [c["satisfied"] for c in certs] == [True, True]
+        assert certs[1]["first_violation"] is None
+        assert code == 0
+
     def test_default_dt_scales_with_lipschitz(self, tmp_path):
         out = tmp_path / "dtq"
         code = run(["flow", "--function", "quadratic_2d", "--order", "1",
@@ -243,7 +253,69 @@ class TestConfigAndSeeds:
         # values reparse to the exact same doubles
         header, first = lines[0].split(","), lines[1].split(",")
         for cell in first:
-            assert cell == cli._fmt(float(cell))
+            assert cell == format(float(cell), ".17g")
+
+
+def reference_trace_csv(traj, index_name, diag_names):
+    """The trace as formatted one cell at a time."""
+    dim = traj.states.shape[1]
+    lines = [",".join([index_name] + [f"x{i}" for i in range(dim)]
+                      + ["h", "grad_norm"] + diag_names)]
+    for k in range(len(traj)):
+        cells = [traj.times[k], *traj.states[k], traj.h_values[k],
+                 traj.grad_norms[k]] + [traj.diagnostics[n][k] for n in diag_names]
+        lines.append(",".join(format(float(v), ".17g") for v in cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestTraceWriter:
+    def test_matches_per_cell_formatting(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        special = [nan, -nan, -0.0, inf, -inf, 5e-324, 2.5e-310, 1e22, 3.0,
+                   -17.0, 0.1, 1e16, 2.0 ** 53 + 2.0, -1.2345678901234567e-300]
+        n = len(special)
+        ramp = np.linspace(-2.0, 3.0, n)
+        traj = Trajectory(
+            times=np.arange(n, dtype=float) * 0.1,
+            states=np.column_stack([special, ramp[::-1]]),
+            h_values=np.array(special[::-1]),
+            grad_norms=np.abs(ramp),
+            diagnostics={"zeta": np.array(special), "beta": ramp,
+                         "alpha": np.roll(special, 3), "E": ramp ** 2})
+        path = tmp_path / "trace.csv"
+        cli.write_trace_csv(path, traj, "k")
+        expected = reference_trace_csv(traj, "k", ["E", "beta", "alpha", "zeta"])
+        assert path.read_text() == expected
+        rows = expected.split("\n")
+        assert rows[0] == "k,x0,x1,h,grad_norm,E,beta,alpha,zeta"
+        assert rows[1].split(",")[1] == "nan" and rows[2].split(",")[1] == "nan"
+        assert rows[3].split(",")[1] == "-0"
+
+    # SHA-256 of trace.csv from the per-cell writer, for the four command
+    # shapes of the benchmark's trajectory workload at shorter lengths
+    GOLDEN = [
+        (["flow", "--function", "quadratic_2d", "--order", "1",
+          "--x0=0.775300,-0.626511", "--t-end", "2", "--dt", "0.001"],
+         "3cf26d9733d2745206bb26b4ab5944e8ed488c50daf5cb96e392cf6d410e333c"),
+        (["flow", "--function", "quadratic_3d", "--order", "2", "--alpha", "3.358",
+          "--x0=-1.012731,0.946099,-1.128329", "--t-end", "2", "--dt", "0.001"],
+         "f1fc657af5f45e3fad659ceef0a400b5244ac373d8ab1f40ddb30e2cc4a36d06"),
+        (["gd", "--function", "quadratic_3d", "--beta", "0.009090",
+          "--x0=-1.873625,1.269537,1.140147", "--max-iters", "2000",
+          "--stop-grad-tol", "0"],
+         "3388175bde6fee3cc93611c65568003ed12b30284faabbcca5163a5f1191fb23"),
+        (["hb", "--function", "quadratic_2d", "--theta", "0.9754",
+          "--x0=0.864770,-0.918896", "--max-iters", "2000",
+          "--stop-grad-tol", "0"],
+         "770755e580ec34fcfe3820d3b5da51639457388887c9dea8093cd45714279ee9"),
+    ]
+
+    @pytest.mark.parametrize("argv,sha", GOLDEN, ids=["flow1", "flow2", "gd", "hb"])
+    def test_trajectory_traces_are_pinned(self, tmp_path, capsys, argv, sha):
+        assert run(argv + ["--output-dir", str(tmp_path)]) == 0
+        data = (tmp_path / "trace.csv").read_bytes()
+        assert data.count(b"\n") == 2002
+        assert hashlib.sha256(data).hexdigest() == sha
 
 
 class TestBenchCommand:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sqcflow import catalog, flows
-from sqcflow.core import (DomainExit, FunctionOracle, InvalidParameter,
-                          MissingMinimizer)
+from sqcflow.core import (DomainExit, DomainSpec, FunctionOracle,
+                          InvalidParameter, MissingMinimizer, NumericalBlowup)
 from sqcflow.flows import (FlowConfig, LyapunovParams, certify_first_order,
                            certify_first_order_values, certify_second_order,
                            integrate_first_order, integrate_second_order)
@@ -95,6 +95,73 @@ class TestFirstOrderIntegration:
             FlowConfig(kind="third_order", x0=[1.0], t_end=1.0, dt=0.1)
         with pytest.raises(InvalidParameter):
             FlowConfig(kind="second_order", x0=[1.0], t_end=1.0, dt=0.1)
+
+
+def drift_oracle(domain=None, blowup_above=None):
+    """h(x) = -x0 in 1-D: the first-order flow moves right at unit speed.
+
+    Beyond ``blowup_above`` the gradient is infinite, so a step that
+    evaluates it there yields a non-finite state.
+    """
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        g = -np.ones_like(x)
+        if blowup_above is not None:
+            g[x > blowup_above] = np.inf
+        return g
+
+    return FunctionOracle(dim=1, value=lambda x: -np.asarray(x)[..., 0],
+                          grad=grad, domain=domain or DomainSpec.all_space())
+
+
+def drift_config(order, integrator, **kw):
+    # second order: v0 = 1 is the fixed point of v' = -v + 1, so x also
+    # moves right at unit speed
+    extra = {"alpha": 1.0, "v0": [1.0]} if order == 2 else {}
+    return FlowConfig(kind=("first_order", "second_order")[order - 1],
+                      x0=[0.0], t_end=10.0, dt=0.5, integrator=integrator,
+                      **extra, **kw)
+
+
+INTEGRATE = {1: integrate_first_order, 2: integrate_second_order}
+
+
+class TestStepLoopSemantics:
+    """Where each loop stops or raises; x_k = 0.5 k on the drift oracle."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("integrator,where", [
+        # Euler evaluates the gradient at x_5 = 2.5 only in step 6; the
+        # RK4 stage x_4 + dt/2 = 2.25 already does so in step 5
+        ("explicit_euler", 6 * 0.5), ("rk4", 5 * 0.5)])
+    def test_blowup_where(self, order, integrator, where):
+        with pytest.raises(NumericalBlowup) as exc:
+            INTEGRATE[order](drift_oracle(blowup_above=2.2),
+                             drift_config(order, integrator))
+        assert exc.value.where == where
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("integrator", ["explicit_euler", "rk4"])
+    def test_domain_exit_where(self, order, integrator):
+        box = DomainSpec.box([-10.0], [2.2])
+        with pytest.raises(DomainExit) as exc:
+            INTEGRATE[order](drift_oracle(domain=box),
+                             drift_config(order, integrator))
+        assert exc.value.where == 5 * 0.5  # x_5 = 2.5 is the first outside
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("integrator", ["explicit_euler", "rk4"])
+    def test_stop_dist_keeps_first_sample_inside(self, order, integrator):
+        cfg = FlowConfig(kind=("first_order", "second_order")[order - 1],
+                         x0=[1.0, -1.0], t_end=50.0, dt=0.01,
+                         integrator=integrator, stop_dist=1e-2,
+                         alpha=3.0 if order == 2 else None)
+        traj = INTEGRATE[order](CAT["quadratic_2d"].oracle, cfg)
+        dist = np.linalg.norm(traj.states, axis=-1)
+        assert dist[-1] <= 1e-2 < dist[:-1].min()
+        assert len(traj) < 5000
+        assert traj.times[-1] == (len(traj) - 1) * 0.01
 
 
 class TestSecondOrderIntegration:
@@ -198,6 +265,16 @@ class TestFirstOrderCertificates:
         traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
         cert = certify_first_order_values(traj, 10.0, 1.0, np.zeros(1))
         assert not cert.satisfied
+
+    def test_value_envelope_far_start(self):
+        # gap 8 exp(-2t) sits under (L/2)|x0|^2 exp(-gamma t) = 8 exp(-t);
+        # the envelope (L/2)|x0| exp(-gamma t / 2) = 2 exp(-t/2) did not hold
+        # at t = 0
+        cfg = FlowConfig(kind="first_order", x0=[4.0], t_end=10.0, dt=1e-3)
+        traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
+        cert = certify_first_order_values(traj, 1.0, 1.0, np.zeros(1))
+        assert cert.satisfied and cert.first_violation is None
+        assert cert.theoretical_rate == 0.5
 
     def test_value_envelope_needs_minimizer_diag(self):
         cfg = FlowConfig(kind="first_order", x0=[0.5], t_end=1.0, dt=1e-2)

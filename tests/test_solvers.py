@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sqcflow import catalog, estimate, flows, solvers
-from sqcflow.core import (InvalidParameter, MissingMinimizer,
+from sqcflow.core import (DomainExit, DomainSpec, FunctionOracle,
+                          InvalidParameter, MissingMinimizer, NumericalBlowup,
                           ParameterWindowViolation)
 from sqcflow.flows import FlowConfig, integrate_second_order
 from sqcflow.solvers import (ConstantStep, GDConfig, HBConfig, OptimalStep,
@@ -102,6 +103,113 @@ class TestGradientDescent:
         assert dist[-1] < 0.75 * dist[0]
         cert = certify_gd_contraction(traj, gamma, L0)
         assert cert.satisfied
+
+
+def drift_oracle(domain=None, blowup_above=None, grad_below=None):
+    """h(x) = -x0 in 1-D, whose gradient -1 pushes every iterate right.
+
+    Beyond ``blowup_above`` the gradient is infinite.  With ``grad_below``
+    it is instead 1 above that point and 1e-20 at or below it.
+    """
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        if grad_below is not None:
+            return np.where(x > grad_below, 1.0, 1e-20)
+        g = -np.ones_like(x)
+        if blowup_above is not None:
+            g[x > blowup_above] = np.inf
+        return g
+
+    return FunctionOracle(dim=1, value=lambda x: -np.asarray(x)[..., 0],
+                          grad=grad, domain=domain or DomainSpec.all_space())
+
+
+def gd_run(oracle):
+    # beta = 0.5, gradient -1: x_k = 0.5 k
+    return gradient_descent(oracle, GDConfig(x0=[0.0], step_rule=ConstantStep(0.5),
+                                             max_iters=100, stop_grad_tol=0.0))
+
+
+def hb_run(oracle):
+    # theta = 0.5, beta = 0.5, gradient -1: x = 0, 0.5, 1.25, 2.125, 3.0625
+    return heavy_ball(oracle, HBConfig(x0=[0.0], theta=0.5, beta=0.5,
+                                       max_iters=100, stop_grad_tol=0.0))
+
+
+class TestStepLoopSemantics:
+    @pytest.mark.parametrize("run,where", [(gd_run, 6), (hb_run, 5)])
+    def test_blowup_where(self, run, where):
+        # gd reaches x_5 = 2.5 and hb x_4 = 3.0625 beyond 2.2, where the
+        # gradient is infinite, so the next iterate is not finite
+        with pytest.raises(NumericalBlowup) as exc:
+            run(drift_oracle(blowup_above=2.2))
+        assert exc.value.where == where
+
+    @pytest.mark.parametrize("run,where", [(gd_run, 5), (hb_run, 4)])
+    def test_domain_exit_where(self, run, where):
+        with pytest.raises(DomainExit) as exc:
+            run(drift_oracle(domain=DomainSpec.box([-10.0], [2.2])))
+        assert exc.value.where == where
+
+    def test_exact_fixed_point_stop_after_steps(self):
+        # x = 1, 0.875, 0.75; at 0.75 the step 0.125e-20 is below one ulp
+        traj = gradient_descent(
+            drift_oracle(grad_below=0.75),
+            GDConfig(x0=[1.0], step_rule=ConstantStep(0.125), max_iters=100,
+                     stop_grad_tol=0.0))
+        np.testing.assert_array_equal(traj.states[:, 0], [1.0, 0.875, 0.75])
+        np.testing.assert_array_equal(traj.grad_norms, [1.0, 1.0, 1e-20])
+        beta = traj.diagnostic("beta")
+        np.testing.assert_array_equal(beta[:-1], [0.125, 0.125])
+        assert np.isnan(beta[-1])
+
+    @pytest.mark.parametrize("kw,rows", [
+        ({"max_iters": 3, "stop_grad_tol": 0.0}, 4),       # iteration cap
+        ({"max_iters": 100, "stop_grad_tol": 0.3}, 3)])    # |x_2| = 0.25
+    def test_beta_column_ends_in_nan(self, kw, rows):
+        traj = gradient_descent(CAT["quadratic_1d"].oracle,
+                                GDConfig(x0=[1.0], step_rule=ConstantStep(0.5),
+                                         **kw))
+        beta = traj.diagnostic("beta")
+        assert len(traj) == rows
+        np.testing.assert_array_equal(beta[:-1], 0.5)
+        assert np.isnan(beta[-1])
+
+    def test_hb_zero_gradient_with_live_momentum_continues(self):
+        # grad h(x0) = 0 at the minimizer, but |x0 - x_prev| = 1
+        traj = heavy_ball(CAT["quadratic_1d"].oracle,
+                          HBConfig(x0=[0.0], x_prev=[1.0], theta=0.5, beta=0.5,
+                                   max_iters=3))
+        assert len(traj) == 4
+        assert traj.states[1, 0] == -0.5
+        np.testing.assert_array_equal(traj.diagnostic("step_norm")[:2],
+                                      [1.0, 0.5])
+
+    def test_hb_stops_at_rest_on_the_minimizer(self):
+        traj = heavy_ball(CAT["quadratic_1d"].oracle,
+                          HBConfig(x0=[0.0], theta=0.5, beta=0.5, max_iters=3))
+        assert len(traj) == 1
+
+    @pytest.mark.parametrize("run", ["gd", "hb"])
+    def test_memory_follows_steps_not_max_iters(self, run):
+        import tracemalloc
+        oracle = CAT["quadratic_1d"].oracle
+        if run == "gd":
+            config = GDConfig(x0=[1.0], step_rule=ConstantStep(0.023),
+                              max_iters=10 ** 9)
+            solve = gradient_descent
+        else:
+            config = HBConfig(x0=[1.0], theta=0.5, beta=0.01,
+                              max_iters=10 ** 9)
+            solve = heavy_ball
+        tracemalloc.start()
+        try:
+            traj = solve(oracle, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 500 < len(traj) < 2000
+        assert peak < 4 * 2 ** 20
 
 
 class TestGDCertificates:
