@@ -15,7 +15,7 @@ from sqcflow.flows import FlowConfig
 
 
 def certify(name, oracle, gamma, L, x0, t_end):
-    cfg = FlowConfig(kind="first_order", x0=x0, t_end=t_end, dt=1e-3)
+    cfg = FlowConfig(x0=x0, t_end=t_end, dt=1e-3)
     traj = flows.integrate_first_order(oracle, cfg)
     dist_cert = flows.certify_first_order(traj, gamma, oracle.known_minimizer)
     print(f"\n  {name}: {len(traj) - 1} rk4 steps to t={traj.times[-1]:g}")
@@ -52,8 +52,7 @@ def main():
     # the square-root norm flow reaches the minimizer in finite time;
     # integration stops just short of the nonsmooth point
     sq = catalog.default_catalog()["sqrt_norm_1d"]
-    cfg = FlowConfig(kind="first_order", x0=[0.9], t_end=1.2, dt=1e-4,
-                     stop_dist=1e-3)
+    cfg = FlowConfig(x0=[0.9], t_end=1.2, dt=1e-4, stop_dist=1e-3)
     traj = flows.integrate_first_order(sq.oracle, cfg)
     cert = flows.certify_first_order(traj, sq.constants_known["gamma"],
                                      np.zeros(1))

@@ -29,8 +29,7 @@ def lyapunov_block():
     lyap = LyapunovParams.from_constants(gamma, kappa, alpha)
     print(f"  kappa = gamma/L = {kappa}, lam = {lyap.lam:.6f}, "
           f"certified rate = {lyap.decay_exponent:.6f}")
-    cfg = FlowConfig(kind="second_order", x0=[1.0, 1.0], t_end=20.0,
-                     dt=1e-3, alpha=alpha)
+    cfg = FlowConfig(x0=[1.0, 1.0], t_end=20.0, dt=1e-3, alpha=alpha)
     traj = flows.integrate_second_order(entry.oracle, cfg, lyap)
     cert = flows.certify_second_order(traj, lyap)
     sigma = traj.diagnostic("Sigma")
@@ -57,7 +56,7 @@ def discretization_block():
                                 HBConfig(x0=x0, theta=theta, beta=beta,
                                          max_iters=n, stop_grad_tol=0.0))
         fl = flows.integrate_second_order(
-            entry.oracle, FlowConfig(kind="second_order", x0=x0, t_end=1.0,
+            entry.oracle, FlowConfig(x0=x0, t_end=1.0,
                                      dt=eta / 10.0, alpha=alpha))
         gap = float(np.max(np.abs(hb.states - fl.states[::10][:len(hb.states)])))
         gaps.append(gap)

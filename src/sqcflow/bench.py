@@ -85,7 +85,7 @@ def criterion_flow_envelope(workdir: Path):
     """First-order flow distance envelope on the anisotropic quadratic."""
     t0 = time.time()
     entry = catalog.default_catalog()["quadratic_2d"]
-    cfg = FlowConfig(kind="first_order", x0=[1.0, 1.0], t_end=10.0, dt=1e-3)
+    cfg = FlowConfig(x0=[1.0, 1.0], t_end=10.0, dt=1e-3)
     traj = flows.integrate_first_order(entry.oracle, cfg)
     cert = flows.certify_first_order(traj, 1.0, entry.oracle.known_minimizer)
     elapsed = time.time() - t0
@@ -172,8 +172,7 @@ def criterion_second_order_lyapunov(workdir: Path):
     kappa = gamma / L
     lyap = LyapunovParams.from_constants(gamma, kappa, alpha)
     lam_expected = min(np.sqrt(gamma / (2 * kappa)), 2 * alpha / (kappa + 4))
-    cfg = FlowConfig(kind="second_order", x0=[1.0, 1.0], t_end=20.0,
-                     dt=1e-3, alpha=alpha)
+    cfg = FlowConfig(x0=[1.0, 1.0], t_end=20.0, dt=1e-3, alpha=alpha)
     traj = flows.integrate_second_order(entry.oracle, cfg, lyap)
     cert = flows.certify_second_order(traj, lyap)
     elapsed = time.time() - t0
@@ -193,8 +192,7 @@ def _discretization_gap(eta: float, alpha: float = 3.0) -> float:
                             HBConfig(x0=x0, theta=theta, beta=beta,
                                      max_iters=n, stop_grad_tol=0.0))
     fl = flows.integrate_second_order(
-        entry.oracle, FlowConfig(kind="second_order", x0=x0, t_end=1.0,
-                                 dt=eta / 10.0, alpha=alpha))
+        entry.oracle, FlowConfig(x0=x0, t_end=1.0, dt=eta / 10.0, alpha=alpha))
     flow_states = fl.states[::10]
     m = min(len(hb.states), len(flow_states))
     return float(np.max(np.abs(hb.states[:m] - flow_states[:m])))

@@ -48,8 +48,6 @@ EXIT_CERT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_TASKS = ("verify", "flow", "gd", "hb", "estimate", "bench")
-
 # canonical trace column ordering after the index/state/value columns
 _DIAG_ORDER = ("E", "Sigma", "h_gap", "dist", "beta", "step_norm",
                "energy", "v_norm")
@@ -106,8 +104,10 @@ def _parse_vector(text: str) -> np.ndarray:
         raise InvalidParameter(f"cannot parse vector {text!r}") from exc
 
 
-def _default_x0(entry: CatalogEntry) -> np.ndarray:
-    # interior, away from the minimizer, valid for every catalog domain
+def _start(entry: CatalogEntry, params: dict) -> np.ndarray:
+    """--x0, or a point inside every catalog domain, away from the minimizer."""
+    if params.get("x0") is not None:
+        return np.asarray(params["x0"], dtype=np.float64)
     dom = entry.oracle.domain
     if dom.kind == "ball":
         x = np.full(entry.oracle.dim, 1.0)
@@ -115,17 +115,26 @@ def _default_x0(entry: CatalogEntry) -> np.ndarray:
     return np.full(entry.oracle.dim, 1.0)
 
 
-def _resolve_constants(entry: CatalogEntry, params: dict, x0, seed: int):
-    """(gamma, L, notes): explicit param > known constant > estimate."""
-    notes = []
+def _resolve_gamma(entry: CatalogEntry, params: dict, seed: int, notes: list,
+                   samples=20000):
+    """--gamma, else the catalog modulus, else (unless ``samples`` is None)
+    an estimate from ``samples`` pairs, noted in ``notes``; else None."""
     gamma = params.get("gamma")
     if gamma is None:
         gamma = entry.oracle.known_modulus
-    if gamma is None:
-        gamma = empirical_modulus(entry.oracle, None,
-                                  samples=int(params.get("samples", 20000)),
+    if gamma is None and samples is not None:
+        gamma = empirical_modulus(entry.oracle, None, samples=int(samples),
                                   seed=seed) * SAFETY_MODULUS
         notes.append("gamma estimated empirically (safety-adjusted)")
+    return gamma
+
+
+def _resolve_constants(entry: CatalogEntry, params: dict, x0, seed: int):
+    """(gamma, L, notes) of gd and hb, each from its flag, else the catalog,
+    else an estimate."""
+    notes = []
+    gamma = _resolve_gamma(entry, params, seed, notes,
+                           params.get("samples", 20000))
     L = params.get("L", params.get("L0"))
     if L is None:
         L = entry.oracle.known_lipschitz
@@ -157,14 +166,11 @@ def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Pat
     budget = SampleBudget(pairs=int(params.get("pairs", 2000)),
                           lambdas_per_pair=int(params.get("lambdas", 2)),
                           seed=config.seed)
-    gamma = params.get("gamma")
-    if gamma is None:
-        gamma = entry.oracle.known_modulus
+    # only the ladder estimates an unknown modulus
+    gamma = _resolve_gamma(entry, params, config.seed, [],
+                           20000 if name == "ladder" else None)
     mu = params.get("mu")
     if name == "ladder":
-        if gamma is None:
-            gamma = empirical_modulus(entry.oracle, None, seed=config.seed) \
-                * SAFETY_MODULUS
         reports = check_implication_ladder(entry.oracle, gamma, budget)
         broken = ladder_soundness(reports)
         payload = {"reports": [r.to_dict() for r in reports],
@@ -188,11 +194,8 @@ def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Pat
                                 mu if param == "mu" else gamma, budget)
         payload = report.to_dict()
         ok = report.holds_on_samples
-    print(json.dumps(payload, sort_keys=True))
-    if out is not None:
-        write_json(out / "certificate.json", payload)
-        _write_meta(out, config, {"gamma": gamma, "mu": mu})
-    return EXIT_OK if ok else EXIT_CERT_FAILED
+    return _emit(config, out, "certificate.json", payload, ok,
+                 {"gamma": gamma, "mu": mu})
 
 
 def _default_dt(entry: CatalogEntry, params: dict) -> float:
@@ -204,22 +207,21 @@ def _default_dt(entry: CatalogEntry, params: dict) -> float:
 
 def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
-    order = int(params.get("order", 1))
-    x0 = params.get("x0")
-    x0 = _default_x0(entry) if x0 is None else np.asarray(x0, dtype=np.float64)
+    cfg = FlowConfig(x0=_start(entry, params),
+                     t_end=float(params.get("t_end", 10.0)),
+                     dt=_default_dt(entry, params),
+                     integrator=params.get("integrator", "rk4"),
+                     alpha=params.get("alpha", 3.0), v0=params.get("v0"),
+                     stop_dist=params.get("stop_dist"))
     notes: list[str] = []
     constants: dict = {}
     certs = []
-    if order == 1:
-        cfg = FlowConfig(kind="first_order", x0=x0,
-                         t_end=float(params.get("t_end", 10.0)),
-                         dt=_default_dt(entry, params),
-                         integrator=params.get("integrator", "rk4"),
-                         stop_dist=params.get("stop_dist"))
-        gamma = params.get("gamma", entry.oracle.known_modulus)
+    if int(params.get("order", 1)) == 1:
+        # the first-order flow certifies only what is given or catalogued
+        gamma = _resolve_gamma(entry, params, config.seed, notes, None)
         oracle = entry.oracle
         if gamma is not None:
-            oracle = _with_reference_minimizer(entry, x0, notes)
+            oracle = _with_reference_minimizer(entry, cfg.x0, notes)
         traj = integrate_first_order(oracle, cfg)
         if gamma is not None and oracle.known_minimizer is not None:
             constants["gamma"] = float(gamma)
@@ -231,23 +233,17 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
                 certs.append(certify_first_order_values(
                     traj, float(gamma), float(L), oracle.known_minimizer))
     else:
-        alpha = float(params.get("alpha", 3.0))
-        gamma = params.get("gamma", entry.oracle.known_modulus)
-        if gamma is None:
-            gamma = empirical_modulus(entry.oracle, None, seed=config.seed) \
-                * SAFETY_MODULUS
-            notes.append("gamma estimated empirically (safety-adjusted)")
-        oracle = _with_reference_minimizer(entry, x0, notes)
+        alpha = float(cfg.alpha)
+        gamma = _resolve_gamma(entry, params, config.seed, notes)
+        oracle = _with_reference_minimizer(entry, cfg.x0, notes)
         kappa = params.get("kappa")
         if kappa is None:
             if entry.oracle.known_lipschitz is not None:
                 kappa = gamma / entry.oracle.known_lipschitz
                 notes.append("kappa = gamma / L")
             elif oracle.known_minimizer is not None:
-                probe = integrate_first_order(
-                    oracle, FlowConfig(kind="first_order", x0=x0,
-                                       t_end=float(params.get("t_end", 10.0)),
-                                       dt=_default_dt(entry, params)))
+                probe = integrate_first_order(oracle, dataclasses.replace(
+                    cfg, integrator="rk4", stop_dist=None))
                 kappa = estimate_kappa(oracle, probe, oracle.known_minimizer)
                 notes.append("kappa estimated along a probe trajectory "
                              "(safety-adjusted)")
@@ -258,13 +254,6 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
             constants.update({"kappa": float(kappa), "lam": lyap.lam,
                               "xi": lyap.xi})
         constants.update({"gamma": float(gamma), "alpha": alpha})
-        cfg = FlowConfig(kind="second_order", x0=x0,
-                         v0=params.get("v0"),
-                         alpha=alpha,
-                         t_end=float(params.get("t_end", 10.0)),
-                         dt=_default_dt(entry, params),
-                         integrator=params.get("integrator", "rk4"),
-                         stop_dist=params.get("stop_dist"))
         traj = integrate_second_order(oracle, cfg, lyap)
         if "Sigma" in traj.diagnostics and lyap is not None:
             certs.append(certify_second_order(traj, lyap))
@@ -274,11 +263,8 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
 
 def _run_gd(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
-    x0 = params.get("x0")
-    x0 = _default_x0(entry) if x0 is None else np.asarray(x0, dtype=np.float64)
-    notes: list[str] = []
-    gamma, L0, more = _resolve_constants(entry, params, x0, config.seed)
-    notes += more
+    x0 = _start(entry, params)
+    gamma, L0, notes = _resolve_constants(entry, params, x0, config.seed)
     if params.get("optimal"):
         rule = OptimalStep(gamma=gamma, L0=L0)
     else:
@@ -307,13 +293,10 @@ def _run_gd(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
 
 def _run_hb(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
-    x0 = params.get("x0")
-    x0 = _default_x0(entry) if x0 is None else np.asarray(x0, dtype=np.float64)
+    x0 = _start(entry, params)
     theta = float(params.get("theta", 0.5))
     beta = params.get("beta")
-    notes: list[str] = []
-    gamma, L, more = _resolve_constants(entry, params, x0, config.seed)
-    notes += more
+    gamma, L, notes = _resolve_constants(entry, params, x0, config.seed)
     if beta is None:
         beta = 0.5 * (1.0 - theta ** 2) / L
         notes.append("beta = (1 - theta^2) / 2L")
@@ -339,8 +322,7 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
     params = config.task_params
     which = params.get("constant")
     samples = int(params.get("samples", 2000))
-    x0 = params.get("x0")
-    x0 = _default_x0(entry) if x0 is None else np.asarray(x0, dtype=np.float64)
+    x0 = _start(entry, params)
     if which == "L0":
         adjusted = estimate_lipschitz_sublevel(entry.oracle, x0,
                                                samples=samples, seed=config.seed)
@@ -354,8 +336,7 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
                    "samples": samples}
     elif which == "kappa":
         oracle = _with_reference_minimizer(entry, x0, [])
-        cfg = FlowConfig(kind="first_order", x0=x0,
-                         t_end=float(params.get("t_end", 5.0)),
+        cfg = FlowConfig(x0=x0, t_end=float(params.get("t_end", 5.0)),
                          dt=float(params.get("dt", 1e-3)))
         traj = integrate_first_order(oracle, cfg)
         adjusted = estimate_kappa(oracle, traj, oracle.known_minimizer)
@@ -369,23 +350,27 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
     else:
         raise InvalidParameter(
             "estimate --constant must be one of L0, gamma, kappa, minimizer")
+    return _emit(config, out, "estimate.json", payload, True, {})
+
+
+def _emit(config: ExperimentConfig, out: Optional[Path], name: str, payload,
+          ok: bool, constants: dict, notes=(), trace=None) -> int:
+    """Print the payload; with an output directory also write ``trace``
+    (trajectory, index column) as trace.csv, the payload as ``name`` and
+    meta.json.  Returns the exit code for ``ok``."""
     print(json.dumps(payload, sort_keys=True))
     if out is not None:
-        write_json(out / "estimate.json", payload)
-        _write_meta(out, config, {})
-    return EXIT_OK
-
-
-def _write_meta(out: Path, config: ExperimentConfig, constants: dict,
-                notes: Optional[list] = None) -> None:
-    meta = {
-        "artifact": {"name": "sqcflow", "version": __version__},
-        "config": config.to_dict(),
-        "constants_used": {k: (None if v is None else float(v))
-                           for k, v in sorted(constants.items())},
-        "notes": notes or [],
-    }
-    write_json(out / "meta.json", meta)
+        if trace is not None:
+            write_trace_csv(out / "trace.csv", *trace)
+        write_json(out / name, payload)
+        write_json(out / "meta.json", {
+            "artifact": {"name": "sqcflow", "version": __version__},
+            "config": config.to_dict(),
+            "constants_used": {k: (None if v is None else float(v))
+                               for k, v in sorted(constants.items())},
+            "notes": list(notes),
+        })
+    return EXIT_OK if ok else EXIT_CERT_FAILED
 
 
 def _emit_run(config, out, traj, index_name, certs, constants, notes):
@@ -393,32 +378,31 @@ def _emit_run(config, out, traj, index_name, certs, constants, notes):
     for c in payload:
         if notes:
             c["notes"] = "; ".join(filter(None, [c.get("notes", "")] + notes))
-    print(json.dumps(payload, sort_keys=True))
-    if out is not None:
-        write_trace_csv(out / "trace.csv", traj, index_name)
-        write_json(out / "certificate.json", payload)
-        _write_meta(out, config, constants, notes)
-    return EXIT_OK if all(c.satisfied for c in certs) else EXIT_CERT_FAILED
+    return _emit(config, out, "certificate.json", payload,
+                 all(c.satisfied for c in certs), constants, notes,
+                 (traj, index_name))
+
+
+_RUNNERS = {"verify": _run_verify, "flow": _run_flow, "gd": _run_gd,
+            "hb": _run_hb, "estimate": _run_estimate}
 
 
 def run_experiment(config: ExperimentConfig) -> int:
     """Execute one task; returns the process exit code."""
-    if config.task not in _TASKS:
-        raise InvalidParameter(f"unknown task {config.task!r}")
     if config.task == "bench":
         from .bench import bench_suite
         if not config.output_dir:
             raise InvalidParameter("bench needs an output directory")
         return bench_suite(config.task_params.get("suite", "acceptance"),
                            config.output_dir)
+    if config.task not in _RUNNERS:
+        raise InvalidParameter(f"unknown task {config.task!r}")
     entry = get_entry(config.function)
     out = None
     if config.output_dir:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-    runner = {"verify": _run_verify, "flow": _run_flow, "gd": _run_gd,
-              "hb": _run_hb, "estimate": _run_estimate}[config.task]
-    return runner(entry, config, out)
+    return _RUNNERS[config.task](entry, config, out)
 
 
 def _add_common(p):
@@ -500,16 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_PARAM_KEYS = {
-    "verify": ("property", "gamma", "mu", "pairs", "lambdas"),
-    "flow": ("order", "alpha", "x0", "v0", "t_end", "dt", "integrator",
-             "gamma", "kappa", "L", "stop_dist"),
-    "gd": ("beta", "optimal", "x0", "max_iters", "stop_grad_tol", "gamma", "L0"),
-    "hb": ("theta", "beta", "x0", "x_prev", "max_iters", "stop_grad_tol",
-           "gamma", "L"),
-    "estimate": ("constant", "samples", "x0"),
-    "bench": ("suite",),
-}
+# parsed flags that configure the run rather than the task
+_RUN_DESTS = ("command", "function", "seed", "output_dir", "config")
 
 _VECTOR_KEYS = ("x0", "v0", "x_prev")
 
@@ -530,9 +506,8 @@ def _config_from_args(args) -> ExperimentConfig:
         base["output_dir"] = args.output_dir
     if getattr(args, "seed", None) is not None:
         base["seed"] = args.seed
-    for key in _PARAM_KEYS.get(args.command, ()):
-        val = getattr(args, key, None)
-        if val is not None:
+    for key, val in vars(args).items():
+        if key not in _RUN_DESTS and val is not None:
             base["task_params"][key] = val
     if base["seed"] is None:
         base["seed"] = int(os.environ.get("SQCFLOW_SEED", "0"))

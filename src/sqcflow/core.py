@@ -231,7 +231,7 @@ class Trajectory:
 
 
 def step_rows(first, n_max: int, unit, advance, inside, *, width=None,
-              fill=None, repeat_stops=False, done=None) -> np.ndarray:
+              fill=None, done=None) -> np.ndarray:
     """Rows 0..n of a fixed-step recursion making at most ``n_max`` steps.
 
     Rows live in one buffer that doubles when full, so memory follows the
@@ -240,9 +240,8 @@ def step_rows(first, n_max: int, unit, advance, inside, *, width=None,
     Step k, in order: ``advance(rows, k)`` returns the next state, or None
     to stop before stepping; a non-finite state raises NumericalBlowup and
     one not ``inside`` the domain DomainExit, both at ``(k + 1) * unit``;
-    with ``repeat_stops`` a state equal to the previous one stops the run
-    unrecorded; the state starts row k + 1 and ``fill(rows, k + 1)`` ends
-    it (``fill(rows, 0)`` runs first); ``done(state)`` true stops the run
+    the state starts row k + 1 and ``fill(rows, k + 1)`` ends it
+    (``fill(rows, 0)`` runs first); ``done(state)`` true stops the run
     after that row.  The buffer is replaced when it grows, so ``advance``
     and ``fill`` must keep no reference to it between calls.
     """
@@ -260,8 +259,6 @@ def step_rows(first, n_max: int, unit, advance, inside, *, width=None,
             raise NumericalBlowup((k + 1) * unit)
         if not inside(state):
             raise DomainExit((k + 1) * unit)
-        if repeat_stops and (state == rows[k, :n]).all():
-            break
         k += 1
         if k == rows.shape[0]:
             grown = np.empty((min(2 * k, n_max + 1), rows.shape[1]))

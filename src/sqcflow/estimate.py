@@ -76,24 +76,23 @@ def estimate_lipschitz_sublevel(oracle: FunctionOracle, x0,
 
     best = 0.0
     for i in range(1, pts.shape[0], _PAIR_CHUNK):
-        block = slice(i, min(i + _PAIR_CHUNK, pts.shape[0]))
-        dx = pts[block, None, :] - pts[None, :block.start, :]
-        dg = grads[block, None, :] - grads[None, :block.start, :]
-        dist = np.linalg.norm(dx, axis=-1)
-        ratio = np.linalg.norm(dg, axis=-1) / np.where(dist < 1e-12, np.inf, dist)
-        inner = _pairs_within(pts[block], grads[block])
-        best = max(best, float(ratio.max()), inner)
+        block = (pts[i:i + _PAIR_CHUNK], grads[i:i + _PAIR_CHUNK])
+        best = max(best, _largest_ratio(*block, pts[:i], grads[:i]),
+                   _largest_ratio(*block, *block))
     return best * SAFETY_LIPSCHITZ
 
 
-def _pairs_within(pts, grads) -> float:
-    if pts.shape[0] < 2:
-        return 0.0
-    dx = pts[:, None, :] - pts[None, :, :]
-    dg = grads[:, None, :] - grads[None, :, :]
-    dist = np.linalg.norm(dx, axis=-1)
-    ratio = np.linalg.norm(dg, axis=-1) / np.where(dist < 1e-12, np.inf, dist)
-    return float(ratio.max())
+def _largest_ratio(xs, gxs, ys, gys) -> float:
+    """Largest |g(x) - g(y)| / |x - y| over x in ``xs`` and y in ``ys``.
+
+    Pairs closer than 1e-12 count as 0.  The distances are reduced before
+    the gradient differences are formed, so one ``(len(xs), len(ys), dim)``
+    temporary is alive at a time.
+    """
+    dist = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=-1)
+    dist[dist < 1e-12] = np.inf
+    return float((np.linalg.norm(gxs[:, None, :] - gys[None, :, :], axis=-1)
+                  / dist).max())
 
 
 def empirical_modulus(oracle: FunctionOracle, region: DomainSpec | None = None,

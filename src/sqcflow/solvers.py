@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -161,16 +161,17 @@ def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
         rows[k, d:2 * d] = oracle.grad(rows[k, :d])
 
     def advance(rows, k):
-        g = rows[k, d:2 * d]
+        x, g = rows[k, :d], rows[k, d:2 * d]
         if math.sqrt(g.dot(g)) <= tol:
             return None
         rows[k, -1] = beta_k = float(beta_of(k))
-        return rows[k, :d] - beta_k * g
+        x_next = x - beta_k * g
+        # x_next equal to x_k is an exact fixed point: beta_k grad h(x_k) = 0,
+        # so x_k is stationary and the run stops there
+        return None if (x_next == x).all() else x_next
 
-    # a next iterate equal to x_k is an exact fixed point: beta_k grad h(x_k)
-    # = 0, so x_k is stationary and the run stops there
     rows = step_rows(x, n_max, 1, advance, oracle.domain.contains,
-                     width=2 * d + 1, fill=fill, repeat_stops=True)
+                     width=2 * d + 1, fill=fill)
     traj = _trajectory(oracle, rows)
     traj.diagnostics["beta"] = np.append(rows[:-1, -1], np.nan)
     return traj
@@ -213,21 +214,17 @@ def heavy_ball(oracle: FunctionOracle, config: HBConfig) -> Trajectory:
     return traj
 
 
-def _betas_from(traj: Trajectory, betas) -> np.ndarray:
-    if betas is not None:
-        b = np.asarray(betas, dtype=np.float64)
-    else:
-        if "beta" not in traj.diagnostics:
-            raise InvalidParameter("trajectory carries no step-size record")
-        b = traj.diagnostic("beta")
-        b = b[np.isfinite(b)]
+def _betas_from(traj: Trajectory) -> np.ndarray:
+    if "beta" not in traj.diagnostics:
+        raise InvalidParameter("trajectory carries no step-size record")
+    b = traj.diagnostic("beta")
+    b = b[np.isfinite(b)]
     if b.size != len(traj) - 1:
         raise InvalidParameter("need one step size per transition")
     return b
 
 
-def certify_gd_contraction(traj: Trajectory, gamma: float, L0: float,
-                           betas: Optional[Sequence[float]] = None) -> RateCertificate:
+def certify_gd_contraction(traj: Trajectory, gamma: float, L0: float) -> RateCertificate:
     """Per-step squared-distance contraction
 
         |x_{k+1} - x_bar|^2 <= (1 - beta_k (gamma - beta_k L0^2)) |x_k - x_bar|^2
@@ -240,7 +237,7 @@ def certify_gd_contraction(traj: Trajectory, gamma: float, L0: float,
         raise InvalidParameter("gamma and L0 must be positive")
     if "dist" not in traj.diagnostics:
         raise MissingMinimizer("trajectory lacks distance diagnostics")
-    b = _betas_from(traj, betas)
+    b = _betas_from(traj)
     top = step_window(gamma, L0)
     if b.size and (b.min() <= 0 or b.max() >= top):
         raise ParameterWindowViolation(
@@ -280,7 +277,7 @@ def certify_gd_values(traj: Trajectory, gamma: float, L0: float) -> RateCertific
         raise InvalidParameter("gamma and L0 must be positive")
     if not gamma < 2.0 * L0:
         raise ParameterWindowViolation("need gamma < 2 L0")
-    b = _betas_from(traj, None)
+    b = _betas_from(traj)
     if b.size and b.max() >= gamma / L0 ** 2:
         raise ParameterWindowViolation("need beta_k < gamma / L0^2")
     if "h_gap" not in traj.diagnostics or "dist" not in traj.diagnostics:
@@ -347,14 +344,15 @@ def certify_hb_energy(traj: Trajectory, gamma: float, L: float,
     factor = 1.0 - rho / sigma
     if "h_gap" not in traj.diagnostics:
         raise MissingMinimizer("trajectory lacks minimizer diagnostics")
-    if len(traj) < 2:
-        raise InvalidParameter("need at least two iterates")
 
     gaps = traj.diagnostic("h_gap")
     steps = traj.diagnostic("step_norm")
     dist = traj.diagnostic("dist")
     E = gaps + (theta ** 2 / (2.0 * beta)) * steps ** 2
-    E1 = float(gaps[0] + (theta ** 2 / (2.0 * beta)) * steps[1] ** 2)
+    # a run stopped at x_0 makes no step, so x_1 = x_0 and every check below
+    # is vacuous
+    step1 = steps[1] if len(traj) > 1 else 0.0
+    E1 = float(gaps[0] + (theta ** 2 / (2.0 * beta)) * step1 ** 2)
 
     tol = 1e-9 * (1.0 + np.abs(E[:-1]) + np.abs(E[1:]))
     ok_steps = E[1:] <= factor * E[:-1] + tol

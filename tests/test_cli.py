@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -120,6 +121,20 @@ class TestHBCommand:
         assert certs[0]["kind"] == "hb_energy"
         assert certs[0]["constants"]["rho"] == pytest.approx(0.25)
 
+    def test_start_at_rest_on_minimizer_passes(self, tmp_path, capsys):
+        out = tmp_path / "hb0"
+        code = run(["hb", "--function", "quadratic_2d", "--theta", "0.5",
+                    "--x0", "0,0", "--max-iters", "10",
+                    "--output-dir", str(out)])
+        assert code == 0
+        (cert,) = json.loads(capsys.readouterr().out)
+        assert cert["kind"] == "hb_energy" and cert["satisfied"]
+        assert cert["first_violation"] is None
+        assert np.isnan(cert["empirical_rate"])
+        # beta = 3/32 from theta and L = 4: rho = beta/2, sigma = 1/beta
+        assert cert["constants"]["factor"] == pytest.approx(1 - 0.5 * (3 / 32) ** 2)
+        assert len((out / "trace.csv").read_text().strip().split("\n")) == 2
+
     def test_boundary_beta_rejected_by_certificate(self):
         assert run(["hb", "--function", "quadratic_1d", "--theta", "0.5",
                     "--beta", "0.75", "--x0", "1", "--max-iters", "5"]) == 2
@@ -168,6 +183,18 @@ class TestFlowCommand:
         certs = json.loads(capsys.readouterr().out)
         assert [c["satisfied"] for c in certs] == [True, True]
         assert certs[1]["first_violation"] is None
+        assert code == 0
+
+    @pytest.mark.parametrize("order,kinds", [
+        ("1", ["flow_first", "flow_first"]), ("2", ["flow_second"])])
+    def test_start_at_minimizer_passes(self, capsys, order, kinds):
+        code = run(["flow", "--function", "quadratic_2d", "--order", order,
+                    "--x0", "0,0", "--t-end", "1", "--dt", "0.01"])
+        certs = json.loads(capsys.readouterr().out)
+        assert [c["kind"] for c in certs] == kinds
+        for c in certs:
+            assert c["satisfied"] and c["first_violation"] is None
+            assert np.isnan(c["empirical_rate"])
         assert code == 0
 
     def test_default_dt_scales_with_lipschitz(self, tmp_path):
@@ -344,3 +371,169 @@ def test_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(sqcflow.__file__).parents[1]))
     code = "import sys, sqcflow.cli; sys.exit('scipy' in sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+# the flags every subcommand shares; they configure the run, not the task
+COMMON_DESTS = {"function", "seed", "output_dir", "config"}
+VECTOR_DESTS = {"x0", "v0", "x_prev"}
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: p for name, p in sub.choices.items() if name != "list-functions"}
+
+
+def _flag_and_value(action):
+    """A command-line value for ``action`` and what task_params should hold."""
+    if action.nargs == 0:
+        return [], True
+    if action.choices is not None:
+        text = str(list(action.choices)[0])
+        return [text], action.type(text) if action.type else text
+    if action.type is int:
+        return ["3"], 3
+    if action.type is float:
+        return ["0.25"], 0.25
+    if action.dest in VECTOR_DESTS:
+        return ["0.5,-2"], np.array([0.5, -2.0])
+    return ["text"], "text"
+
+
+class TestTaskParams:
+    @pytest.mark.parametrize("command", sorted(_subcommands()))
+    def test_every_flag_lands_under_its_dest(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        argv = [command, "--function", "quadratic_1d", "--seed", "4",
+                "--output-dir", str(tmp_path / "out"), "--config", str(cfg)]
+        expected = {}
+        for action in _subcommands()[command]._actions:
+            if action.dest in COMMON_DESTS | {"help"}:
+                continue
+            values, expected[action.dest] = _flag_and_value(action)
+            argv += [action.option_strings[0], *values]
+        config = cli._config_from_args(cli.build_parser().parse_args(argv))
+        assert set(config.task_params) == set(expected)
+        for dest, value in expected.items():
+            np.testing.assert_equal(config.task_params[dest], value)
+        assert not COMMON_DESTS & set(config.task_params)
+        assert (config.function, config.seed, config.task) == (
+            "quadratic_1d", 4, command)
+        assert config.output_dir == str(tmp_path / "out")
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestResolutionBranches:
+    """certificate.json and the constants and notes of meta.json, pinned at
+    each branch that resolves a constant, a minimizer or a start point."""
+
+    CASES = {
+        # gamma and L0 both estimated
+        "gd_estimated": (
+            ["gd", "--function", "sin_quadratic", "--optimal", "--x0", "2",
+             "--max-iters", "200"], None),
+        # gamma and L estimated, beta derived from L
+        "hb_estimated": (
+            ["hb", "--function", "sin_quadratic", "--theta", "0.5", "--x0", "2",
+             "--max-iters", "200"], None),
+        # gamma estimated, kappa from a probe flow
+        "flow2_probe": (
+            ["flow", "--order", "2", "--function", "sin_quadratic", "--alpha",
+             "3", "--x0", "2", "--t-end", "2", "--dt", "0.01"], None),
+        # kappa = gamma / L from the catalog
+        "flow2_catalog": (
+            ["flow", "--order", "2", "--function", "quadratic_2d", "--x0",
+             "1,1", "--t-end", "2", "--dt", "0.01"], None),
+        # the reference minimizer search stagnates
+        "gd_stagnated": (
+            ["gd", "--function", "max_two_quadratics", "--optimal", "--x0",
+             "1,1", "--max-iters", "50"], None),
+        "ladder_estimated": (
+            ["verify", "--property", "ladder", "--function", "sin_quadratic",
+             "--pairs", "200"], None),
+        # a config file with a flag that overrides it
+        "config_override": (
+            ["gd", "--beta", "0.04"],
+            {"function": "quadratic_2d", "task": "gd", "seed": 3,
+             "task_params": {"beta": 0.5, "x0": [1.0, -0.5],
+                             "max_iters": 40, "stop_grad_tol": 0}}),
+    }
+
+    # taken from the code before the run path was folded into one resolver
+    # and one writer
+    PINNED = {
+        "config_override": (
+            0, "4859d2218fd5348102780a80f383439b63bea8b4b7d7ce16950ab0b22bd0c53f",
+            {"L0": 4.0, "gamma": 1.0}, [],
+            {"function": "quadratic_2d", "seed": 3, "task": "gd",
+             "task_params": {"beta": 0.04, "max_iters": 40, "stop_grad_tol": 0,
+                             "x0": [1.0, -0.5]}}),
+        "flow2_catalog": (
+            0, "bfb642e82d8fb0df396f99dfad305f378427442a7c15cb8a06d38d36754daa8f",
+            {"alpha": 3.0, "gamma": 1.0, "kappa": 0.25, "lam": 1.411764705882353,
+             "xi": 1.9930795847750868},
+            ["kappa = gamma / L"],
+            {"function": "quadratic_2d", "seed": 0, "task": "flow",
+             "task_params": {"dt": 0.01, "order": 2, "t_end": 2.0,
+                             "x0": [1.0, 1.0]}}),
+        "flow2_probe": (
+            0, "5da87ad92c70468c56230e7174923430686b113dc1e47b28b6f478e29583182a",
+            {"alpha": 3.0, "gamma": 0.7008359240138836, "kappa": 0.5070971848526482,
+             "lam": 0.8312804749675892, "xi": 0.6910272280623406},
+            ["gamma estimated empirically (safety-adjusted)",
+             "kappa estimated along a probe trajectory (safety-adjusted)"],
+            {"function": "sin_quadratic", "seed": 0, "task": "flow",
+             "task_params": {"alpha": 3.0, "dt": 0.01, "order": 2, "t_end": 2.0,
+                             "x0": [2.0]}}),
+        "gd_estimated": (
+            1, "493622c205469b71382caf9685a646dbb9f55c8df2d868cf70c90d2837105956",
+            {"L0": 8.799880525789774, "gamma": 0.7008359240138836},
+            ["gamma estimated empirically (safety-adjusted)",
+             "L estimated on the initial sublevel set (safety-adjusted)"],
+            {"function": "sin_quadratic", "seed": 0, "task": "gd",
+             "task_params": {"max_iters": 200, "optimal": True, "x0": [2.0]}}),
+        "gd_stagnated": (
+            0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+            {"L0": 99.25370854859926, "gamma": 1.0},
+            ["L estimated on the initial sublevel set (safety-adjusted)",
+             "minimizer search stagnated; minimizer-dependent certificates "
+             "skipped"],
+            {"function": "max_two_quadratics", "seed": 0, "task": "gd",
+             "task_params": {"max_iters": 50, "optimal": True,
+                             "x0": [1.0, 1.0]}}),
+        "hb_estimated": (
+            0, "0e3da6daae74ff544cf82b0f60df24bf70f57dfd7a0e700df6b4b7ffc1b84a4a",
+            {"L": 8.799880525789774, "beta": 0.042614214920417275,
+             "gamma": 0.7008359240138836, "theta": 0.5},
+            ["gamma estimated empirically (safety-adjusted)",
+             "L estimated on the initial sublevel set (safety-adjusted)",
+             "beta = (1 - theta^2) / 2L"],
+            {"function": "sin_quadratic", "seed": 0, "task": "hb",
+             "task_params": {"max_iters": 200, "theta": 0.5, "x0": [2.0]}}),
+        "ladder_estimated": (
+            0, "cb2bc86cab93f04732c34f279257559a3ecb3dfe130e4727ac0c2ce9432f883c",
+            {"gamma": 0.7008359240138836, "mu": None}, [],
+            {"function": "sin_quadratic", "seed": 0, "task": "verify",
+             "task_params": {"pairs": 200, "property": "ladder"}}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pinned(self, tmp_path, capsys, case):
+        argv, config_file = self.CASES[case]
+        out = tmp_path / "out"
+        argv = argv + ["--output-dir", str(out)]
+        if config_file is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config_file))
+            argv += ["--config", str(path)]
+        code = run(argv)
+        meta = json.loads((out / "meta.json").read_text())
+        meta["config"].pop("output_dir")
+        got = (code, _sha256(out / "certificate.json"),
+               meta["constants_used"], meta["notes"], meta["config"])
+        assert got == self.PINNED[case]

@@ -83,8 +83,7 @@ class TestEmpiricalModulus:
 class TestKappa:
     def traj(self, entry, x0, t_end=3.0):
         return flows.integrate_first_order(
-            entry.oracle, FlowConfig(kind="first_order", x0=x0, t_end=t_end,
-                                     dt=1e-3))
+            entry.oracle, FlowConfig(x0=x0, t_end=t_end, dt=1e-3))
 
     def test_half_square_ratio_is_two(self):
         entry = CAT["quadratic_1d"]
@@ -118,8 +117,7 @@ class TestKappa:
     def test_no_valid_samples(self):
         entry = CAT["quadratic_1d"]
         traj = flows.integrate_first_order(
-            entry.oracle, FlowConfig(kind="first_order", x0=[1e-9], t_end=0.1,
-                                     dt=1e-2))
+            entry.oracle, FlowConfig(x0=[1e-9], t_end=0.1, dt=1e-2))
         with pytest.raises(InsufficientSamples):
             estimate.estimate_kappa(entry.oracle, traj,
                                     entry.oracle.known_minimizer)

@@ -22,20 +22,20 @@ def constant_oracle():
 
 class TestFirstOrderIntegration:
     def test_linear_ode_closed_form(self):
-        cfg = FlowConfig(kind="first_order", x0=[1.0], t_end=5.0, dt=1e-3)
+        cfg = FlowConfig(x0=[1.0], t_end=5.0, dt=1e-3)
         traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
         assert traj.final_state[0] == pytest.approx(np.exp(-5.0), abs=1e-6)
 
     def test_decay_exponent_matches_curvature(self):
         entry = catalog.strongly_convex_quadratic(1, 2.0, 2.0)
-        cfg = FlowConfig(kind="first_order", x0=[1.0], t_end=3.0, dt=1e-3)
+        cfg = FlowConfig(x0=[1.0], t_end=3.0, dt=1e-3)
         traj = integrate_first_order(entry.oracle, cfg)
         from sqcflow.core import fit_decay_exponent
         assert fit_decay_exponent(traj.times, np.abs(traj.states[:, 0])) \
             == pytest.approx(2.0, rel=1e-3)
 
     def test_values_nonincreasing_on_sin_quadratic(self):
-        cfg = FlowConfig(kind="first_order", x0=[2.0], t_end=4.0, dt=1e-3)
+        cfg = FlowConfig(x0=[2.0], t_end=4.0, dt=1e-3)
         traj = integrate_first_order(CAT["sin_quadratic"].oracle, cfg)
         assert np.all(np.diff(traj.h_values) <= 1e-9)
 
@@ -43,7 +43,7 @@ class TestFirstOrderIntegration:
         # d/dt h = -|grad h|^2 along the flow; forward differences agree
         # to first order in dt, relative to the gradient magnitude
         for dt in (1e-3, 5e-4):
-            cfg = FlowConfig(kind="first_order", x0=[1.0, 1.0], t_end=1.0, dt=dt)
+            cfg = FlowConfig(x0=[1.0, 1.0], t_end=1.0, dt=dt)
             traj = integrate_first_order(CAT["quadratic_2d"].oracle, cfg)
             slope = np.diff(traj.h_values) / dt
             resid = np.abs(slope + traj.grad_norms[:-1] ** 2) \
@@ -54,7 +54,7 @@ class TestFirstOrderIntegration:
         exact = np.exp(-2.0)
         errs = []
         for dt in (0.02, 0.01):
-            cfg = FlowConfig(kind="first_order", x0=[1.0], t_end=2.0, dt=dt,
+            cfg = FlowConfig(x0=[1.0], t_end=2.0, dt=dt,
                              integrator="explicit_euler")
             traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
             errs.append(abs(traj.final_state[0] - exact))
@@ -64,7 +64,7 @@ class TestFirstOrderIntegration:
         exact = np.exp(-2.0)
         errs = []
         for dt in (0.2, 0.1):
-            cfg = FlowConfig(kind="first_order", x0=[1.0], t_end=2.0, dt=dt)
+            cfg = FlowConfig(x0=[1.0], t_end=2.0, dt=dt)
             traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
             errs.append(abs(traj.final_state[0] - exact))
         assert 10.0 <= errs[0] / errs[1] <= 30.0
@@ -76,25 +76,30 @@ class TestFirstOrderIntegration:
                              value=lambda x: -entry.oracle.value(x),
                              grad=lambda x: -np.asarray(entry.oracle.grad(x)),
                              domain=entry.oracle.domain)
-        cfg = FlowConfig(kind="first_order", x0=[0.9], t_end=2.0, dt=1e-2)
+        cfg = FlowConfig(x0=[0.9], t_end=2.0, dt=1e-2)
         with pytest.raises(DomainExit):
             integrate_first_order(neg, cfg)
 
     def test_stop_dist_truncates(self):
         entry = CAT["sqrt_norm_1d"]
-        cfg = FlowConfig(kind="first_order", x0=[0.9], t_end=1.2, dt=1e-4,
-                         stop_dist=1e-3)
+        cfg = FlowConfig(x0=[0.9], t_end=1.2, dt=1e-4, stop_dist=1e-3)
         traj = integrate_first_order(entry.oracle, cfg)
         assert traj.times[-1] < 1.2
         assert abs(traj.final_state[0]) <= 1e-3
 
     def test_config_validation(self):
         with pytest.raises(InvalidParameter):
-            FlowConfig(kind="first_order", x0=[1.0], t_end=1.0, dt=0.0)
+            FlowConfig(x0=[1.0], t_end=1.0, dt=0.0)
         with pytest.raises(InvalidParameter):
-            FlowConfig(kind="third_order", x0=[1.0], t_end=1.0, dt=0.1)
-        with pytest.raises(InvalidParameter):
-            FlowConfig(kind="second_order", x0=[1.0], t_end=1.0, dt=0.1)
+            FlowConfig(x0=[1.0], t_end=1.0, dt=0.1, integrator="rk3")
+        oracle = CAT["quadratic_1d"].oracle
+        for bad in ({}, {"alpha": 0.0}, {"alpha": 1.0, "v0": [0.0, 0.0]}):
+            cfg = FlowConfig(x0=[1.0], t_end=1.0, dt=0.1, **bad)
+            with pytest.raises(InvalidParameter):
+                integrate_second_order(oracle, cfg)
+        # the first-order flow reads neither alpha nor v0
+        cfg = FlowConfig(x0=[1.0], t_end=1.0, dt=0.1, alpha=-1.0, v0=[0.0, 0.0])
+        assert len(integrate_first_order(oracle, cfg)) == 11
 
 
 def drift_oracle(domain=None, blowup_above=None):
@@ -118,8 +123,7 @@ def drift_config(order, integrator, **kw):
     # second order: v0 = 1 is the fixed point of v' = -v + 1, so x also
     # moves right at unit speed
     extra = {"alpha": 1.0, "v0": [1.0]} if order == 2 else {}
-    return FlowConfig(kind=("first_order", "second_order")[order - 1],
-                      x0=[0.0], t_end=10.0, dt=0.5, integrator=integrator,
+    return FlowConfig(x0=[0.0], t_end=10.0, dt=0.5, integrator=integrator,
                       **extra, **kw)
 
 
@@ -153,8 +157,7 @@ class TestStepLoopSemantics:
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("integrator", ["explicit_euler", "rk4"])
     def test_stop_dist_keeps_first_sample_inside(self, order, integrator):
-        cfg = FlowConfig(kind=("first_order", "second_order")[order - 1],
-                         x0=[1.0, -1.0], t_end=50.0, dt=0.01,
+        cfg = FlowConfig(x0=[1.0, -1.0], t_end=50.0, dt=0.01,
                          integrator=integrator, stop_dist=1e-2,
                          alpha=3.0 if order == 2 else None)
         traj = INTEGRATE[order](CAT["quadratic_2d"].oracle, cfg)
@@ -166,8 +169,7 @@ class TestStepLoopSemantics:
 
 class TestSecondOrderIntegration:
     def test_overdamped_closed_form(self):
-        cfg = FlowConfig(kind="second_order", x0=[1.0], t_end=2.0, dt=1e-3,
-                         alpha=3.0)
+        cfg = FlowConfig(x0=[1.0], t_end=2.0, dt=1e-3, alpha=3.0)
         traj = integrate_second_order(CAT["quadratic_1d"].oracle, cfg)
         s1, s2 = (-3 + np.sqrt(5)) / 2, (-3 - np.sqrt(5)) / 2
         a = s2 / (s2 - s1)
@@ -175,8 +177,7 @@ class TestSecondOrderIntegration:
         assert np.max(np.abs(traj.states[:, 0] - exact)) < 1e-10
 
     def test_zero_gradient_decouples(self):
-        cfg = FlowConfig(kind="second_order", x0=[0.5], v0=[1.0], t_end=2.0,
-                         dt=1e-3, alpha=1.0)
+        cfg = FlowConfig(x0=[0.5], v0=[1.0], t_end=2.0, dt=1e-3, alpha=1.0)
         traj = integrate_second_order(constant_oracle(), cfg)
         np.testing.assert_allclose(traj.diagnostic("v0"),
                                    np.exp(-traj.times), atol=1e-9)
@@ -186,8 +187,7 @@ class TestSecondOrderIntegration:
     def test_sigma_nonincreasing_with_admissible_params(self):
         entry = CAT["quadratic_2d"]
         lyap = LyapunovParams.from_constants(1.0, 0.25, 3.0)
-        cfg = FlowConfig(kind="second_order", x0=[1.0, 1.0], t_end=5.0,
-                         dt=1e-3, alpha=3.0)
+        cfg = FlowConfig(x0=[1.0, 1.0], t_end=5.0, dt=1e-3, alpha=3.0)
         traj = integrate_second_order(entry.oracle, cfg, lyap)
         sigma = traj.diagnostic("Sigma")
         assert np.all(np.diff(sigma) <= 1e-9)
@@ -198,7 +198,6 @@ class TestLyapunovParams:
         lyap = LyapunovParams.from_constants(1.0, 0.25, 3.0)
         assert lyap.lam == pytest.approx(min(np.sqrt(2.0), 6.0 / 4.25))
         assert lyap.xi == pytest.approx(lyap.lam ** 2)
-        assert lyap.admissible_for(1.0, 3.0)
 
     def test_xi_must_be_lambda_squared(self):
         with pytest.raises(InvalidParameter):
@@ -211,7 +210,7 @@ class TestLyapunovParams:
 
 class TestFirstOrderCertificates:
     def test_half_square_envelope(self):
-        cfg = FlowConfig(kind="first_order", x0=[1.0], t_end=5.0, dt=1e-3)
+        cfg = FlowConfig(x0=[1.0], t_end=5.0, dt=1e-3)
         traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
         cert = certify_first_order(traj, 1.0, np.zeros(1))
         assert cert.satisfied
@@ -220,8 +219,7 @@ class TestFirstOrderCertificates:
 
     def test_sqrt_norm_envelope(self):
         entry = CAT["sqrt_norm_1d"]
-        cfg = FlowConfig(kind="first_order", x0=[0.9], t_end=1.2, dt=1e-4,
-                         stop_dist=1e-3)
+        cfg = FlowConfig(x0=[0.9], t_end=1.2, dt=1e-4, stop_dist=1e-3)
         traj = integrate_first_order(entry.oracle, cfg)
         cert = certify_first_order(traj, entry.constants_known["gamma"],
                                    np.zeros(1))
@@ -232,20 +230,20 @@ class TestFirstOrderCertificates:
         entry = CAT["sin_quadratic"]
         gamma = estimate.empirical_modulus(entry.oracle, None, samples=50_000,
                                            seed=3) * estimate.SAFETY_MODULUS
-        cfg = FlowConfig(kind="first_order", x0=[2.0], t_end=6.0, dt=1e-3)
+        cfg = FlowConfig(x0=[2.0], t_end=6.0, dt=1e-3)
         traj = integrate_first_order(entry.oracle, cfg)
         cert = certify_first_order(traj, gamma, np.zeros(1))
         assert cert.satisfied
 
     def test_wrong_modulus_falsified(self):
-        cfg = FlowConfig(kind="first_order", x0=[1.0], t_end=5.0, dt=1e-3)
+        cfg = FlowConfig(x0=[1.0], t_end=5.0, dt=1e-3)
         traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
         cert = certify_first_order(traj, 10.0, np.zeros(1))
         assert not cert.satisfied
         assert cert.first_violation is not None
 
     def test_value_envelopes_half_square(self):
-        cfg = FlowConfig(kind="first_order", x0=[1.0], t_end=5.0, dt=1e-3)
+        cfg = FlowConfig(x0=[1.0], t_end=5.0, dt=1e-3)
         traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
         cert = certify_first_order_values(traj, 1.0, 1.0, np.zeros(1))
         assert cert.satisfied
@@ -254,14 +252,14 @@ class TestFirstOrderCertificates:
 
     def test_value_envelopes_anisotropic(self):
         entry = CAT["quadratic_2d"]
-        cfg = FlowConfig(kind="first_order", x0=[1.0, 1.0], t_end=8.0, dt=1e-3)
+        cfg = FlowConfig(x0=[1.0, 1.0], t_end=8.0, dt=1e-3)
         traj = integrate_first_order(entry.oracle, cfg)
         cert = certify_first_order_values(traj, 1.0, 4.0,
                                           entry.oracle.known_minimizer)
         assert cert.satisfied and cert.first_violation is None
 
     def test_value_envelope_wrong_modulus_falsified(self):
-        cfg = FlowConfig(kind="first_order", x0=[1.0], t_end=5.0, dt=1e-3)
+        cfg = FlowConfig(x0=[1.0], t_end=5.0, dt=1e-3)
         traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
         cert = certify_first_order_values(traj, 10.0, 1.0, np.zeros(1))
         assert not cert.satisfied
@@ -270,21 +268,21 @@ class TestFirstOrderCertificates:
         # gap 8 exp(-2t) sits under (L/2)|x0|^2 exp(-gamma t) = 8 exp(-t);
         # the envelope (L/2)|x0| exp(-gamma t / 2) = 2 exp(-t/2) did not hold
         # at t = 0
-        cfg = FlowConfig(kind="first_order", x0=[4.0], t_end=10.0, dt=1e-3)
+        cfg = FlowConfig(x0=[4.0], t_end=10.0, dt=1e-3)
         traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
         cert = certify_first_order_values(traj, 1.0, 1.0, np.zeros(1))
         assert cert.satisfied and cert.first_violation is None
         assert cert.theoretical_rate == 0.5
 
     def test_value_envelope_needs_minimizer_diag(self):
-        cfg = FlowConfig(kind="first_order", x0=[0.5], t_end=1.0, dt=1e-2)
+        cfg = FlowConfig(x0=[0.5], t_end=1.0, dt=1e-2)
         traj = integrate_first_order(cubic_free(), cfg)
         with pytest.raises(MissingMinimizer):
             certify_first_order_values(traj, 1.0, 1.0, np.zeros(1))
 
     def test_trust_radius_start(self):
         entry = CAT["quadratic_2d"]
-        cfg = FlowConfig(kind="first_order", x0=[1.0, 1.0], t_end=8.0, dt=1e-3)
+        cfg = FlowConfig(x0=[1.0, 1.0], t_end=8.0, dt=1e-3)
         traj = integrate_first_order(entry.oracle, cfg)
         cert = certify_first_order_values(traj, 1.0, 4.0,
                                           entry.oracle.known_minimizer,
@@ -300,20 +298,39 @@ def cubic_free():
         grad=lambda x: 4.0 * np.asarray(x)[..., 0:1] ** 3)
 
 
+class TestStartAtMinimizer:
+    """No sample lies above the floor, so no rate is fitted (NaN) and the
+    envelopes hold trivially: nothing contradicts the bounds."""
+
+    def test_first_order(self):
+        cfg = FlowConfig(x0=[0.0, 0.0], t_end=1.0, dt=0.01)
+        traj = integrate_first_order(CAT["quadratic_2d"].oracle, cfg)
+        for cert in (certify_first_order(traj, 1.0, np.zeros(2)),
+                     certify_first_order_values(traj, 1.0, 4.0, np.zeros(2))):
+            assert np.isnan(cert.empirical_rate)
+            assert cert.satisfied and cert.first_violation is None
+
+    def test_second_order(self):
+        lyap = LyapunovParams.from_constants(1.0, 0.25, 3.0)
+        cfg = FlowConfig(x0=[0.0, 0.0], t_end=1.0, dt=0.01, alpha=3.0)
+        traj = integrate_second_order(CAT["quadratic_2d"].oracle, cfg, lyap)
+        cert = certify_second_order(traj, lyap)
+        assert np.isnan(cert.empirical_rate)
+        assert cert.satisfied and cert.first_violation is None
+
+
 class TestSecondOrderCertificate:
     def test_quadratic_lyapunov_envelope(self):
         entry = CAT["quadratic_2d"]
         lyap = LyapunovParams.from_constants(1.0, 0.25, 3.0)
-        cfg = FlowConfig(kind="second_order", x0=[1.0, 1.0], t_end=10.0,
-                         dt=1e-3, alpha=3.0)
+        cfg = FlowConfig(x0=[1.0, 1.0], t_end=10.0, dt=1e-3, alpha=3.0)
         traj = integrate_second_order(entry.oracle, cfg, lyap)
         cert = certify_second_order(traj, lyap)
         assert cert.satisfied
         assert cert.theoretical_rate == pytest.approx(0.5 * lyap.lam * 0.25)
 
     def test_missing_sigma_diagnostics(self):
-        cfg = FlowConfig(kind="second_order", x0=[1.0], t_end=1.0, dt=1e-2,
-                         alpha=1.0)
+        cfg = FlowConfig(x0=[1.0], t_end=1.0, dt=1e-2, alpha=1.0)
         traj = integrate_second_order(CAT["quadratic_1d"].oracle, cfg, lyap=None)
         with pytest.raises(InvalidParameter):
             certify_second_order(traj, LyapunovParams.from_constants(1.0, 1.0, 1.0))

@@ -325,7 +325,7 @@ class TestHeavyBall:
                         HBConfig(x0=x0, theta=1 - alpha * eta, beta=eta ** 2,
                                  max_iters=100, stop_grad_tol=0.0))
         fl = integrate_second_order(
-            entry.oracle, FlowConfig(kind="second_order", x0=x0, t_end=1.0,
+            entry.oracle, FlowConfig(x0=x0, t_end=1.0,
                                      dt=eta / 10.0, alpha=alpha))
         gap = np.max(np.abs(hb.states - fl.states[::10][:len(hb.states)]))
         assert gap < 0.05
@@ -363,6 +363,19 @@ class TestHBCertificate:
                                    max_iters=10, stop_grad_tol=0.0))
         with pytest.raises(ParameterWindowViolation):
             certify_hb_energy(traj, 1.0, 1.0, 0.5, 0.75)
+
+    def test_run_without_a_step_is_vacuous(self):
+        # at rest on the minimizer the run stops at x_0
+        traj = heavy_ball(CAT["quadratic_1d"].oracle,
+                          HBConfig(x0=[0.0], theta=0.5, beta=0.5, max_iters=10))
+        assert len(traj) == 1
+        cert = certify_hb_energy(traj, 1.0, 1.0, 0.5, 0.5)
+        assert cert.satisfied and cert.first_violation is None
+        assert np.isnan(cert.empirical_rate)
+        full = certify_hb_energy(self.run_default(), 1.0, 1.0, 0.5, 0.5)
+        for name in ("rho", "sigma", "factor"):
+            assert cert.constants[name] == full.constants[name]
+        assert cert.constants["E1"] == 0.0
 
     def test_zero_theta_rejected_by_certificate(self):
         traj = heavy_ball(CAT["quadratic_1d"].oracle,
