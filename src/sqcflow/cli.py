@@ -167,7 +167,8 @@ def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Pat
                           lambdas_per_pair=int(params.get("lambdas", 2)),
                           seed=config.seed)
     # only the ladder estimates an unknown modulus
-    gamma = _resolve_gamma(entry, params, config.seed, [],
+    notes: list[str] = []
+    gamma = _resolve_gamma(entry, params, config.seed, notes,
                            20000 if name == "ladder" else None)
     mu = params.get("mu")
     if name == "ladder":
@@ -195,7 +196,7 @@ def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Pat
         payload = report.to_dict()
         ok = report.holds_on_samples
     return _emit(config, out, "certificate.json", payload, ok,
-                 {"gamma": gamma, "mu": mu})
+                 {"gamma": gamma, "mu": mu}, notes)
 
 
 def _default_dt(entry: CatalogEntry, params: dict) -> float:
@@ -216,6 +217,9 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
     notes: list[str] = []
     constants: dict = {}
     certs = []
+    L = params.get("L")
+    if L is None:
+        L = entry.oracle.known_lipschitz
     if int(params.get("order", 1)) == 1:
         # the first-order flow certifies only what is given or catalogued
         gamma = _resolve_gamma(entry, params, config.seed, notes, None)
@@ -227,7 +231,6 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
             constants["gamma"] = float(gamma)
             certs.append(certify_first_order(traj, float(gamma),
                                              oracle.known_minimizer))
-            L = params.get("L", entry.oracle.known_lipschitz)
             if L is not None:
                 constants["L"] = float(L)
                 certs.append(certify_first_order_values(
@@ -238,8 +241,8 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
         oracle = _with_reference_minimizer(entry, cfg.x0, notes)
         kappa = params.get("kappa")
         if kappa is None:
-            if entry.oracle.known_lipschitz is not None:
-                kappa = gamma / entry.oracle.known_lipschitz
+            if L is not None:
+                kappa = gamma / L
                 notes.append("kappa = gamma / L")
             elif oracle.known_minimizer is not None:
                 probe = integrate_first_order(oracle, dataclasses.replace(
@@ -335,7 +338,11 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
                    "safety_adjusted_value": raw * SAFETY_MODULUS,
                    "samples": samples}
     elif which == "kappa":
-        oracle = _with_reference_minimizer(entry, x0, [])
+        oracle = entry.oracle
+        if oracle.known_minimizer is None:
+            # a stagnated search fails the run, as --constant minimizer does
+            oracle = dataclasses.replace(
+                oracle, known_minimizer=reference_minimizer(oracle, x0))
         cfg = FlowConfig(x0=x0, t_end=float(params.get("t_end", 5.0)),
                          dt=float(params.get("dt", 1e-3)))
         traj = integrate_first_order(oracle, cfg)

@@ -5,10 +5,21 @@ Vectors are plain ``numpy.float64`` arrays.  Oracles evaluate a scalar
 objective h and its gradient; both callables must broadcast over leading
 axes, i.e. accept ``(..., dim)`` input and return ``(...)`` / ``(..., dim)``.
 Everything here is immutable after construction and safe to share.
+
+Every rate certificate follows one rule (``envelope_violations`` and
+``rate_certificate``).  A sample breaks an envelope when it lies above the
+noise floor NOISE_FLOOR = 1e-12 and above envelope * (1 + RATE_SLACK), with
+RATE_SLACK = 5 %; a step recursion states its own violation rule.  The
+observed rate is fitted to the samples above a floor, and is NaN when fewer
+than 3 remain; a NaN rate fits nothing, so it cannot contradict the bound.
+The verdict points one way per kind: a fitted per-step factor (gd, hb) must
+be at most rate * (1 + RATE_SLACK), a fitted decay exponent (flows) at least
+rate * (1 - RATE_SLACK).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -21,6 +32,12 @@ Vector = NDArray[np.float64]
 # rates: the theoretical numbers are bounds, and an empirical rate may sit
 # exactly at the bound under roundoff.
 RATE_SLACK = 0.05
+
+# Samples at or below this size are roundoff, not evidence against a bound.
+NOISE_FLOOR = 1e-12
+
+# kinds whose theoretical rate is a decay exponent; the others are factors
+_DECAY_KINDS = ("flow_first", "flow_second")
 
 
 class SqcflowError(Exception):
@@ -302,6 +319,47 @@ class RateCertificate:
             else float(self.first_violation),
             "notes": self.notes,
         }
+
+
+def envelope_violations(values, envelope, floor=NOISE_FLOOR) -> np.ndarray:
+    """Mask of samples above ``floor`` and above envelope * (1 + RATE_SLACK)."""
+    return (values > floor) & (values > envelope * (1.0 + RATE_SLACK))
+
+
+def rate_certificate(kind: str, constants: dict, rate: float, times, series,
+                     violations, *, fit_floor: float = 0.0, failed: bool = False,
+                     notes: str = "") -> RateCertificate:
+    """The certificate of ``series`` (one sample per time) against ``rate``.
+
+    ``violations`` marks broken samples of the last ``len(violations)``
+    times (a recursion over transitions k -> k+1 marks times[1:]); the
+    first one is ``first_violation``.  The rate is fitted to the samples
+    of ``series`` above ``fit_floor`` (against their index for a per-step
+    factor), NaN when fewer than 3.  ``failed`` fails the certificate
+    for a reason of its own, which ``notes`` should name.
+    """
+    bad = np.flatnonzero(violations)
+    first = None if bad.size == 0 else \
+        float(times[len(times) - len(violations) + bad[0]])
+    decay = kind in _DECAY_KINDS
+    pos = series > fit_floor
+    if np.count_nonzero(pos) < 3:
+        empirical = math.nan
+    elif decay:
+        empirical = fit_decay_exponent(times[pos], series[pos])
+    else:
+        empirical = fit_linear_rate(series[pos])
+    if math.isnan(empirical):
+        within = True
+    elif decay:
+        within = empirical >= rate * (1.0 - RATE_SLACK)
+    else:
+        within = empirical <= rate * (1.0 + RATE_SLACK)
+    return RateCertificate(
+        kind=kind, constants=constants, theoretical_rate=float(rate),
+        empirical_rate=float(empirical),
+        satisfied=bool(first is None and not failed and within),
+        first_violation=first, notes=notes)
 
 
 def finite_difference_gradient(oracle: FunctionOracle, x, step: float = 1e-6) -> Vector:

@@ -22,11 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (RATE_SLACK, DomainExit, FunctionOracle, InvalidParameter,
+from .core import (NOISE_FLOOR, DomainExit, FunctionOracle, InvalidParameter,
                    MissingMinimizer, RateCertificate, Trajectory, as_point,
-                   fit_decay_exponent, step_rows)
-
-_NOISE_FLOOR = 1e-12
+                   envelope_violations, rate_certificate, step_rows)
 
 
 @dataclass(frozen=True)
@@ -179,31 +177,6 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
                       grad_norms=np.linalg.norm(g, axis=-1), diagnostics=diags)
 
 
-def _envelope_check(times, values, envelope, floor):
-    """First time where values exceed envelope*(1+RATE_SLACK), or None."""
-    consider = values > floor
-    bad = consider & (values > envelope * (1.0 + RATE_SLACK))
-    idx = np.flatnonzero(bad)
-    return None if idx.size == 0 else float(times[idx[0]])
-
-
-def _fit_exponent(times, values):
-    pos = values > 0
-    if np.count_nonzero(pos) < 3:
-        return float("nan")
-    return fit_decay_exponent(times[pos], values[pos])
-
-
-def _holds(first_bad, empirical: float, rate: float) -> bool:
-    """No envelope violation, and a fitted exponent not below ``rate``.
-
-    A NaN exponent (fewer than three positive samples, as in a flow that
-    starts at the minimizer) fits nothing, so it cannot contradict the rate.
-    """
-    return first_bad is None and (math.isnan(empirical)
-                                  or empirical >= rate * (1.0 - RATE_SLACK))
-
-
 def certify_first_order(traj: Trajectory, gamma: float, x_bar) -> RateCertificate:
     """Distance envelope |x(t) - x_bar| <= |x0 - x_bar| exp(-gamma t / 2)."""
     if gamma <= 0:
@@ -211,32 +184,21 @@ def certify_first_order(traj: Trajectory, gamma: float, x_bar) -> RateCertificat
     x_bar = as_point(x_bar)
     dist = np.linalg.norm(traj.states - x_bar, axis=-1)
     envelope = dist[0] * np.exp(-0.5 * gamma * traj.times)
-    first_bad = _envelope_check(traj.times, dist, envelope, _NOISE_FLOOR)
-    empirical = _fit_exponent(traj.times, dist)
-    theoretical = 0.5 * gamma
-    ok = _holds(first_bad, empirical, theoretical)
-    return RateCertificate(
-        kind="flow_first",
-        constants={"gamma": gamma, "dist0": float(dist[0])},
-        theoretical_rate=theoretical,
-        empirical_rate=empirical,
-        satisfied=bool(ok),
-        first_violation=first_bad,
-    )
+    return rate_certificate(
+        "flow_first", {"gamma": gamma, "dist0": float(dist[0])}, 0.5 * gamma,
+        traj.times, dist, envelope_violations(dist, envelope))
 
 
-def certify_first_order_values(traj: Trajectory, gamma: float, L: float, x_bar,
-                               trust_radius: Optional[float] = None) -> RateCertificate:
+def certify_first_order_values(traj: Trajectory, gamma: float, L: float,
+                               x_bar) -> RateCertificate:
     """Value envelope: h gap below the smaller of the two exponential bounds,
 
         min{ (L/2) |x0 - x_bar|^2 exp(-gamma t),
              (h(x0) - h*) exp(-gamma^2 t / 2L) }
 
-    The first is L-smoothness, h - h* <= (L/2) |x - x_bar|^2, applied to
-    the distance envelope |x - x_bar| <= |x0 - x_bar| exp(-gamma t / 2).
-
-    checked from t = 0, or from the first sample inside ``trust_radius``
-    of the minimizer when the Lipschitz constant is only local.
+    checked from t = 0.  The first is L-smoothness,
+    h - h* <= (L/2) |x - x_bar|^2, applied to the distance envelope
+    |x - x_bar| <= |x0 - x_bar| exp(-gamma t / 2).
     """
     if gamma <= 0 or L <= 0:
         raise InvalidParameter("gamma and L must be positive")
@@ -244,32 +206,15 @@ def certify_first_order_values(traj: Trajectory, gamma: float, L: float, x_bar,
         raise MissingMinimizer("trajectory lacks h_gap diagnostics (minimizer unknown)")
     x_bar = as_point(x_bar)
     gaps = traj.diagnostic("h_gap")
-    dist = np.linalg.norm(traj.states - x_bar, axis=-1)
+    dist0 = np.linalg.norm(traj.states - x_bar, axis=-1)[0]
     t = traj.times
-    env = np.minimum(0.5 * L * dist[0] ** 2 * np.exp(-gamma * t),
+    env = np.minimum(0.5 * L * dist0 ** 2 * np.exp(-gamma * t),
                      gaps[0] * np.exp(-(gamma ** 2) / (2.0 * L) * t))
-    if trust_radius is None:
-        t_start = 0.0
-    else:
-        inside = np.flatnonzero(dist <= trust_radius)
-        if inside.size == 0:
-            raise InvalidParameter("trajectory never enters the trust radius")
-        t_start = float(t[inside[0]])
-    sel = t >= t_start
-    first_bad = _envelope_check(t[sel], gaps[sel], env[sel], _NOISE_FLOOR)
-    empirical = _fit_exponent(t[sel], gaps[sel])
-    theoretical = max(0.5 * gamma, gamma ** 2 / (2.0 * L))
-    ok = _holds(first_bad, empirical, theoretical)
-    return RateCertificate(
-        kind="flow_first",
-        constants={"gamma": gamma, "L": L, "dist0": float(dist[0]),
-                   "gap0": float(gaps[0]), "t_start": t_start},
-        theoretical_rate=theoretical,
-        empirical_rate=empirical,
-        satisfied=bool(ok),
-        first_violation=first_bad,
-        notes="value envelope",
-    )
+    return rate_certificate(
+        "flow_first", {"gamma": gamma, "L": L, "dist0": float(dist0),
+                       "gap0": float(gaps[0]), "t_start": 0.0},
+        max(0.5 * gamma, gamma ** 2 / (2.0 * L)), t, gaps,
+        envelope_violations(gaps, env), notes="value envelope")
 
 
 def certify_second_order(traj: Trajectory, lyap: LyapunovParams) -> RateCertificate:
@@ -279,16 +224,8 @@ def certify_second_order(traj: Trajectory, lyap: LyapunovParams) -> RateCertific
     sigma = traj.diagnostic("Sigma")
     rate = lyap.decay_exponent
     envelope = sigma[0] * np.exp(-rate * traj.times)
-    floor = _NOISE_FLOOR * (1.0 + float(sigma[0]))
-    first_bad = _envelope_check(traj.times, sigma, envelope, floor)
-    empirical = _fit_exponent(traj.times, sigma)
-    ok = _holds(first_bad, empirical, rate)
-    return RateCertificate(
-        kind="flow_second",
-        constants={"lam": lyap.lam, "xi": lyap.xi, "kappa": lyap.kappa,
-                   "sigma0": float(sigma[0])},
-        theoretical_rate=rate,
-        empirical_rate=empirical,
-        satisfied=bool(ok),
-        first_violation=first_bad,
-    )
+    floor = NOISE_FLOOR * (1.0 + float(sigma[0]))
+    return rate_certificate(
+        "flow_second", {"lam": lyap.lam, "xi": lyap.xi, "kappa": lyap.kappa,
+                        "sigma0": float(sigma[0])}, rate,
+        traj.times, sigma, envelope_violations(sigma, envelope, floor))

@@ -21,11 +21,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (RATE_SLACK, DomainExit, FunctionOracle, InvalidParameter,
-                   MissingMinimizer, ParameterWindowViolation, RateCertificate,
-                   Trajectory, as_point, fit_linear_rate, step_rows)
-
-_GAP_FLOOR = 1e-12
+from .core import (NOISE_FLOOR, RATE_SLACK, DomainExit, FunctionOracle,
+                   InvalidParameter, MissingMinimizer, ParameterWindowViolation,
+                   RateCertificate, Trajectory, as_point, envelope_violations,
+                   rate_certificate, step_rows)
 
 
 @dataclass(frozen=True)
@@ -244,25 +243,15 @@ def certify_gd_contraction(traj: Trajectory, gamma: float, L0: float) -> RateCer
             f"steps must satisfy 0 < beta < {top:.6g}")
     d2 = traj.diagnostic("dist") ** 2
     factors = 1.0 - b * (gamma - b * L0 ** 2)
-    ok_steps = d2[1:] <= factors * d2[:-1] * (1.0 + RATE_SLACK) + _GAP_FLOOR
-    first_bad = None if ok_steps.all() else float(traj.times[1:][~ok_steps][0])
-
+    # ~(a <= b): a NaN sample is a violation
+    bad = ~(d2[1:] <= factors * d2[:-1] * (1.0 + RATE_SLACK) + NOISE_FLOOR)
     beta_lo, beta_hi = (float(b.min()), float(b.max())) if b.size else (np.nan, np.nan)
     q_sq = 1.0 - beta_lo * (gamma - beta_hi * L0 ** 2)
-    pos = d2 > _GAP_FLOOR ** 2
-    empirical = fit_linear_rate(d2[pos]) if np.count_nonzero(pos) >= 3 else np.nan
-    ok = first_bad is None and (np.isnan(empirical)
-                                or empirical <= q_sq * (1.0 + RATE_SLACK))
-    return RateCertificate(
-        kind="gd_contraction",
-        constants={"gamma": gamma, "L0": L0, "beta_lower": beta_lo,
-                   "beta_upper": beta_hi, "q": float(np.sqrt(q_sq)),
-                   "q_squared": float(q_sq)},
-        theoretical_rate=float(q_sq),
-        empirical_rate=float(empirical),
-        satisfied=bool(ok),
-        first_violation=first_bad,
-    )
+    return rate_certificate(
+        "gd_contraction",
+        {"gamma": gamma, "L0": L0, "beta_lower": beta_lo, "beta_upper": beta_hi,
+         "q": float(np.sqrt(q_sq)), "q_squared": float(q_sq)},
+        q_sq, traj.times, d2, bad, fit_floor=NOISE_FLOOR ** 2)
 
 
 def certify_gd_values(traj: Trajectory, gamma: float, L0: float) -> RateCertificate:
@@ -290,24 +279,12 @@ def certify_gd_values(traj: Trajectory, gamma: float, L0: float) -> RateCertific
     k = np.arange(1, len(traj), dtype=np.float64)
     env = np.minimum(f_dist ** (k - 1) * dist0_sq,
                      f_val ** (k - 1) * gaps[0])
-    consider = gaps[1:] > _GAP_FLOOR
-    bad = consider & (gaps[1:] > env * (1.0 + RATE_SLACK))
-    first_bad = None if not bad.any() else float(k[bad][0])
-
-    pos = gaps > _GAP_FLOOR
-    empirical = fit_linear_rate(gaps[pos]) if np.count_nonzero(pos) >= 3 else np.nan
-    ok = first_bad is None and (np.isnan(empirical)
-                                or empirical <= f_val * (1.0 + RATE_SLACK))
-    return RateCertificate(
-        kind="gd_value",
-        constants={"gamma": gamma, "L0": L0, "factor_dist": f_dist,
-                   "factor_value": f_val, "dist0_sq": dist0_sq,
-                   "gap0": float(gaps[0])},
-        theoretical_rate=float(f_val),
-        empirical_rate=float(empirical),
-        satisfied=bool(ok),
-        first_violation=first_bad,
-    )
+    return rate_certificate(
+        "gd_value",
+        {"gamma": gamma, "L0": L0, "factor_dist": f_dist, "factor_value": f_val,
+         "dist0_sq": dist0_sq, "gap0": float(gaps[0])},
+        f_val, traj.times, gaps, envelope_violations(gaps[1:], env),
+        fit_floor=NOISE_FLOOR)
 
 
 def hb_rho(beta: float, L: float, theta: float) -> float:
@@ -355,39 +332,25 @@ def certify_hb_energy(traj: Trajectory, gamma: float, L: float,
     E1 = float(gaps[0] + (theta ** 2 / (2.0 * beta)) * step1 ** 2)
 
     tol = 1e-9 * (1.0 + np.abs(E[:-1]) + np.abs(E[1:]))
-    ok_steps = E[1:] <= factor * E[:-1] + tol
-    first_bad = None if ok_steps.all() else float(traj.times[1:][~ok_steps][0])
+    bad = ~(E[1:] <= factor * E[:-1] + tol)  # NaN is a violation
 
     k = np.arange(1, len(traj), dtype=np.float64)
     pow_full = factor ** (k - 1.0)
     pow_half = factor ** ((k - 1.0) / 2.0)
-    slack = 1.0 + RATE_SLACK
     root_term = np.sqrt(2.0 / beta) * np.sqrt(E1)
-    tails = [
-        ("value_tail", gaps[1:], pow_full * E1),
-        ("step_tail", steps[1:] ** 2, (2.0 * beta / theta ** 2) * pow_full * E1),
-        ("grad_tail", traj.grad_norms[1:],
-         ((1.0 + theta) / theta) * pow_half * root_term),
-        ("dist_tail", dist[1:],
-         (2.0 * (1.0 + theta) / (gamma * theta)) * pow_half * root_term),
-    ]
-    tail_bad = []
-    for name, observed, bound in tails:
-        consider = observed > _GAP_FLOOR
-        if np.any(consider & (observed > bound * slack)):
-            tail_bad.append(name)
-
-    pos = E > _GAP_FLOOR
-    empirical = fit_linear_rate(E[pos]) if np.count_nonzero(pos) >= 3 else np.nan
-    ok = (first_bad is None and not tail_bad
-          and (np.isnan(empirical) or empirical <= factor * slack))
-    return RateCertificate(
-        kind="hb_energy",
-        constants={"gamma": gamma, "L": L, "theta": theta, "beta": beta,
-                   "rho": rho, "sigma": sigma, "factor": factor, "E1": E1},
-        theoretical_rate=float(factor),
-        empirical_rate=float(empirical),
-        satisfied=bool(ok),
-        first_violation=first_bad,
-        notes="" if not tail_bad else "tail bounds violated: " + ", ".join(tail_bad),
-    )
+    tails = {
+        "value_tail": (gaps[1:], pow_full * E1),
+        "step_tail": (steps[1:] ** 2, (2.0 * beta / theta ** 2) * pow_full * E1),
+        "grad_tail": (traj.grad_norms[1:],
+                      ((1.0 + theta) / theta) * pow_half * root_term),
+        "dist_tail": (dist[1:],
+                      (2.0 * (1.0 + theta) / (gamma * theta)) * pow_half * root_term),
+    }
+    tail_bad = [name for name, (observed, bound) in tails.items()
+                if envelope_violations(observed, bound).any()]
+    return rate_certificate(
+        "hb_energy",
+        {"gamma": gamma, "L": L, "theta": theta, "beta": beta, "rho": rho,
+         "sigma": sigma, "factor": factor, "E1": E1},
+        factor, traj.times, E, bad, fit_floor=NOISE_FLOOR, failed=bool(tail_bad),
+        notes="" if not tail_bad else "tail bounds violated: " + ", ".join(tail_bad))

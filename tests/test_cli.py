@@ -197,6 +197,18 @@ class TestFlowCommand:
             assert np.isnan(c["empirical_rate"])
         assert code == 0
 
+    def test_second_order_kappa_uses_L_flag(self, tmp_path, capsys):
+        out = tmp_path / "flow2"
+        code = run(["flow", "--function", "quadratic_2d", "--order", "2",
+                    "--L", "100", "--x0", "1,0", "--t-end", "1",
+                    "--output-dir", str(out)])
+        assert code == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["constants_used"]["kappa"] == 0.01  # gamma / L = 1 / 100
+        assert meta["notes"] == ["kappa = gamma / L"]
+        certs = json.loads((out / "certificate.json").read_text())
+        assert certs[0]["constants"]["kappa"] == 0.01
+
     def test_default_dt_scales_with_lipschitz(self, tmp_path):
         out = tmp_path / "dtq"
         code = run(["flow", "--function", "quadratic_2d", "--order", "1",
@@ -231,6 +243,15 @@ class TestEstimateCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["value"][0]) < 1e-8
+
+    def test_kappa_with_stagnated_minimizer_search(self, capsys):
+        argv = ["estimate", "--function", "max_two_quadratics", "--x0",
+                "0.6,0.1", "--samples", "500", "--seed", "5", "--constant"]
+        assert run(argv + ["minimizer"]) == 3
+        expected = capsys.readouterr().err
+        assert run(argv + ["kappa"]) == 3
+        assert capsys.readouterr().err == expected
+        assert json.loads(expected)["kind"] == "numerical"
 
     def test_unknown_constant(self):
         assert run(["estimate", "--function", "quadratic_1d", "--constant",
@@ -515,9 +536,11 @@ class TestResolutionBranches:
              "beta = (1 - theta^2) / 2L"],
             {"function": "sin_quadratic", "seed": 0, "task": "hb",
              "task_params": {"max_iters": 200, "theta": 0.5, "x0": [2.0]}}),
+        # the note was added on purpose; certificate.json is unchanged
         "ladder_estimated": (
             0, "cb2bc86cab93f04732c34f279257559a3ecb3dfe130e4727ac0c2ce9432f883c",
-            {"gamma": 0.7008359240138836, "mu": None}, [],
+            {"gamma": 0.7008359240138836, "mu": None},
+            ["gamma estimated empirically (safety-adjusted)"],
             {"function": "sin_quadratic", "seed": 0, "task": "verify",
              "task_params": {"pairs": 200, "property": "ladder"}}),
     }
@@ -537,3 +560,41 @@ class TestResolutionBranches:
         got = (code, _sha256(out / "certificate.json"),
                meta["constants_used"], meta["notes"], meta["config"])
         assert got == self.PINNED[case]
+
+
+class TestFailingCertificates:
+    """Runs that fail a certificate of every kind, pinned at the exit code
+    and the SHA-256 of certificate.json taken before the envelope checks
+    were folded into one builder."""
+
+    CASES = {
+        # both flow_first certificates fail: gamma = 3 overstates the modulus
+        "flow_first": (
+            "flow --function quadratic_2d --order 1 --x0 1,1 --gamma 3 --t-end 5",
+            "f508a0d0564f542fcad5ed5431a7ecd9a528d06395769c4239ae0c0a15db9868"),
+        "flow_second": (
+            "flow --function quadratic_2d --order 2 --alpha 3 --x0 1,1 "
+            "--t-end 5 --kappa 20",
+            "32ec766732279c333fb433316e48d636291c0b76dac2d598b9fd7feea663c456"),
+        # contraction fails at k = 2, values at k = 6
+        "gd_both": (
+            "gd --function quadratic_2d --gamma 6 --L0 4 --beta 0.2 --x0 1,1 "
+            "--max-iters 50",
+            "23c03bbc1f2fec17bb3518d84c1a7afc18127e80a128c3f849f0ef07d6f42e66"),
+        # gd_value fails at k = 32
+        "gd_value": (
+            "gd --function quadratic_3d --beta 0.001 --x0 1,0,0 --max-iters 2000 "
+            "--stop-grad-tol 0",
+            "f3cfabc10570c385d3c94951201d26380774ad9b0b464c0858b06ec3b372cf48"),
+        # the step and gradient tail bounds fail
+        "hb_tails": (
+            "hb --function sqrt_norm_2d --theta 0.5 --x0 0.3,0.2 --max-iters 500",
+            "1dae5abb499c0fff4f42414c6799a62d6f9648cc65ced2695fdcbd284494f35b"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pinned(self, tmp_path, capsys, case):
+        command, sha = self.CASES[case]
+        out = tmp_path / "out"
+        code = run(command.split() + ["--output-dir", str(out)])
+        assert (code, _sha256(out / "certificate.json")) == (1, sha)

@@ -7,8 +7,9 @@ import pytest
 from sqcflow import catalog, sampling
 from sqcflow.core import (DomainSamplingFailure, DomainSpec, DomainViolation,
                           FunctionOracle, InvalidParameter, NonPositiveSequence,
-                          Trajectory, as_point, finite_difference_gradient,
-                          fit_decay_exponent, fit_linear_rate)
+                          Trajectory, as_point, envelope_violations,
+                          finite_difference_gradient, fit_decay_exponent,
+                          fit_linear_rate, rate_certificate)
 from sqcflow.sampling import (NestedSampler, inverse_normal_cdf, sample_pairs,
                               sample_points)
 
@@ -75,6 +76,44 @@ class TestFitLinearRate:
     def test_decay_exponent(self):
         t = np.linspace(0.0, 3.0, 40)
         assert fit_decay_exponent(t, np.exp(-2.0 * t)) == pytest.approx(2.0)
+
+
+class TestRateCertificate:
+    def test_envelope_floor_and_slack(self):
+        values = np.array([1e-12, 2e-12, 1.05, 1.06, np.nan])
+        bad = envelope_violations(values, np.array([0.0, 0.0, 1.0, 1.0, 1.0]))
+        assert bad.tolist() == [False, True, False, True, False]
+
+    def test_first_violation_aligns_with_the_last_times(self):
+        times = np.arange(5.0)
+        cert = rate_certificate("gd_value", {}, 0.5, times, 0.5 ** times,
+                                np.array([False, False, True, True]))
+        assert cert.first_violation == 3.0 and not cert.satisfied
+
+    @pytest.mark.parametrize("kind,rate,ok", [
+        ("gd_contraction", 0.48, True), ("gd_contraction", 0.47, False),
+        ("flow_first", 0.52, True), ("flow_first", 0.53, False)])
+    def test_verdict_direction(self, kind, rate, ok):
+        # a factor of 0.5 per step, or a decay exponent of 0.5
+        times = np.arange(6.0)
+        series = 0.5 ** times if kind == "gd_contraction" \
+            else np.exp(-0.5 * times)
+        cert = rate_certificate(kind, {}, rate, times, series,
+                                np.zeros(6, dtype=bool))
+        assert cert.empirical_rate == pytest.approx(0.5)
+        assert cert.satisfied is ok
+
+    def test_nan_rate_is_vacuous_and_extra_failure_fails(self):
+        times = np.arange(3.0)
+        series = np.array([1.0, 1e-13, 0.0])
+        cert = rate_certificate("hb_energy", {"c": 1.0}, 0.1, times, series,
+                                np.zeros(2, dtype=bool), fit_floor=1e-12)
+        assert np.isnan(cert.empirical_rate) and cert.satisfied
+        assert cert.first_violation is None
+        failed = rate_certificate("hb_energy", {}, 0.1, times, series,
+                                  np.zeros(2, dtype=bool), failed=True,
+                                  notes="tail")
+        assert not failed.satisfied and failed.notes == "tail"
 
 
 class TestPointsAndDomains:

@@ -280,16 +280,6 @@ class TestFirstOrderCertificates:
         with pytest.raises(MissingMinimizer):
             certify_first_order_values(traj, 1.0, 1.0, np.zeros(1))
 
-    def test_trust_radius_start(self):
-        entry = CAT["quadratic_2d"]
-        cfg = FlowConfig(x0=[1.0, 1.0], t_end=8.0, dt=1e-3)
-        traj = integrate_first_order(entry.oracle, cfg)
-        cert = certify_first_order_values(traj, 1.0, 4.0,
-                                          entry.oracle.known_minimizer,
-                                          trust_radius=1.0)
-        assert cert.satisfied
-        assert cert.constants["t_start"] > 0.0
-
 
 def cubic_free():
     return FunctionOracle(
