@@ -41,7 +41,7 @@ def main():
     certify("anisotropic quadratic", q2.oracle, 1.0, 4.0, [1.0, 1.0], 10.0)
 
     sinq = catalog.default_catalog()["sin_quadratic"]
-    gamma = estimate.empirical_modulus(sinq.oracle, None, samples=50_000,
+    gamma = estimate.empirical_modulus(sinq.oracle, samples=50_000,
                                        seed=3) * estimate.SAFETY_MODULUS
     L = estimate.estimate_lipschitz_sublevel(sinq.oracle, [2.0], samples=2000,
                                              seed=3)

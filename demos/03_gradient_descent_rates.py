@@ -11,15 +11,15 @@ Run:  python3 demos/03_gradient_descent_rates.py
 """
 
 from sqcflow import catalog, estimate, solvers
-from sqcflow.solvers import ConstantStep, GDConfig
+from sqcflow.solvers import GDConfig
 
 
 def sweep(entry, gamma, L0, x0, betas, iters=300):
     print(f"    {'beta':>10s} {'certified':>10s} {'fitted':>10s} {'ok':>4s}")
     for beta in betas:
         traj = solvers.gradient_descent(
-            entry.oracle, GDConfig(x0=x0, step_rule=ConstantStep(beta),
-                                   max_iters=iters, stop_grad_tol=0.0))
+            entry.oracle, GDConfig(x0=x0, beta=beta, max_iters=iters,
+                                   stop_grad_tol=0.0))
         cert = solvers.certify_gd_contraction(traj, gamma, L0)
         print(f"    {beta:10.5f} {cert.theoretical_rate:10.5f} "
               f"{cert.empirical_rate:10.5f} {str(cert.satisfied):>4s}")
@@ -42,7 +42,7 @@ def main():
     print("sin_quadratic, all constants estimated")
     print("=" * 72)
     sinq = catalog.default_catalog()["sin_quadratic"]
-    gamma = estimate.empirical_modulus(sinq.oracle, None, samples=50_000,
+    gamma = estimate.empirical_modulus(sinq.oracle, samples=50_000,
                                        seed=3) * estimate.SAFETY_MODULUS
     L0 = estimate.estimate_lipschitz_sublevel(sinq.oracle, [2.0],
                                               samples=2000, seed=3)
@@ -58,8 +58,7 @@ def main():
           "point")
     traj = solvers.gradient_descent(
         catalog.default_catalog()["quadratic_1d"].oracle,
-        GDConfig(x0=[1.0], step_rule=ConstantStep(1e-17), max_iters=10,
-                 stop_grad_tol=0.0))
+        GDConfig(x0=[1.0], beta=1e-17, max_iters=10, stop_grad_tol=0.0))
     print(f"  iterates recorded: {len(traj)} (stopped on x_next == x)")
 
 

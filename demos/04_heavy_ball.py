@@ -53,10 +53,10 @@ def main():
 
     print()
     print("  theta = 0 reproduces plain gradient descent bitwise:")
-    from sqcflow.solvers import ConstantStep, GDConfig, gradient_descent
+    from sqcflow.solvers import GDConfig, gradient_descent
     gd = gradient_descent(entry.oracle,
-                          GDConfig(x0=[1.0], step_rule=ConstantStep(0.3),
-                                   max_iters=40, stop_grad_tol=0.0))
+                          GDConfig(x0=[1.0], beta=0.3, max_iters=40,
+                                   stop_grad_tol=0.0))
     hb0 = solvers.heavy_ball(entry.oracle,
                              HBConfig(x0=[1.0], theta=0.0, beta=0.3,
                                       max_iters=40, stop_grad_tol=0.0))

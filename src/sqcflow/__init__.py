@@ -17,15 +17,13 @@ The package is organized around five capabilities:
 __version__ = "0.1.0"
 
 from .core import (DomainSpec, FunctionOracle, RateCertificate, Trajectory,
-                   finite_difference_gradient, fit_decay_exponent,
-                   fit_linear_rate)
+                   fit_decay_exponent, fit_linear_rate)
 
 __all__ = [
     "DomainSpec",
     "FunctionOracle",
     "RateCertificate",
     "Trajectory",
-    "finite_difference_gradient",
     "fit_decay_exponent",
     "fit_linear_rate",
     "__version__",

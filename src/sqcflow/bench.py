@@ -8,6 +8,8 @@ here and nowhere else.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import tempfile
 import time
 from pathlib import Path
@@ -17,7 +19,7 @@ import numpy as np
 from . import catalog, cli, estimate, flows, solvers, verify
 from .core import InvalidParameter
 from .flows import FlowConfig, LyapunovParams
-from .solvers import ConstantStep, GDConfig, HBConfig
+from .solvers import GDConfig, HBConfig
 
 SEED = 42
 PAIRS = 10_000
@@ -25,7 +27,7 @@ PAIRS = 10_000
 
 def _sin_quadratic_gamma() -> float:
     entry = catalog.sin_quadratic()
-    raw = estimate.empirical_modulus(entry.oracle, None, samples=100_000,
+    raw = estimate.empirical_modulus(entry.oracle, samples=100_000,
                                      seed=SEED)
     return raw * estimate.SAFETY_MODULUS
 
@@ -103,12 +105,12 @@ def _criterion4_runs():
                                                  samples=2000, seed=SEED)
     beta_star = solvers.optimal_step(1.0, L_hat)
     traj3 = solvers.gradient_descent(
-        q3.oracle, GDConfig(x0=x0, step_rule=ConstantStep(beta_star),
-                            max_iters=300, stop_grad_tol=0.0))
+        q3.oracle, GDConfig(x0=x0, beta=beta_star, max_iters=300,
+                            stop_grad_tol=0.0))
     q1 = cat["quadratic_1d"]
     traj1 = solvers.gradient_descent(
-        q1.oracle, GDConfig(x0=[1.0], step_rule=ConstantStep(0.5),
-                            max_iters=40, stop_grad_tol=0.0))
+        q1.oracle, GDConfig(x0=[1.0], beta=0.5, max_iters=40,
+                            stop_grad_tol=0.0))
     return q3, L_hat, traj3, q1, traj1
 
 
@@ -183,9 +185,10 @@ def criterion_second_order_lyapunov(workdir: Path):
                 f"satisfied={cert.satisfied} elapsed={elapsed:.2f}s")
 
 
-def _discretization_gap(eta: float, alpha: float = 3.0) -> float:
+def _discretization_gap(eta: float) -> float:
     entry = catalog.strongly_convex_quadratic(2, 1.0, 1.0)
     x0 = np.array([1.0, 0.5])
+    alpha = 3.0
     theta, beta = 1.0 - alpha * eta, eta ** 2
     n = int(round(1.0 / eta))
     hb = solvers.heavy_ball(entry.oracle,
@@ -207,18 +210,17 @@ def criterion_discretization(workdir: Path):
     return ok, f"gap(0.01)={gap1:.5f} gap(0.005)={gap2:.5f} ratio={ratio:.3f}"
 
 
-def ladder_rows(budget: verify.SampleBudget | None = None):
+def ladder_rows():
     """(rows, all_sound, reports_by_entry) for the whole catalog."""
-    budget = budget or verify.SampleBudget(pairs=2000, lambdas_per_pair=2,
-                                           seed=SEED)
+    budget = verify.SampleBudget(pairs=2000, lambdas_per_pair=2, seed=SEED)
     rows = []
     all_sound = True
     by_entry = {}
     for name, entry in sorted(catalog.default_catalog().items()):
         gamma = entry.constants_known.get("gamma")
         if gamma is None:
-            gamma = max(estimate.empirical_modulus(entry.oracle, None,
-                                                   samples=20000, seed=7)
+            gamma = max(estimate.empirical_modulus(entry.oracle, samples=20000,
+                                                   seed=7)
                         * estimate.SAFETY_MODULUS, 0.0)
         reports = verify.check_implication_ladder(entry.oracle, gamma, budget)
         broken = verify.ladder_soundness(reports)
@@ -254,7 +256,8 @@ def criterion_ladder(workdir: Path):
 
 
 def criterion_determinism(workdir: Path):
-    """Re-running a seeded experiment reproduces byte-identical artifacts."""
+    """Re-running a seeded experiment reproduces its exit code, its stdout
+    and byte-identical artifacts; the payloads it prints are captured."""
     results = []
     for task, params in (
         ("gd", {"beta": 0.05, "x0": np.array([1.0, 1.0]), "max_iters": 50,
@@ -270,13 +273,15 @@ def criterion_determinism(workdir: Path):
             cfg = cli.ExperimentConfig(function="quadratic_2d", task=task,
                                        task_params=dict(params),
                                        output_dir=str(out), seed=123)
-            code = cli.run_experiment(cfg)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.run_experiment(cfg)
             files = {}
             for fname in ("trace.csv", "certificate.json"):
                 p = out / fname
                 if p.exists():
                     files[fname] = p.read_bytes()
-            blobs.append((code, files))
+            blobs.append((code, stdout.getvalue(), files))
         results.append(blobs[0] == blobs[1])
     ok = all(results)
     return ok, f"identical_runs={results}"
@@ -343,8 +348,8 @@ def _rates_rows():
         betas = [0.4 * top, solvers.optimal_step(gamma, L), 0.9 * top]
         for beta in betas:
             traj = solvers.gradient_descent(
-                entry.oracle, GDConfig(x0=x0, step_rule=ConstantStep(beta),
-                                       max_iters=200, stop_grad_tol=0.0))
+                entry.oracle, GDConfig(x0=x0, beta=beta, max_iters=200,
+                                       stop_grad_tol=0.0))
             cert = solvers.certify_gd_contraction(traj, gamma, L)
             rows.append([name, "gd", f"{beta:.6g}",
                          f"{cert.empirical_rate:.6g}",

@@ -9,13 +9,12 @@ callables broadcast over leading axes.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (DomainSpec, DomainViolation, FunctionOracle,
-                   InvalidParameter, UnverifiedPremiseWarning, as_point)
+                   InvalidParameter, as_point)
 from .sampling import NestedSampler, sample_points
 
 _ORIGIN_EXCLUSION = 1e-12
@@ -28,7 +27,6 @@ class CatalogEntry:
     oracle: FunctionOracle
     provenance: str
     constants_known: dict[str, float] = field(default_factory=dict)
-    premise_verified: bool = True
 
     def to_metadata(self) -> dict:
         return {
@@ -98,16 +96,15 @@ def _bounding_domain(B, b, beta, m, M, dim, predicate) -> DomainSpec:
 
 
 def quadratic_fraction(A, a, alpha: float, B, b, beta: float,
-                       m: float, M: float,
-                       premise_samples: int = 512, seed: int = 0) -> CatalogEntry:
+                       m: float, M: float) -> CatalogEntry:
     """Ratio of two quadratics h = f/g on the set {m <= g <= M}.
 
     With A positive definite and one of (a) B = 0, (b) f >= 0 on the set
     and B negative semidefinite, (c) f <= 0 on the set and B positive
     semidefinite, h is strongly quasiconvex there with modulus
-    lambda_min(A) / M.  Condition (a) is checked exactly, (b)/(c) by
-    sampling; if none can be confirmed the entry is still built but
-    flagged, with a warning.
+    lambda_min(A) / M.  Condition (a) is checked exactly, (b)/(c) on 512
+    seeded points of the set.  Inputs that meet none of them raise
+    InvalidParameter: the stated modulus would have no backing.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -148,18 +145,16 @@ def quadratic_fraction(A, a, alpha: float, B, b, beta: float,
         return (m <= gx) & (gx <= M)
 
     domain = _bounding_domain(B, b, beta, m, M, dim, member)
-    premise_verified = True
     if np.any(B):
         eigs_B = np.linalg.eigvalsh(B)
-        pts = sample_points(domain, dim, premise_samples, NestedSampler(seed))
+        pts = sample_points(domain, dim, 512, NestedSampler(0))
         fvals = f(pts)
         nsd, psd = eigs_B.max() <= 1e-12, eigs_B.min() >= -1e-12
         if not ((nsd and np.all(fvals >= -1e-12)) or
                 (psd and np.all(fvals <= 1e-12))):
-            premise_verified = False
-            warnings.warn("none of the sign premises could be confirmed; "
-                          "the stated modulus may not apply",
-                          UnverifiedPremiseWarning)
+            raise InvalidParameter(
+                "none of the sign premises holds; the modulus "
+                "lambda_min(A)/M does not apply")
 
     known_lipschitz = None
     known_minimizer = None
@@ -182,7 +177,6 @@ def quadratic_fraction(A, a, alpha: float, B, b, beta: float,
         provenance="ratio of quadratic forms on a denominator band; strongly "
                    "quasiconvex there with modulus lambda_min(A)/M",
         constants_known=constants,
-        premise_verified=premise_verified,
     )
 
 
@@ -280,7 +274,6 @@ def scale_combine(entry: CatalogEntry, alpha: float) -> CatalogEntry:
         oracle=oracle,
         provenance=f"{entry.provenance}; scaled by {alpha:g}",
         constants_known=constants,
-        premise_verified=entry.premise_verified,
     )
 
 

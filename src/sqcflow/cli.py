@@ -9,7 +9,8 @@ and writes deterministic artifacts into --output-dir:
     meta.json         resolved config + constants actually used
 
 Exit codes: 0 pass, 1 certificate failure, 2 usage/config error,
-3 numerical failure.  SQCFLOW_SEED overrides the default seed.
+3 numerical failure; a reader that closes stdout early does not change
+the code of a task run.  SQCFLOW_SEED overrides the default seed.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from .estimate import (SAFETY_KAPPA, SAFETY_LIPSCHITZ, SAFETY_MODULUS,
 from .flows import (FlowConfig, LyapunovParams, certify_first_order,
                     certify_first_order_values, certify_second_order,
                     integrate_first_order, integrate_second_order)
-from .solvers import (ConstantStep, GDConfig, HBConfig, OptimalStep,
-                      certify_gd_contraction, certify_gd_values,
-                      certify_hb_energy, gradient_descent, heavy_ball, hb_rho)
-from .solvers import step_window as solvers_step_window
+from .solvers import (GDConfig, HBConfig, certify_gd_contraction,
+                      certify_gd_values, certify_hb_energy, gradient_descent,
+                      heavy_ball, hb_rho, optimal_step, step_window)
 from .verify import (PROPERTIES, SampleBudget, check_implication_ladder,
                      check_property, ladder_soundness)
 
@@ -123,7 +123,7 @@ def _resolve_gamma(entry: CatalogEntry, params: dict, seed: int, notes: list,
     if gamma is None:
         gamma = entry.oracle.known_modulus
     if gamma is None and samples is not None:
-        gamma = empirical_modulus(entry.oracle, None, samples=int(samples),
+        gamma = empirical_modulus(entry.oracle, samples=int(samples),
                                   seed=seed) * SAFETY_MODULUS
         notes.append("gamma estimated empirically (safety-adjusted)")
     return gamma
@@ -242,6 +242,10 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
         kappa = params.get("kappa")
         if kappa is None:
             if L is not None:
+                # a negative L gives a negative kappa, which
+                # LyapunovParams rejects
+                if L == 0:
+                    raise InvalidParameter("kappa = gamma / L needs L != 0")
                 kappa = gamma / L
                 notes.append("kappa = gamma / L")
             elif oracle.known_minimizer is not None:
@@ -269,22 +273,22 @@ def _run_gd(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     x0 = _start(entry, params)
     gamma, L0, notes = _resolve_constants(entry, params, x0, config.seed)
     if params.get("optimal"):
-        rule = OptimalStep(gamma=gamma, L0=L0)
+        beta = optimal_step(gamma, L0)
     else:
         beta = params.get("beta")
         if beta is None:
             raise InvalidParameter("gd needs --beta or --optimal")
-        rule = ConstantStep(float(beta))
-        # certification is always attempted, so enforce its window up front
-        top = solvers_step_window(gamma, L0)
-        if not 0.0 < float(beta) < top:
+        # certification is always attempted, so enforce its window up front;
+        # GDConfig rejects beta <= 0
+        top = step_window(gamma, L0)
+        if not float(beta) < top:
             raise ParameterWindowViolation(
                 f"beta={beta} outside the certified window ]0, {top:.6g}[ "
                 f"for gamma={gamma:.6g}, L0={L0:.6g}")
-    oracle = _with_reference_minimizer(entry, x0, notes)
-    cfg = GDConfig(x0=x0, step_rule=rule,
+    cfg = GDConfig(x0=x0, beta=float(beta),
                    max_iters=int(params.get("max_iters", 1000)),
                    stop_grad_tol=float(params.get("stop_grad_tol", 1e-10)))
+    oracle = _with_reference_minimizer(entry, x0, notes)
     traj = gradient_descent(oracle, cfg)
     certs = []
     if oracle.known_minimizer is not None:
@@ -300,10 +304,13 @@ def _run_hb(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     theta = float(params.get("theta", 0.5))
     beta = params.get("beta")
     gamma, L, notes = _resolve_constants(entry, params, x0, config.seed)
-    if beta is None:
+    if beta is None and L > 0:
         beta = 0.5 * (1.0 - theta ** 2) / L
         notes.append("beta = (1 - theta^2) / 2L")
-    if not 0.0 < theta < 1.0 or hb_rho(float(beta), L, theta) <= 0:
+    # rho <= beta/2, so no step is certified for beta <= 0, and for L <= 0
+    # there is no positive default step
+    if beta is None or beta <= 0 or not 0.0 < theta < 1.0 \
+            or hb_rho(float(beta), L, theta) <= 0:
         raise ParameterWindowViolation(
             "theta must lie in ]0,1[ with rho = min{beta/2, "
             "(1 - beta L - theta^2)/2beta} > 0 for certification")
@@ -332,7 +339,7 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
         payload = {"constant": "L0", "value": adjusted / SAFETY_LIPSCHITZ,
                    "safety_adjusted_value": adjusted, "samples": samples}
     elif which == "gamma":
-        raw = empirical_modulus(entry.oracle, None, samples=samples,
+        raw = empirical_modulus(entry.oracle, samples=samples,
                                 seed=config.seed)
         payload = {"constant": "gamma", "value": raw,
                    "safety_adjusted_value": raw * SAFETY_MODULUS,
@@ -362,10 +369,9 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
 
 def _emit(config: ExperimentConfig, out: Optional[Path], name: str, payload,
           ok: bool, constants: dict, notes=(), trace=None) -> int:
-    """Print the payload; with an output directory also write ``trace``
-    (trajectory, index column) as trace.csv, the payload as ``name`` and
-    meta.json.  Returns the exit code for ``ok``."""
-    print(json.dumps(payload, sort_keys=True))
+    """With an output directory write ``trace`` (trajectory, index column)
+    as trace.csv, the payload as ``name`` and meta.json; then print the
+    payload.  Returns the exit code for ``ok``."""
     if out is not None:
         if trace is not None:
             write_trace_csv(out / "trace.csv", *trace)
@@ -377,6 +383,12 @@ def _emit(config: ExperimentConfig, out: Optional[Path], name: str, payload,
                                for k, v in sorted(constants.items())},
             "notes": list(notes),
         })
+    try:
+        print(json.dumps(payload, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # a reader that closed stdout does not change the verdict; stdout
+        # goes to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if ok else EXIT_CERT_FAILED
 
 
@@ -551,7 +563,7 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         return run_experiment(config)
     except (InvalidParameter, ParameterWindowViolation, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+            FileExistsError, NotADirectoryError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc), "kind": "usage"}), file=sys.stderr)
         return EXIT_USAGE
     except (NumericalBlowup, DomainExit, DomainSamplingFailure,

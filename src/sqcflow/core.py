@@ -92,10 +92,6 @@ class DomainExit(SqcflowError):
         super().__init__(message or f"state left the domain at {where!r}")
 
 
-class UnverifiedPremiseWarning(UserWarning):
-    """A constructor's sign premise could not be confirmed by sampling."""
-
-
 def as_point(x, dim: Optional[int] = None) -> Vector:
     """Validate and convert to a finite float64 vector."""
     p = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -360,27 +356,6 @@ def rate_certificate(kind: str, constants: dict, rate: float, times, series,
         empirical_rate=float(empirical),
         satisfied=bool(first is None and not failed and within),
         first_violation=first, notes=notes)
-
-
-def finite_difference_gradient(oracle: FunctionOracle, x, step: float = 1e-6) -> Vector:
-    """Central-difference gradient, used to validate oracle gradients.
-
-    Componentwise (h(x + step e_i) - h(x - step e_i)) / (2 step).  Raises
-    DomainViolation if a perturbed point leaves the oracle's domain.
-    """
-    if step <= 0:
-        raise InvalidParameter("finite-difference step must be positive")
-    x = as_point(x, oracle.dim)
-    out = np.empty(oracle.dim)
-    for i in range(oracle.dim):
-        e = np.zeros(oracle.dim)
-        e[i] = step
-        xp, xm = x + e, x - e
-        if not (oracle.domain.contains(xp) and oracle.domain.contains(xm)):
-            raise DomainViolation(
-                f"perturbation along coordinate {i} leaves the domain")
-        out[i] = (float(oracle.value(xp)) - float(oracle.value(xm))) / (2.0 * step)
-    return out
 
 
 def fit_linear_rate(values) -> float:

@@ -95,8 +95,8 @@ def _largest_ratio(xs, gxs, ys, gys) -> float:
                   / dist).max())
 
 
-def empirical_modulus(oracle: FunctionOracle, region: DomainSpec | None = None,
-                      samples: int = 20000, seed: int = 0) -> float:
+def empirical_modulus(oracle: FunctionOracle, samples: int = 20000,
+                      seed: int = 0) -> float:
     """Largest gamma compatible with the sampled interpolation inequalities.
 
     For each sampled (x, y, lam) with x != y the inequality is tight at
@@ -108,8 +108,9 @@ def empirical_modulus(oracle: FunctionOracle, region: DomainSpec | None = None,
     estimate can only overestimate the true modulus; multiply by 0.95
     (SAFETY_MODULUS) before certification use.
     """
-    region = region if region is not None else oracle.domain
-    X, Y, LAM = sample_pairs(region, oracle.dim, samples, 1,
+    if samples < 1:
+        raise InvalidParameter("need at least 1 sample")
+    X, Y, LAM = sample_pairs(oracle.domain, oracle.dim, samples, 1,
                              NestedSampler(seed), lam_range=_LAMBDA_RANGE)
     lam = LAM[:, 0]
     d2 = np.sum((X - Y) ** 2, axis=-1)
@@ -141,13 +142,12 @@ def estimate_kappa(oracle: FunctionOracle, traj, x_bar) -> float:
     return float((inner / gaps[valid]).min()) * SAFETY_KAPPA
 
 
-def reference_minimizer(oracle: FunctionOracle, x0,
-                        grad_tol: float = 1e-12,
-                        max_iters: int = 1_000_000) -> np.ndarray:
+def reference_minimizer(oracle: FunctionOracle, x0) -> np.ndarray:
     """Long conservative gradient run used when no minimizer is known.
 
     Step 1/(2 L-hat) with L-hat estimated on the initial sublevel set;
-    returns the best iterate found.  Raises StagnationFailure if the best
+    stops at a gradient norm of 1e-12 or after 10^6 iterations and returns
+    the best iterate found.  Raises StagnationFailure if the best
     value stops improving for 10^4 consecutive iterations.
     """
     x = as_point(x0, oracle.dim)
@@ -156,9 +156,9 @@ def reference_minimizer(oracle: FunctionOracle, x0,
     best_x, best_h = x.copy(), float(oracle.value(x))
     ref_h = best_h  # value at the last decrease visible above roundoff
     since_improvement = 0
-    for _ in range(max_iters):
+    for _ in range(1_000_000):
         g = np.asarray(oracle.grad(x))
-        if float(np.linalg.norm(g)) <= grad_tol:
+        if float(np.linalg.norm(g)) <= 1e-12:
             break
         x = x - beta * g
         h = float(oracle.value(x))

@@ -50,34 +50,31 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class LyapunovParams:
-    """Parameters (lam, xi, kappa) of the second-order energy Sigma.
+    """Parameters (lam, kappa) of the second-order energy Sigma.
 
-    The dissipation argument needs xi = lam^2 and
-    lam <= min{sqrt(gamma / 2 kappa), 2 alpha / (kappa + 4)}; use
-    ``from_constants`` to pick the largest admissible lam.
+    The dissipation argument needs
+    lam <= min{sqrt(gamma / 2 kappa), 2 alpha / (kappa + 4)} and
+    xi = lam^2, so ``xi`` is derived from lam; use ``from_constants`` to
+    pick the largest admissible lam.
     """
 
     lam: float
-    xi: float
     kappa: float
 
     def __post_init__(self):
-        if self.lam <= 0 or self.xi <= 0 or self.kappa <= 0:
+        if self.lam <= 0 or self.kappa <= 0:
             raise InvalidParameter("lam, xi, kappa must all be positive")
-        if not math.isclose(self.xi, self.lam ** 2, rel_tol=1e-9):
-            raise InvalidParameter("the energy argument requires xi = lam^2")
-
-    @staticmethod
-    def lambda_bound(gamma: float, kappa: float, alpha: float) -> float:
-        return min(math.sqrt(gamma / (2.0 * kappa)),
-                   2.0 * alpha / (kappa + 4.0))
 
     @classmethod
     def from_constants(cls, gamma: float, kappa: float, alpha: float) -> "LyapunovParams":
         if gamma <= 0 or kappa <= 0 or alpha <= 0:
             raise InvalidParameter("gamma, kappa, alpha must all be positive")
-        lam = cls.lambda_bound(gamma, kappa, alpha)
-        return cls(lam=lam, xi=lam * lam, kappa=kappa)
+        return cls(lam=min(math.sqrt(gamma / (2.0 * kappa)),
+                           2.0 * alpha / (kappa + 4.0)), kappa=kappa)
+
+    @property
+    def xi(self) -> float:
+        return self.lam * self.lam
 
     @property
     def decay_exponent(self) -> float:

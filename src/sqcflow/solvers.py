@@ -1,6 +1,6 @@
 """Gradient descent and heavy-ball iterations with per-step certificates.
 
-Gradient method:  x_{k+1} = x_k - beta_k grad h(x_k), stopped on exact
+Gradient method:  x_{k+1} = x_k - beta grad h(x_k), stopped on exact
 iterate equality (kept verbatim as a stationarity certificate), on a small
 gradient norm, or at the iteration cap.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -25,40 +25,6 @@ from .core import (NOISE_FLOOR, RATE_SLACK, DomainExit, FunctionOracle,
                    InvalidParameter, MissingMinimizer, ParameterWindowViolation,
                    RateCertificate, Trajectory, as_point, envelope_violations,
                    rate_certificate, step_rows)
-
-
-@dataclass(frozen=True)
-class ConstantStep:
-    beta: float
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise InvalidParameter("step size must be positive")
-
-
-@dataclass(frozen=True)
-class StepSequence:
-    betas: tuple[float, ...]
-
-    def __post_init__(self):
-        betas = tuple(float(b) for b in self.betas)
-        if not betas or any(b <= 0 for b in betas):
-            raise InvalidParameter("step sequence must be nonempty and positive")
-        object.__setattr__(self, "betas", betas)
-
-
-@dataclass(frozen=True)
-class OptimalStep:
-    """beta* = gamma / (2 L0^2), the minimizer of the contraction factor.
-
-    gamma and L0 fall back to the oracle's known constants when omitted.
-    """
-
-    gamma: Optional[float] = None
-    L0: Optional[float] = None
-
-
-StepRule = Union[ConstantStep, StepSequence, OptimalStep]
 
 
 def step_window(gamma: float, L0: float) -> float:
@@ -77,11 +43,13 @@ def optimal_step(gamma: float, L0: float) -> float:
 @dataclass(frozen=True)
 class GDConfig:
     x0: np.ndarray
-    step_rule: StepRule
+    beta: float
     max_iters: int = 100_000
     stop_grad_tol: float = 1e-10
 
     def __post_init__(self):
+        if self.beta <= 0:
+            raise InvalidParameter("step size must be positive")
         object.__setattr__(self, "x0", as_point(self.x0))
         if self.max_iters < 1:
             raise InvalidParameter("max_iters must be >= 1")
@@ -114,23 +82,6 @@ class HBConfig:
             raise InvalidParameter("max_iters must be >= 1")
 
 
-def _resolve_step_rule(oracle: FunctionOracle, rule: StepRule):
-    """Return (beta_of_k, limit) where limit caps usable iterations."""
-    if isinstance(rule, ConstantStep):
-        return (lambda k: rule.beta), None
-    if isinstance(rule, StepSequence):
-        return (lambda k: rule.betas[k]), len(rule.betas)
-    if isinstance(rule, OptimalStep):
-        gamma = rule.gamma if rule.gamma is not None else oracle.known_modulus
-        L0 = rule.L0 if rule.L0 is not None else oracle.known_lipschitz
-        if gamma is None or L0 is None:
-            raise InvalidParameter(
-                "optimal step rule needs gamma and L0 (given or known)")
-        beta = optimal_step(gamma, L0)
-        return (lambda k: beta), None
-    raise InvalidParameter(f"unknown step rule {rule!r}")
-
-
 def _trajectory(oracle, rows) -> Trajectory:
     """Trajectory of solver rows laid out as [x | grad h(x) | step record]."""
     d = oracle.dim
@@ -152,9 +103,7 @@ def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
     x = as_point(config.x0, oracle.dim)
     if not oracle.domain.contains(x):
         raise DomainExit(0, "x0 outside the domain")
-    beta_of, limit = _resolve_step_rule(oracle, config.step_rule)
-    n_max = config.max_iters if limit is None else min(config.max_iters, limit)
-    d, tol = oracle.dim, config.stop_grad_tol
+    d, beta, tol = oracle.dim, config.beta, config.stop_grad_tol
 
     def fill(rows, k):
         rows[k, d:2 * d] = oracle.grad(rows[k, :d])
@@ -163,13 +112,13 @@ def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
         x, g = rows[k, :d], rows[k, d:2 * d]
         if math.sqrt(g.dot(g)) <= tol:
             return None
-        rows[k, -1] = beta_k = float(beta_of(k))
-        x_next = x - beta_k * g
-        # x_next equal to x_k is an exact fixed point: beta_k grad h(x_k) = 0,
+        rows[k, -1] = beta
+        x_next = x - beta * g
+        # x_next equal to x_k is an exact fixed point: beta grad h(x_k) = 0,
         # so x_k is stationary and the run stops there
         return None if (x_next == x).all() else x_next
 
-    rows = step_rows(x, n_max, 1, advance, oracle.domain.contains,
+    rows = step_rows(x, config.max_iters, 1, advance, oracle.domain.contains,
                      width=2 * d + 1, fill=fill)
     traj = _trajectory(oracle, rows)
     traj.diagnostics["beta"] = np.append(rows[:-1, -1], np.nan)

@@ -7,7 +7,7 @@ the identical battery.
 
 import pytest
 
-from sqcflow.bench import CRITERIA
+from sqcflow.bench import CRITERIA, criterion_determinism
 
 
 @pytest.mark.parametrize("key,description,runner", CRITERIA,
@@ -18,3 +18,9 @@ def test_acceptance_criterion(key, description, runner, tmp_path, capsys):
         status = "PASS" if ok else "FAIL"
         print(f"{status} {key}: {description} [{detail}]")
     assert ok, f"{key} failed: {detail}"
+
+
+def test_determinism_criterion_prints_nothing(tmp_path, capsys):
+    ok, detail = criterion_determinism(tmp_path)
+    assert ok, detail
+    assert capsys.readouterr().out == ""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sqcflow import catalog
-from sqcflow.core import DomainViolation, InvalidParameter, UnverifiedPremiseWarning
+from sqcflow.core import DomainViolation, InvalidParameter
 from sqcflow.sampling import NestedSampler, sample_pairs
 from sqcflow.verify import SampleBudget, check_strong_quasiconvexity
 
@@ -69,21 +69,21 @@ class TestQuadraticFraction:
                                        np.zeros((2, 2)), np.zeros(2), 2.0,
                                        3.0, 1.0)
 
-    def test_unverifiable_premise_warns(self):
-        # f stays negative on the band while B is negative semidefinite,
-        # so neither sign condition can be confirmed
-        with pytest.warns(UnverifiedPremiseWarning):
-            entry = catalog.quadratic_fraction(np.eye(2), np.zeros(2), -10.0,
-                                               -np.eye(2), np.zeros(2), 5.0,
-                                               1.0, 6.0)
-        assert not entry.premise_verified
+    @pytest.mark.parametrize("alpha,B", [
+        # f stays negative on the band while B is negative semidefinite
+        (-10.0, -np.eye(2)),
+        # B is indefinite, so neither semidefinite premise can hold
+        (0.0, np.diag([1.0, -1.0]))], ids=["f_negative", "B_indefinite"])
+    def test_unverifiable_premise_refused(self, alpha, B):
+        with pytest.raises(InvalidParameter, match="sign premises"):
+            catalog.quadratic_fraction(np.eye(2), np.zeros(2), alpha, B,
+                                       np.zeros(2), 5.0, 1.0, 6.0)
 
     def test_curved_denominator_membership(self):
         # f <= 0 on the band with B positive semidefinite: premise (c) holds
         entry = catalog.quadratic_fraction(np.eye(2), np.zeros(2), -10.0,
                                            np.eye(2), np.zeros(2), 1.0,
                                            1.0, 3.0)
-        assert entry.premise_verified
         dom = entry.oracle.domain
         assert dom.contains(np.array([1.0, 1.0]))      # g = 2
         assert not dom.contains(np.array([3.0, 0.0]))  # g = 5.5 > 3

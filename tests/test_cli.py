@@ -598,3 +598,80 @@ class TestFailingCertificates:
         out = tmp_path / "out"
         code = run(command.split() + ["--output-dir", str(out)])
         assert (code, _sha256(out / "certificate.json")) == (1, sha)
+
+
+class TestErrorPaths:
+    """Exit code and stderr kind of each error branch of ``cli.main``.
+
+    ``{file}`` names an existing file, ``{missing}`` a path that does not
+    exist and ``{bad_json}`` a file that is not JSON.  The JSON line is the
+    last one on stderr, after any numpy warning.
+    """
+
+    CASES = {
+        "output_dir_is_a_file": (
+            "gd --function quadratic_2d --beta 0.01 --x0 1,1 --max-iters 5 "
+            "--output-dir {file}", 2, "usage"),
+        "output_dir_under_a_file": (
+            "gd --function quadratic_2d --beta 0.01 --x0 1,1 --max-iters 5 "
+            "--output-dir {file}/run", 2, "usage"),
+        "bench_output_dir_is_a_file": (
+            "bench --suite ladder --output-dir {file}", 2, "usage"),
+        "hb_zero_beta": (
+            "hb --function quadratic_2d --theta 0.5 --beta 0 --x0 1,1",
+            2, "usage"),
+        "hb_zero_L_default_beta": (
+            "hb --function quadratic_2d --theta 0.5 --L 0 --x0 1,1", 2, "usage"),
+        "flow_zero_L_for_kappa": (
+            "flow --function quadratic_2d --order 2 --x0 1,1 --L 0", 2, "usage"),
+        "estimate_zero_samples": (
+            "estimate --function quadratic_2d --constant gamma --samples 0",
+            2, "usage"),
+        "missing_config": ("gd --config {missing}", 2, "usage"),
+        "malformed_config": ("gd --config {bad_json}", 2, "usage"),
+        "bench_without_output_dir": ("bench --suite ladder", 2, "usage"),
+        "blowup": (
+            "flow --function quadratic_2d --order 1 --x0 1,1 --t-end 1000 "
+            "--dt 1 --integrator euler", 3, "numerical"),
+        "domain_exit": (
+            "flow --function sqrt_norm_2d --order 1 --x0 0.3,0.2 --t-end 5 "
+            "--dt 0.5 --integrator euler", 3, "numerical"),
+        "sampling_failure": (
+            "estimate --function degenerate_quadratic --constant L0 --x0 1,1 "
+            "--samples 100", 3, "numerical"),
+        "insufficient_samples": (
+            "estimate --function quadratic_2d --constant kappa --x0 0,0",
+            2, "error"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_code_and_kind(self, tmp_path, capsys, case):
+        command, code, kind = self.CASES[case]
+        (tmp_path / "file").write_text("")
+        (tmp_path / "bad.json").write_text("{not json")
+        argv = command.format(file=tmp_path / "file",
+                              missing=tmp_path / "missing.json",
+                              bad_json=tmp_path / "bad.json").split()
+        assert run(argv) == code
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(err)["kind"] == kind
+
+
+def test_closed_stdout_keeps_the_verdict(tmp_path):
+    # the read end is closed before the run starts, so every write to
+    # stdout fails with EPIPE
+    out = tmp_path / "run"
+    env = dict(os.environ, PYTHONPATH=str(Path(sqcflow.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqcflow.cli", "gd", "--function",
+             "quadratic_3d", "--optimal", "--x0", "1,1,0.5", "--max-iters",
+             "300", "--output-dir", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "certificate.json", "meta.json", "trace.csv"]

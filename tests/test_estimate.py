@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,22 +47,22 @@ class TestLipschitzEstimate:
 
 class TestEmpiricalModulus:
     def test_quadratic_is_one(self):
-        gamma = estimate.empirical_modulus(
-            CAT["quadratic_1d"].oracle, DomainSpec.box([-1.0], [1.0]),
-            samples=5000, seed=0)
+        oracle = dataclasses.replace(CAT["quadratic_1d"].oracle,
+                                     domain=DomainSpec.box([-1.0], [1.0]))
+        gamma = estimate.empirical_modulus(oracle, samples=5000, seed=0)
         assert gamma == pytest.approx(1.0, abs=0.02)
 
     def test_linear_is_zero_on_large_region(self):
         lin = FunctionOracle(
             dim=1, value=lambda x: np.asarray(x)[..., 0],
-            grad=lambda x: np.ones_like(np.asarray(x, dtype=float)[..., 0:1]))
-        gamma = estimate.empirical_modulus(lin, DomainSpec.box([-1e6], [1e6]),
-                                           samples=20_000, seed=0)
+            grad=lambda x: np.ones_like(np.asarray(x, dtype=float)[..., 0:1]),
+            domain=DomainSpec.box([-1e6], [1e6]))
+        gamma = estimate.empirical_modulus(lin, samples=20_000, seed=0)
         assert 0.0 <= gamma < 1e-4
 
     def test_sin_quadratic_certifiable(self):
         entry = CAT["sin_quadratic"]
-        gamma = estimate.empirical_modulus(entry.oracle, None, samples=50_000,
+        gamma = estimate.empirical_modulus(entry.oracle, samples=50_000,
                                            seed=3)
         assert gamma > 0
         report = check_strong_quasiconvexity(
@@ -70,14 +72,14 @@ class TestEmpiricalModulus:
 
     def test_monotone_refinement(self):
         entry = CAT["sin_quadratic"]
-        g1 = estimate.empirical_modulus(entry.oracle, None, samples=2000, seed=4)
-        g2 = estimate.empirical_modulus(entry.oracle, None, samples=4000, seed=4)
+        g1 = estimate.empirical_modulus(entry.oracle, samples=2000, seed=4)
+        g2 = estimate.empirical_modulus(entry.oracle, samples=4000, seed=4)
         assert g2 <= g1
 
     def test_insufficient_samples(self):
         with pytest.raises(Exception):
-            estimate.empirical_modulus(CAT["quadratic_1d"].oracle, None,
-                                       samples=2, seed=0)
+            estimate.empirical_modulus(CAT["quadratic_1d"].oracle, samples=2,
+                                       seed=0)
 
 
 class TestKappa:
@@ -106,7 +108,7 @@ class TestKappa:
         from sqcflow.core import StagnationFailure
         with pytest.raises(StagnationFailure):
             estimate.reference_minimizer(CAT["max_two_quadratics"].oracle,
-                                         [0.4, 0.1], max_iters=50_000)
+                                         [0.4, 0.1])
 
     def test_gamma_over_L_lower_bound(self):
         entry = CAT["quadratic_2d"]
@@ -149,7 +151,7 @@ class TestCrossEstimateInvariants:
     ])
     def test_modulus_below_lipschitz(self, name, x0):
         entry = CAT[name]
-        gamma = estimate.empirical_modulus(entry.oracle, None, samples=5000,
+        gamma = estimate.empirical_modulus(entry.oracle, samples=5000,
                                            seed=6)
         L = estimate.estimate_lipschitz_sublevel(entry.oracle, x0,
                                                  samples=1000, seed=6)
@@ -158,9 +160,8 @@ class TestCrossEstimateInvariants:
     def test_safety_adjusted_window_nonempty(self):
         for name, x0 in (("quadratic_2d", [1.0, 1.0]), ("sin_quadratic", [2.0])):
             entry = CAT[name]
-            gamma = estimate.empirical_modulus(entry.oracle, None,
-                                               samples=5000, seed=6) \
-                * estimate.SAFETY_MODULUS
+            gamma = estimate.empirical_modulus(entry.oracle, samples=5000,
+                                               seed=6) * estimate.SAFETY_MODULUS
             L = estimate.estimate_lipschitz_sublevel(entry.oracle, x0,
                                                      samples=1000, seed=6)
             assert gamma > 0

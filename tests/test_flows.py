@@ -197,15 +197,11 @@ class TestLyapunovParams:
     def test_from_constants_picks_bound(self):
         lyap = LyapunovParams.from_constants(1.0, 0.25, 3.0)
         assert lyap.lam == pytest.approx(min(np.sqrt(2.0), 6.0 / 4.25))
-        assert lyap.xi == pytest.approx(lyap.lam ** 2)
-
-    def test_xi_must_be_lambda_squared(self):
-        with pytest.raises(InvalidParameter):
-            LyapunovParams(lam=1.0, xi=2.0, kappa=0.5)
+        assert lyap.xi == lyap.lam * lyap.lam
 
     def test_positivity(self):
         with pytest.raises(InvalidParameter):
-            LyapunovParams(lam=-1.0, xi=1.0, kappa=0.5)
+            LyapunovParams(lam=-1.0, kappa=0.5)
 
 
 class TestFirstOrderCertificates:
@@ -228,7 +224,7 @@ class TestFirstOrderCertificates:
     def test_sin_quadratic_empirical_modulus_envelope(self):
         from sqcflow import estimate
         entry = CAT["sin_quadratic"]
-        gamma = estimate.empirical_modulus(entry.oracle, None, samples=50_000,
+        gamma = estimate.empirical_modulus(entry.oracle, samples=50_000,
                                            seed=3) * estimate.SAFETY_MODULUS
         cfg = FlowConfig(x0=[2.0], t_end=6.0, dt=1e-3)
         traj = integrate_first_order(entry.oracle, cfg)

@@ -4,10 +4,9 @@ import pytest
 from sqcflow import catalog, estimate, flows, solvers
 from sqcflow.core import (DomainExit, DomainSpec, FunctionOracle,
                           InvalidParameter, MissingMinimizer, NumericalBlowup,
-                          ParameterWindowViolation)
+                          ParameterWindowViolation, Trajectory)
 from sqcflow.flows import FlowConfig, integrate_second_order
-from sqcflow.solvers import (ConstantStep, GDConfig, HBConfig, OptimalStep,
-                             StepSequence, certify_gd_contraction,
+from sqcflow.solvers import (GDConfig, HBConfig, certify_gd_contraction,
                              certify_gd_values, certify_hb_energy,
                              gradient_descent, heavy_ball, optimal_step,
                              step_window)
@@ -17,33 +16,20 @@ CAT = catalog.default_catalog()
 
 class TestGradientDescent:
     def test_hand_recursion(self):
-        cfg = GDConfig(x0=[1.0], step_rule=ConstantStep(0.25), max_iters=2,
-                       stop_grad_tol=0.0)
+        cfg = GDConfig(x0=[1.0], beta=0.25, max_iters=2, stop_grad_tol=0.0)
         traj = gradient_descent(CAT["quadratic_1d"].oracle, cfg)
         np.testing.assert_allclose(traj.states[:, 0], [1.0, 0.75, 0.5625])
 
     def test_optimal_step_rule(self):
         # gamma = L0 = 1: beta* = 0.5, contraction 0.5 per step on x
-        cfg = GDConfig(x0=[1.0], step_rule=OptimalStep(), max_iters=3,
+        cfg = GDConfig(x0=[1.0], beta=optimal_step(1.0, 1.0), max_iters=3,
                        stop_grad_tol=0.0)
         traj = gradient_descent(CAT["quadratic_1d"].oracle, cfg)
         np.testing.assert_allclose(traj.states[:, 0], [1.0, 0.5, 0.25, 0.125])
         assert traj.diagnostic("beta")[0] == pytest.approx(0.5)
 
-    def test_optimal_step_needs_constants(self):
-        with pytest.raises(InvalidParameter):
-            gradient_descent(CAT["sin_quadratic"].oracle,
-                             GDConfig(x0=[1.0], step_rule=OptimalStep()))
-
-    def test_step_sequence(self):
-        cfg = GDConfig(x0=[1.0], step_rule=StepSequence((0.25, 0.5)),
-                       max_iters=10, stop_grad_tol=0.0)
-        traj = gradient_descent(CAT["quadratic_1d"].oracle, cfg)
-        assert len(traj) == 3  # sequence exhausted after two steps
-        np.testing.assert_allclose(traj.states[:, 0], [1.0, 0.75, 0.375])
-
     def test_gradient_tolerance_stop(self):
-        cfg = GDConfig(x0=[1.0], step_rule=ConstantStep(0.5), max_iters=10_000,
+        cfg = GDConfig(x0=[1.0], beta=0.5, max_iters=10_000,
                        stop_grad_tol=1e-6)
         traj = gradient_descent(CAT["quadratic_1d"].oracle, cfg)
         assert traj.grad_norms[-1] <= 1e-6
@@ -51,8 +37,7 @@ class TestGradientDescent:
 
     def test_exact_fixed_point_stop(self):
         # update below one ulp: x - beta g == x bitwise although |g| = 1
-        cfg = GDConfig(x0=[1.0], step_rule=ConstantStep(1e-17), max_iters=10,
-                       stop_grad_tol=0.0)
+        cfg = GDConfig(x0=[1.0], beta=1e-17, max_iters=10, stop_grad_tol=0.0)
         traj = gradient_descent(CAT["quadratic_1d"].oracle, cfg)
         assert len(traj) == 1
         # gradient is zero up to step scaling: beta |g| below ulp of x
@@ -66,7 +51,7 @@ class TestGradientDescent:
         beta = 0.2
         assert beta <= 2.0 / L0
         traj = gradient_descent(entry.oracle,
-                                GDConfig(x0=[2.0], step_rule=ConstantStep(beta),
+                                GDConfig(x0=[2.0], beta=beta,
                                          max_iters=200, stop_grad_tol=0.0))
         decrease = traj.h_values[:-1] - traj.h_values[1:]
         floor = beta * (1 - beta * L0 / 2) * traj.grad_norms[:-1] ** 2
@@ -79,7 +64,7 @@ class TestGradientDescent:
         entry = CAT["quadratic_3d"]
         traj = gradient_descent(entry.oracle,
                                 GDConfig(x0=[1.0, 1.0, 0.5],
-                                         step_rule=OptimalStep(),
+                                         beta=optimal_step(1.0, 4.0),
                                          max_iters=100, stop_grad_tol=0.0))
         x_bar = entry.oracle.known_minimizer
         grads = np.asarray(entry.oracle.grad(traj.states))
@@ -96,7 +81,7 @@ class TestGradientDescent:
         beta = 0.9 * step_window(gamma, L0)
         traj = gradient_descent(entry.oracle,
                                 GDConfig(x0=[0.5, 0.5],
-                                         step_rule=ConstantStep(beta),
+                                         beta=beta,
                                          max_iters=20_000, stop_grad_tol=0.0))
         dist = traj.diagnostic("dist")
         assert np.all(np.diff(dist) <= 1e-15)
@@ -126,7 +111,7 @@ def drift_oracle(domain=None, blowup_above=None, grad_below=None):
 
 def gd_run(oracle):
     # beta = 0.5, gradient -1: x_k = 0.5 k
-    return gradient_descent(oracle, GDConfig(x0=[0.0], step_rule=ConstantStep(0.5),
+    return gradient_descent(oracle, GDConfig(x0=[0.0], beta=0.5,
                                              max_iters=100, stop_grad_tol=0.0))
 
 
@@ -155,8 +140,7 @@ class TestStepLoopSemantics:
         # x = 1, 0.875, 0.75; at 0.75 the step 0.125e-20 is below one ulp
         traj = gradient_descent(
             drift_oracle(grad_below=0.75),
-            GDConfig(x0=[1.0], step_rule=ConstantStep(0.125), max_iters=100,
-                     stop_grad_tol=0.0))
+            GDConfig(x0=[1.0], beta=0.125, max_iters=100, stop_grad_tol=0.0))
         np.testing.assert_array_equal(traj.states[:, 0], [1.0, 0.875, 0.75])
         np.testing.assert_array_equal(traj.grad_norms, [1.0, 1.0, 1e-20])
         beta = traj.diagnostic("beta")
@@ -168,8 +152,7 @@ class TestStepLoopSemantics:
         ({"max_iters": 100, "stop_grad_tol": 0.3}, 3)])    # |x_2| = 0.25
     def test_beta_column_ends_in_nan(self, kw, rows):
         traj = gradient_descent(CAT["quadratic_1d"].oracle,
-                                GDConfig(x0=[1.0], step_rule=ConstantStep(0.5),
-                                         **kw))
+                                GDConfig(x0=[1.0], beta=0.5, **kw))
         beta = traj.diagnostic("beta")
         assert len(traj) == rows
         np.testing.assert_array_equal(beta[:-1], 0.5)
@@ -195,8 +178,7 @@ class TestStepLoopSemantics:
         import tracemalloc
         oracle = CAT["quadratic_1d"].oracle
         if run == "gd":
-            config = GDConfig(x0=[1.0], step_rule=ConstantStep(0.023),
-                              max_iters=10 ** 9)
+            config = GDConfig(x0=[1.0], beta=0.023, max_iters=10 ** 9)
             solve = gradient_descent
         else:
             config = HBConfig(x0=[1.0], theta=0.5, beta=0.01,
@@ -212,10 +194,45 @@ class TestStepLoopSemantics:
         assert peak < 4 * 2 ** 20
 
 
+# squared distances shrink by 0.8, 0.74 and 0.89 per step
+VARIABLE_STEP_DIST = np.sqrt(np.cumprod([1.0, 0.8, 0.74, 0.89]))
+
+
+def variable_step_trajectory(betas, dist):
+    """Hand-built 1-D gd trajectory with per-step ``betas`` and distances."""
+    dist = np.asarray(dist, dtype=float)
+    n = len(dist)
+    return Trajectory(times=np.arange(n, dtype=float), states=dist[:, None],
+                      h_values=0.5 * dist ** 2, grad_norms=dist,
+                      diagnostics={"dist": dist,
+                                   "beta": np.append(betas, np.nan)})
+
+
 class TestGDCertificates:
+    def test_variable_steps_aggregate_factor(self):
+        # gamma = L0 = 1, betas 0.25, 0.5, 0.125: per-step squared factors
+        # 1 - b(1 - b) = 0.8125, 0.75, 0.890625 and the aggregate
+        # q^2 = 1 - 0.125 (1 - 0.5) = 0.9375
+        traj = variable_step_trajectory([0.25, 0.5, 0.125], VARIABLE_STEP_DIST)
+        cert = certify_gd_contraction(traj, 1.0, 1.0)
+        assert cert.satisfied and cert.first_violation is None
+        assert cert.constants["beta_lower"] == 0.125
+        assert cert.constants["beta_upper"] == 0.5
+        assert cert.constants["q_squared"] == 0.9375
+        assert cert.theoretical_rate == 0.9375
+
+    def test_variable_steps_checked_one_by_one(self):
+        # the same distances with the first two steps swapped: 0.8 exceeds
+        # the factor 0.75 of beta = 0.5 at k = 1, though not 0.8125
+        traj = variable_step_trajectory([0.5, 0.25, 0.125], VARIABLE_STEP_DIST)
+        cert = certify_gd_contraction(traj, 1.0, 1.0)
+        assert not cert.satisfied
+        assert cert.first_violation == 1.0
+        assert cert.constants["q_squared"] == 0.9375
+
     def test_per_step_factor_quarter_vs_bound(self):
         traj = gradient_descent(CAT["quadratic_1d"].oracle,
-                                GDConfig(x0=[1.0], step_rule=ConstantStep(0.5),
+                                GDConfig(x0=[1.0], beta=0.5,
                                          max_iters=30, stop_grad_tol=0.0))
         cert = certify_gd_contraction(traj, 1.0, 1.0)
         assert cert.satisfied
@@ -225,7 +242,7 @@ class TestGDCertificates:
     def test_q_formula(self):
         entry = catalog.strongly_convex_quadratic(1, 2.0, 2.0)
         traj = gradient_descent(entry.oracle,
-                                GDConfig(x0=[1.0], step_rule=ConstantStep(0.25),
+                                GDConfig(x0=[1.0], beta=0.25,
                                          max_iters=20, stop_grad_tol=0.0))
         cert = certify_gd_contraction(traj, 2.0, 2.0)
         assert cert.constants["q"] == pytest.approx(np.sqrt(0.75), rel=1e-12)
@@ -233,7 +250,7 @@ class TestGDCertificates:
     def test_window_violation(self):
         traj = gradient_descent(CAT["quadratic_2d"].oracle,
                                 GDConfig(x0=[1.0, 1.0],
-                                         step_rule=ConstantStep(0.4),
+                                         beta=0.4,
                                          max_iters=5, stop_grad_tol=0.0))
         # window for gamma=1, L0=4 is min{1/16, 1/2} = 0.0625
         with pytest.raises(ParameterWindowViolation):
@@ -247,7 +264,7 @@ class TestGDCertificates:
         beta = optimal_step(1.0, L_hat)
         traj = gradient_descent(entry.oracle,
                                 GDConfig(x0=[1.0, 1.0, 0.5],
-                                         step_rule=ConstantStep(beta),
+                                         beta=beta,
                                          max_iters=200, stop_grad_tol=0.0))
         cert = certify_gd_contraction(traj, 1.0, L_hat)
         assert cert.satisfied
@@ -255,7 +272,7 @@ class TestGDCertificates:
 
     def test_needs_minimizer(self):
         traj = gradient_descent(CAT["sin_quadratic"].oracle,
-                                GDConfig(x0=[1.0], step_rule=ConstantStep(0.01),
+                                GDConfig(x0=[1.0], beta=0.01,
                                          max_iters=5, stop_grad_tol=0.0))
         # sin_quadratic knows its minimizer, so strip the diagnostics
         traj.diagnostics.pop("dist")
@@ -264,7 +281,7 @@ class TestGDCertificates:
 
     def test_value_envelopes(self):
         traj = gradient_descent(CAT["quadratic_1d"].oracle,
-                                GDConfig(x0=[1.0], step_rule=ConstantStep(0.5),
+                                GDConfig(x0=[1.0], beta=0.5,
                                          max_iters=30, stop_grad_tol=0.0))
         cert = certify_gd_values(traj, 1.0, 1.0)
         assert cert.satisfied
@@ -273,7 +290,7 @@ class TestGDCertificates:
 
     def test_value_hypotheses_enforced(self):
         traj = gradient_descent(CAT["quadratic_1d"].oracle,
-                                GDConfig(x0=[1.0], step_rule=ConstantStep(0.5),
+                                GDConfig(x0=[1.0], beta=0.5,
                                          max_iters=5, stop_grad_tol=0.0))
         with pytest.raises(ParameterWindowViolation):
             certify_gd_values(traj, 2.0, 1.0)  # gamma < 2 L0 fails
@@ -289,7 +306,7 @@ class TestHeavyBall:
     def test_degenerate_momentum_matches_gd_bitwise(self):
         gd = gradient_descent(CAT["quadratic_2d"].oracle,
                               GDConfig(x0=[1.0, -0.5],
-                                       step_rule=ConstantStep(0.05),
+                                       beta=0.05,
                                        max_iters=60, stop_grad_tol=0.0))
         hb = heavy_ball(CAT["quadratic_2d"].oracle,
                         HBConfig(x0=[1.0, -0.5], theta=0.0, beta=0.05,
@@ -298,7 +315,7 @@ class TestHeavyBall:
 
     def test_tiny_momentum_close_to_gd(self):
         gd = gradient_descent(CAT["quadratic_1d"].oracle,
-                              GDConfig(x0=[1.0], step_rule=ConstantStep(0.3),
+                              GDConfig(x0=[1.0], beta=0.3,
                                        max_iters=40, stop_grad_tol=0.0))
         hb = heavy_ball(CAT["quadratic_1d"].oracle,
                         HBConfig(x0=[1.0], theta=1e-12, beta=0.3,
@@ -397,7 +414,6 @@ class TestStepHelpers:
     def test_invalid(self):
         with pytest.raises(InvalidParameter):
             step_window(0.0, 1.0)
-        with pytest.raises(InvalidParameter):
-            ConstantStep(0.0)
-        with pytest.raises(InvalidParameter):
-            StepSequence(())
+        for beta in (0.0, -1.0):
+            with pytest.raises(InvalidParameter, match="step size must be positive"):
+                GDConfig(x0=[1.0], beta=beta)

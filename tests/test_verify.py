@@ -104,7 +104,7 @@ class TestGradientCharacterization:
 
     def test_sin_quadratic_at_empirical_modulus(self):
         entry = CAT["sin_quadratic"]
-        gamma = estimate.empirical_modulus(entry.oracle, None, samples=50_000,
+        gamma = estimate.empirical_modulus(entry.oracle, samples=50_000,
                                            seed=3) * estimate.SAFETY_MODULUS
         assert gamma > 0
         assert check_gradient_characterization(entry.oracle, gamma,
@@ -217,7 +217,7 @@ class TestPL:
 
     def test_sin_quadratic_with_empirical_constants(self):
         entry = CAT["sin_quadratic"]
-        gamma = estimate.empirical_modulus(entry.oracle, None, samples=50_000,
+        gamma = estimate.empirical_modulus(entry.oracle, samples=50_000,
                                            seed=3) * estimate.SAFETY_MODULUS
         L = estimate.estimate_lipschitz_sublevel(entry.oracle, [3.0],
                                                  samples=2000, seed=3)
@@ -306,7 +306,7 @@ class TestLadder:
 
     def test_sin_quadratic_nonconvex_but_strongly_quasiconvex(self):
         entry = CAT["sin_quadratic"]
-        gamma = estimate.empirical_modulus(entry.oracle, None, samples=50_000,
+        gamma = estimate.empirical_modulus(entry.oracle, samples=50_000,
                                            seed=3) * estimate.SAFETY_MODULUS
         reports = check_implication_ladder(entry.oracle, gamma, BUDGET)
         by_name = {r.property_name: r for r in reports}
