@@ -25,13 +25,6 @@ SEED = 42
 PAIRS = 10_000
 
 
-def _sin_quadratic_gamma() -> float:
-    entry = catalog.sin_quadratic()
-    raw = estimate.empirical_modulus(entry.oracle, samples=100_000,
-                                     seed=SEED)
-    return raw * estimate.SAFETY_MODULUS
-
-
 def criterion_equivalence(workdir: Path):
     """Value definition and gradient characterization agree on five oracles."""
     t0 = time.time()
@@ -39,7 +32,9 @@ def criterion_equivalence(workdir: Path):
     cases = [
         ("quadratic_2d", 1.0),
         ("sqrt_norm_2d", cat["sqrt_norm_2d"].constants_known["gamma"]),
-        ("sin_quadratic", _sin_quadratic_gamma()),
+        ("sin_quadratic", estimate.empirical_modulus(
+            cat["sin_quadratic"].oracle, samples=100_000, seed=SEED)
+         * estimate.SAFETY_MODULUS),
         ("quadratic_fraction", cat["quadratic_fraction"].constants_known["gamma"]),
         ("max_two_quadratics", 1.0),
     ]
@@ -328,44 +323,47 @@ def _write_summary(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _rates_rows():
-    cat = catalog.default_catalog()
-    sin_gamma = _sin_quadratic_gamma()
-    cases = [
-        ("quadratic_2d", 1.0, 4.0, np.array([1.0, 1.0])),
-        ("quadratic_fraction", 1.0 / 3.0, 0.5, np.array([1.5, -0.5])),
-        ("sin_quadratic", sin_gamma, None, np.array([2.0])),
-    ]
-    rows = []
-    all_ok = True
-    for name, gamma, L, x0 in cases:
-        entry = cat[name]
-        if L is None:
-            L = estimate.estimate_lipschitz_sublevel(entry.oracle, x0,
-                                                     samples=2000, seed=SEED)
-        # step grid inside the certified window, optimal step included
-        top = solvers.step_window(gamma, L)
-        betas = [0.4 * top, solvers.optimal_step(gamma, L), 0.9 * top]
-        for beta in betas:
-            traj = solvers.gradient_descent(
-                entry.oracle, GDConfig(x0=x0, beta=beta, max_iters=200,
-                                       stop_grad_tol=0.0))
-            cert = solvers.certify_gd_contraction(traj, gamma, L)
-            rows.append([name, "gd", f"{beta:.6g}",
-                         f"{cert.empirical_rate:.6g}",
-                         f"{cert.theoretical_rate:.6g}", cert.satisfied])
-            all_ok = all_ok and cert.satisfied
+def rates_entries() -> list:
+    """Catalog entries whose oracle knows gamma, L and the minimizer."""
+    return [e for _, e in sorted(catalog.default_catalog().items())
+            if e.oracle.known_modulus and e.oracle.known_lipschitz
+            and e.oracle.known_minimizer is not None]
 
-        theta = 0.5
-        beta = 0.5 * (1.0 - theta ** 2) / L
-        trajh = solvers.heavy_ball(
-            entry.oracle, HBConfig(x0=x0, theta=theta, beta=beta,
-                                   max_iters=200, stop_grad_tol=0.0))
-        certh = solvers.certify_hb_energy(trajh, gamma, L, theta, beta)
-        rows.append([name, "hb", f"{beta:.6g}", f"{certh.empirical_rate:.6g}",
-                     f"{certh.theoretical_rate:.6g}", certh.satisfied])
-        all_ok = all_ok and certh.satisfied
-    return rows, all_ok
+
+def rates_starts(dim: int) -> np.ndarray:
+    """12 seeded starts in random directions, at scales 1e-3 to 1e3."""
+    dirs = np.random.default_rng(SEED).standard_normal((12, dim))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True) \
+        * np.logspace(-3.0, 3.0, 12)[:, None]
+
+
+def _rates_rows():
+    """Both gd certificates at 0.01 to 0.99 of the step window and heavy
+    ball over a (theta, beta) grid inside its window, 400 iterations from
+    every start of every ``rates_entries`` oracle."""
+    runs = []
+    for entry in rates_entries():
+        o = entry.oracle
+        gamma, L = o.known_modulus, o.known_lipschitz
+        for x0 in rates_starts(o.dim):
+            for frac in (0.01, 0.1, 0.5, 0.9, 0.99):
+                beta = frac * solvers.step_window(gamma, L)
+                traj = solvers.gradient_descent(
+                    o, GDConfig(x0=x0, beta=beta, max_iters=400,
+                                stop_grad_tol=0.0))
+                runs += [(entry.name, beta, cert(traj, gamma, L)) for cert in
+                         (solvers.certify_gd_contraction,
+                          solvers.certify_gd_values)]
+            for theta in (0.1, 0.5, 0.9):
+                for frac in (0.1, 0.5, 0.9):
+                    beta = frac * (1.0 - theta ** 2) / L
+                    traj = solvers.heavy_ball(
+                        o, HBConfig(x0=x0, theta=theta, beta=beta,
+                                    max_iters=400, stop_grad_tol=0.0))
+                    runs.append((entry.name, beta, solvers.certify_hb_energy(
+                        traj, gamma, L, theta, beta)))
+    return [[name, c.kind, f"{beta:.6g}", f"{c.empirical_rate:.6g}",
+             f"{c.theoretical_rate:.6g}", c.satisfied] for name, beta, c in runs]
 
 
 def bench_suite(suite_name: str, output_dir) -> int:
@@ -380,7 +378,7 @@ def bench_suite(suite_name: str, output_dir) -> int:
                 ok, detail = fn(Path(tmp))
                 all_ok = all_ok and ok
                 status = "PASS" if ok else "FAIL"
-                print(f"{status} {key}: {desc} [{detail}]")
+                cli._print(f"{status} {key}: {desc} [{detail}]")
                 rows.append([key, f'"{desc}"', status, f'"{detail}"'])
         _write_summary(out / "summary.csv",
                        ["criterion", "description", "status", "detail"], rows)
@@ -393,15 +391,14 @@ def bench_suite(suite_name: str, output_dir) -> int:
         _write_summary(out / "summary.csv",
                        ["entry", "gamma", "property", "status", "violations",
                         "implications_broken"], table)
-        print(f"ladder soundness: {'PASS' if all_sound else 'FAIL'}")
+        cli._print(f"ladder soundness: {'PASS' if all_sound else 'FAIL'}")
         return cli.EXIT_OK if all_sound else cli.EXIT_CERT_FAILED
     if suite_name == "rates":
-        rows, all_ok = _rates_rows()
+        rows = _rates_rows()
         _write_summary(out / "summary.csv",
                        ["entry", "method", "beta", "empirical", "theoretical",
                         "satisfied"], rows)
-        for row in rows:
-            print(" ".join(str(v) for v in row))
-        return cli.EXIT_OK if all_ok else cli.EXIT_CERT_FAILED
+        cli._print("\n".join(" ".join(str(v) for v in row) for row in rows))
+        return cli.EXIT_OK if all(r[-1] for r in rows) else cli.EXIT_CERT_FAILED
     raise InvalidParameter(f"unknown suite {suite_name!r}; "
                            "available: acceptance, ladder, rates")

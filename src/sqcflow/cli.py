@@ -38,8 +38,8 @@ from .flows import (FlowConfig, LyapunovParams, certify_first_order,
                     certify_first_order_values, certify_second_order,
                     integrate_first_order, integrate_second_order)
 from .solvers import (GDConfig, HBConfig, certify_gd_contraction,
-                      certify_gd_values, certify_hb_energy, gradient_descent,
-                      heavy_ball, hb_rho, optimal_step, step_window)
+                      certify_gd_values, certify_hb_energy, gd_window,
+                      gradient_descent, heavy_ball, hb_window, optimal_step)
 from .verify import (PROPERTIES, SampleBudget, check_implication_ladder,
                      check_property, ladder_soundness)
 
@@ -116,31 +116,30 @@ def _start(entry: CatalogEntry, params: dict) -> np.ndarray:
 
 
 def _resolve_gamma(entry: CatalogEntry, params: dict, seed: int, notes: list,
-                   samples=20000):
-    """--gamma, else the catalog modulus, else (unless ``samples`` is None)
-    an estimate from ``samples`` pairs, noted in ``notes``; else None."""
+                   estimate=True):
+    """--gamma, else the catalog modulus, else (if ``estimate``) an estimate
+    from 20000 pairs, noted in ``notes``; else None."""
     gamma = params.get("gamma")
     if gamma is None:
         gamma = entry.oracle.known_modulus
-    if gamma is None and samples is not None:
-        gamma = empirical_modulus(entry.oracle, samples=int(samples),
+    if gamma is None and estimate:
+        gamma = empirical_modulus(entry.oracle, samples=20000,
                                   seed=seed) * SAFETY_MODULUS
         notes.append("gamma estimated empirically (safety-adjusted)")
     return gamma
 
 
-def _resolve_constants(entry: CatalogEntry, params: dict, x0, seed: int):
-    """(gamma, L, notes) of gd and hb, each from its flag, else the catalog,
-    else an estimate."""
+def _resolve_constants(entry: CatalogEntry, params: dict, x0, seed: int,
+                       L_key: str):
+    """(gamma, L, notes) of gd (``L_key`` "L0") and hb ("L"), each from its
+    flag, else the catalog, else an estimate (L from 2000 points)."""
     notes = []
-    gamma = _resolve_gamma(entry, params, seed, notes,
-                           params.get("samples", 20000))
-    L = params.get("L", params.get("L0"))
+    gamma = _resolve_gamma(entry, params, seed, notes)
+    L = params.get(L_key)
     if L is None:
         L = entry.oracle.known_lipschitz
     if L is None:
-        L = estimate_lipschitz_sublevel(entry.oracle, x0,
-                                        samples=int(params.get("samples", 2000)),
+        L = estimate_lipschitz_sublevel(entry.oracle, x0, samples=2000,
                                         seed=seed)
         notes.append("L estimated on the initial sublevel set (safety-adjusted)")
     return float(gamma), float(L), notes
@@ -169,7 +168,7 @@ def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Pat
     # only the ladder estimates an unknown modulus
     notes: list[str] = []
     gamma = _resolve_gamma(entry, params, config.seed, notes,
-                           20000 if name == "ladder" else None)
+                           estimate=name == "ladder")
     mu = params.get("mu")
     if name == "ladder":
         reports = check_implication_ladder(entry.oracle, gamma, budget)
@@ -222,7 +221,7 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
         L = entry.oracle.known_lipschitz
     if int(params.get("order", 1)) == 1:
         # the first-order flow certifies only what is given or catalogued
-        gamma = _resolve_gamma(entry, params, config.seed, notes, None)
+        gamma = _resolve_gamma(entry, params, config.seed, notes, estimate=False)
         oracle = entry.oracle
         if gamma is not None:
             oracle = _with_reference_minimizer(entry, cfg.x0, notes)
@@ -271,20 +270,13 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
 def _run_gd(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
     x0 = _start(entry, params)
-    gamma, L0, notes = _resolve_constants(entry, params, x0, config.seed)
-    if params.get("optimal"):
-        beta = optimal_step(gamma, L0)
-    else:
-        beta = params.get("beta")
-        if beta is None:
-            raise InvalidParameter("gd needs --beta or --optimal")
-        # certification is always attempted, so enforce its window up front;
-        # GDConfig rejects beta <= 0
-        top = step_window(gamma, L0)
-        if not float(beta) < top:
-            raise ParameterWindowViolation(
-                f"beta={beta} outside the certified window ]0, {top:.6g}[ "
-                f"for gamma={gamma:.6g}, L0={L0:.6g}")
+    gamma, L0, notes = _resolve_constants(entry, params, x0, config.seed, "L0")
+    beta = optimal_step(gamma, L0) if params.get("optimal") \
+        else params.get("beta")
+    if beta is None:
+        raise InvalidParameter("gd needs --beta or --optimal")
+    # certification is always attempted, so enforce its window up front
+    gd_window(gamma, L0, float(beta))
     cfg = GDConfig(x0=x0, beta=float(beta),
                    max_iters=int(params.get("max_iters", 1000)),
                    stop_grad_tol=float(params.get("stop_grad_tol", 1e-10)))
@@ -303,17 +295,13 @@ def _run_hb(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     x0 = _start(entry, params)
     theta = float(params.get("theta", 0.5))
     beta = params.get("beta")
-    gamma, L, notes = _resolve_constants(entry, params, x0, config.seed)
+    gamma, L, notes = _resolve_constants(entry, params, x0, config.seed, "L")
     if beta is None and L > 0:
         beta = 0.5 * (1.0 - theta ** 2) / L
         notes.append("beta = (1 - theta^2) / 2L")
-    # rho <= beta/2, so no step is certified for beta <= 0, and for L <= 0
-    # there is no positive default step
-    if beta is None or beta <= 0 or not 0.0 < theta < 1.0 \
-            or hb_rho(float(beta), L, theta) <= 0:
-        raise ParameterWindowViolation(
-            "theta must lie in ]0,1[ with rho = min{beta/2, "
-            "(1 - beta L - theta^2)/2beta} > 0 for certification")
+    # certification is always attempted, so enforce its window up front; for
+    # L <= 0 there is no positive default step
+    hb_window(theta, 0.0 if beta is None else float(beta), L)
     oracle = _with_reference_minimizer(entry, x0, notes)
     cfg = HBConfig(x0=x0, theta=theta, beta=float(beta),
                    x_prev=params.get("x_prev"),
@@ -350,8 +338,7 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
             # a stagnated search fails the run, as --constant minimizer does
             oracle = dataclasses.replace(
                 oracle, known_minimizer=reference_minimizer(oracle, x0))
-        cfg = FlowConfig(x0=x0, t_end=float(params.get("t_end", 5.0)),
-                         dt=float(params.get("dt", 1e-3)))
+        cfg = FlowConfig(x0=x0, t_end=5.0, dt=1e-3)
         traj = integrate_first_order(oracle, cfg)
         adjusted = estimate_kappa(oracle, traj, oracle.known_minimizer)
         payload = {"constant": "kappa", "value": adjusted / SAFETY_KAPPA,
@@ -365,6 +352,16 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
         raise InvalidParameter(
             "estimate --constant must be one of L0, gamma, kappa, minimizer")
     return _emit(config, out, "estimate.json", payload, True, {})
+
+
+def _print(text: str) -> None:
+    """Print ``text``.  A reader that closed stdout does not change the
+    verdict; stdout then goes to devnull so the flush at exit cannot fail
+    again."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit(config: ExperimentConfig, out: Optional[Path], name: str, payload,
@@ -383,12 +380,7 @@ def _emit(config: ExperimentConfig, out: Optional[Path], name: str, payload,
                                for k, v in sorted(constants.items())},
             "notes": list(notes),
         })
-    try:
-        print(json.dumps(payload, sort_keys=True), flush=True)
-    except BrokenPipeError:
-        # a reader that closed stdout does not change the verdict; stdout
-        # goes to devnull so the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    _print(json.dumps(payload, sort_keys=True))
     return EXIT_OK if ok else EXIT_CERT_FAILED
 
 
@@ -510,27 +502,33 @@ _VECTOR_KEYS = ("x0", "v0", "x_prev")
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    base = {"function": None, "task": args.command, "task_params": {},
-            "output_dir": None, "seed": None}
-    if getattr(args, "config", None):
+    """The subcommand decides the task; a --config file may set only what
+    the subcommand has flags for, and its flags override the file."""
+    run = {"function": None, "output_dir": None, "seed": None}
+    params = {}
+    if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
-        for key in ("function", "task", "output_dir", "seed"):
-            if key in loaded:
-                base[key] = loaded[key]
-        base["task_params"].update(loaded.get("task_params", {}))
-    if getattr(args, "function", None) is not None:
-        base["function"] = args.function
-    if getattr(args, "output_dir", None) is not None:
-        base["output_dir"] = args.output_dir
-    if getattr(args, "seed", None) is not None:
-        base["seed"] = args.seed
+        if not isinstance(loaded, dict):
+            raise InvalidParameter("a config file holds one JSON object")
+        given = loaded.get("task_params", {})
+        unknown = sorted(set(loaded) - set(run) - {"task", "task_params"}) \
+            + sorted(set(given) - set(vars(args)) - set(_RUN_DESTS))
+        if unknown or loaded.get("task", args.command) != args.command:
+            raise InvalidParameter(
+                f"config does not fit {args.command}: task "
+                f"{loaded.get('task', args.command)!r}, keys with no flag: "
+                f"{', '.join(unknown) or 'none'}")
+        run.update((k, loaded[k]) for k in run if k in loaded)
+        params.update(given)
     for key, val in vars(args).items():
-        if key not in _RUN_DESTS and val is not None:
-            base["task_params"][key] = val
-    if base["seed"] is None:
-        base["seed"] = int(os.environ.get("SQCFLOW_SEED", "0"))
-    params = base["task_params"]
+        if val is not None:
+            if key in run:
+                run[key] = val
+            elif key not in _RUN_DESTS:
+                params[key] = val
+    if run["seed"] is None:
+        run["seed"] = int(os.environ.get("SQCFLOW_SEED", "0"))
     for key in _VECTOR_KEYS:
         if isinstance(params.get(key), str):
             params[key] = _parse_vector(params[key])
@@ -538,26 +536,20 @@ def _config_from_args(args) -> ExperimentConfig:
             params[key] = np.asarray(params[key], dtype=np.float64)
     if params.get("integrator") == "euler":
         params["integrator"] = "explicit_euler"
-    if base["task"] != "bench" and not base["function"]:
+    if args.command != "bench" and not run["function"]:
         raise InvalidParameter("--function is required")
-    return ExperimentConfig(function=base["function"], task=base["task"],
-                            task_params=params,
-                            output_dir=base["output_dir"], seed=base["seed"])
+    return ExperimentConfig(task=args.command, task_params=params, **run)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list-functions":
         cat = default_catalog()
-        if args.json:
-            print(json.dumps([cat[k].to_metadata() for k in sorted(cat)],
-                             sort_keys=True, indent=2))
-        else:
-            for name in sorted(cat):
-                meta = cat[name].to_metadata()
-                consts = " ".join(f"{k}={v:.6g}"
-                                  for k, v in meta["constants"].items())
-                print(f"{name:24s} dim={meta['dim']}  {consts}")
+        metas = [cat[k].to_metadata() for k in sorted(cat)]
+        _print(json.dumps(metas, sort_keys=True, indent=2) if args.json else
+               "\n".join(f"{m['name']:24s} dim={m['dim']}  " + " ".join(
+                   f"{k}={v:.6g}" for k, v in m["constants"].items())
+                   for m in metas))
         return EXIT_OK
     try:
         config = _config_from_args(args)

@@ -162,38 +162,44 @@ def heavy_ball(oracle: FunctionOracle, config: HBConfig) -> Trajectory:
     return traj
 
 
-def _betas_from(traj: Trajectory) -> np.ndarray:
-    if "beta" not in traj.diagnostics:
-        raise InvalidParameter("trajectory carries no step-size record")
-    b = traj.diagnostic("beta")
-    b = b[np.isfinite(b)]
-    if b.size != len(traj) - 1:
-        raise InvalidParameter("need one step size per transition")
+def gd_window(gamma: float, L0: float, steps) -> np.ndarray:
+    """The steps of a gd run, checked against the window of both gd
+    certificates, 0 < beta_k < min{gamma/L0^2, 2/L0}: one step, or the
+    ``beta`` column of a trajectory (one step per transition)."""
+    top = step_window(gamma, L0)
+    b = steps.diagnostic("beta")[:-1] if isinstance(steps, Trajectory) \
+        else np.array([steps], dtype=np.float64)
+    above = ~(b < top)  # a NaN step is outside
+    if above.any():
+        raise ParameterWindowViolation(
+            f"beta={float(b[above][0])} outside the certified window "
+            f"]0, {top:.6g}[ for gamma={gamma:.6g}, L0={L0:.6g}")
+    if (b <= 0).any():
+        raise ParameterWindowViolation("step size must be positive")
     return b
+
+
+def gd_factor(beta, gamma: float, L0: float):
+    """Contraction factor q(beta) = 1 - beta (gamma - beta L0^2) of one gd step."""
+    return 1.0 - beta * (gamma - beta * L0 ** 2)
 
 
 def certify_gd_contraction(traj: Trajectory, gamma: float, L0: float) -> RateCertificate:
     """Per-step squared-distance contraction
 
-        |x_{k+1} - x_bar|^2 <= (1 - beta_k (gamma - beta_k L0^2)) |x_k - x_bar|^2
+        |x_{k+1} - x_bar|^2 <= q(beta_k) |x_k - x_bar|^2
 
     plus the aggregate factor q^2 = 1 - beta_lo (gamma - beta_hi L0^2)
-    against the fitted empirical factor.  The step window
-    0 < beta_k < min{gamma/L0^2, 2/L0} is enforced before any checking.
+    against the fitted empirical factor.  The step window (``gd_window``)
+    is enforced before any checking.
     """
-    if gamma <= 0 or L0 <= 0:
-        raise InvalidParameter("gamma and L0 must be positive")
     if "dist" not in traj.diagnostics:
         raise MissingMinimizer("trajectory lacks distance diagnostics")
-    b = _betas_from(traj)
-    top = step_window(gamma, L0)
-    if b.size and (b.min() <= 0 or b.max() >= top):
-        raise ParameterWindowViolation(
-            f"steps must satisfy 0 < beta < {top:.6g}")
+    b = gd_window(gamma, L0, traj)
     d2 = traj.diagnostic("dist") ** 2
-    factors = 1.0 - b * (gamma - b * L0 ** 2)
     # ~(a <= b): a NaN sample is a violation
-    bad = ~(d2[1:] <= factors * d2[:-1] * (1.0 + RATE_SLACK) + NOISE_FLOOR)
+    bad = ~(d2[1:] <= gd_factor(b, gamma, L0) * d2[:-1] * (1.0 + RATE_SLACK)
+            + NOISE_FLOOR)
     beta_lo, beta_hi = (float(b.min()), float(b.max())) if b.size else (np.nan, np.nan)
     q_sq = 1.0 - beta_lo * (gamma - beta_hi * L0 ** 2)
     return rate_certificate(
@@ -204,69 +210,72 @@ def certify_gd_contraction(traj: Trajectory, gamma: float, L0: float) -> RateCer
 
 
 def certify_gd_values(traj: Trajectory, gamma: float, L0: float) -> RateCertificate:
-    """Function-value envelopes from iterate k = 1 on:
+    """Function-value envelopes from iterate k = 1 on, for steps in the
+    window (``gd_window``):
 
-        h(x_k) - h* <= (1 - gamma^2 / 4 L0^2)^(k-1) |x_0 - x_bar|^2
-        h(x_k) - h* <= (1 - (gamma^3/4L0^3)(1 - gamma/4L0))^(k-1) (h(x_0) - h*)
+        h(x_k) - h* <= (L0/2) q_0 ... q_{k-1} |x_0 - x_bar|^2
+        h(x_k) - h* <= f_0 ... f_{k-1} (h(x_0) - h*)
 
-    under gamma < 2 L0 and beta_k < gamma / L0^2.
+    with q_j = q(beta_j), f_j = 1 - beta_j (1 - L0 beta_j/2) gamma^2/(2 L0).
+    The premises are the modulus, <grad h(x), x - x_bar> >= (gamma/2)
+    |x - x_bar|^2, so |grad h(x)| >= (gamma/2)|x - x_bar|, and an
+    L0-Lipschitz gradient, so |grad h(x)| <= L0 |x - x_bar| (together
+    gamma <= 2 L0; a larger gamma is rejected) and h - h* <= (L0/2)
+    |x - x_bar|^2.  The first envelope is the contraction of
+    ``certify_gd_contraction`` followed by that last bound.  The second is
+    the descent lemma, h(x_{k+1}) <= h(x_k) - beta_k (1 - L0 beta_k/2)
+    |grad h(x_k)|^2, with |grad h|^2 >= (gamma^2/4)|x - x_bar|^2 >=
+    (gamma^2/2L0)(h - h*).  The theoretical rate is the largest f_j.  At
+    the optimal step beta* = gamma/2L0^2 the factors are the printed
+    q = 1 - gamma^2/4L0^2 and f = 1 - (gamma^3/4L0^3)(1 - gamma/4L0).
     """
-    if gamma <= 0 or L0 <= 0:
-        raise InvalidParameter("gamma and L0 must be positive")
-    if not gamma < 2.0 * L0:
-        raise ParameterWindowViolation("need gamma < 2 L0")
-    b = _betas_from(traj)
-    if b.size and b.max() >= gamma / L0 ** 2:
-        raise ParameterWindowViolation("need beta_k < gamma / L0^2")
     if "h_gap" not in traj.diagnostics or "dist" not in traj.diagnostics:
         raise MissingMinimizer("trajectory lacks minimizer diagnostics")
+    b = gd_window(gamma, L0, traj)
+    if not gamma < 2.0 * L0:
+        raise ParameterWindowViolation("need gamma < 2 L0")
     gaps = traj.diagnostic("h_gap")
     dist0_sq = float(traj.diagnostic("dist")[0]) ** 2
-    f_dist = 1.0 - gamma ** 2 / (4.0 * L0 ** 2)
-    f_val = 1.0 - (gamma ** 3 / (4.0 * L0 ** 3)) * (1.0 - gamma / (4.0 * L0))
-
-    k = np.arange(1, len(traj), dtype=np.float64)
-    env = np.minimum(f_dist ** (k - 1) * dist0_sq,
-                     f_val ** (k - 1) * gaps[0])
+    q = gd_factor(b, gamma, L0)
+    f = 1.0 - b * (1.0 - 0.5 * L0 * b) * gamma ** 2 / (2.0 * L0)
+    env = np.minimum(0.5 * L0 * dist0_sq * np.cumprod(q), gaps[0] * np.cumprod(f))
+    worst_q, worst_f = (float(q.max()), float(f.max())) if b.size else (np.nan, np.nan)
     return rate_certificate(
         "gd_value",
-        {"gamma": gamma, "L0": L0, "factor_dist": f_dist, "factor_value": f_val,
+        {"gamma": gamma, "L0": L0, "factor_dist": worst_q, "factor_value": worst_f,
          "dist0_sq": dist0_sq, "gap0": float(gaps[0])},
-        f_val, traj.times, gaps, envelope_violations(gaps[1:], env),
+        worst_f, traj.times, gaps, envelope_violations(gaps[1:], env),
         fit_floor=NOISE_FLOOR)
 
 
-def hb_rho(beta: float, L: float, theta: float) -> float:
-    return min(0.5 * beta, (1.0 - beta * L - theta ** 2) / (2.0 * beta))
-
-
-def hb_sigma(beta: float, L: float, gamma: float) -> float:
-    return max(2.0 * L / gamma ** 2 + beta, 1.0 / beta)
+def hb_window(theta: float, beta: float, L: float) -> float:
+    """rho = min{beta/2, (1 - beta L - theta^2)/(2 beta)}, checked against
+    the window of the heavy-ball certificate: 0 < theta < 1 and rho > 0
+    (so beta > 0, and the boundary beta = (1 - theta^2)/L, where the rate
+    is vacuous, is rejected)."""
+    rho = 0.0 if beta <= 0 or not 0.0 < theta < 1.0 else \
+        min(0.5 * beta, (1.0 - beta * L - theta ** 2) / (2.0 * beta))
+    if rho <= 0:
+        raise ParameterWindowViolation(
+            "theta must lie in ]0,1[ with rho = min{beta/2, "
+            "(1 - beta L - theta^2)/2beta} > 0 for certification")
+    return rho
 
 
 def certify_hb_energy(traj: Trajectory, gamma: float, L: float,
                       theta: float, beta: float) -> RateCertificate:
     """Energy recursion E_{k+1} <= (1 - rho/sigma) E_k and its tail bounds.
 
-    E_k = h(x_k) - h* + (theta^2 / 2 beta) |x_k - x_{k-1}|^2 with
-    rho = min{beta/2, (1 - beta L - theta^2)/(2 beta)} and
-    sigma = max{2L/gamma^2 + beta, 1/beta}; rho must be strictly positive,
-    the window boundary beta = (1 - theta^2)/L is rejected because the
-    rate is vacuous there.  The four tail bounds (values, step norms,
-    gradient norms, distances) are checked against E_1 as printed:
+    E_k = h(x_k) - h* + (theta^2 / 2 beta) |x_k - x_{k-1}|^2 with rho from
+    ``hb_window`` and sigma = max{2L/gamma^2 + beta, 1/beta}.  The four
+    tail bounds (values, step norms, gradient norms, distances) are
+    checked against E_1 as printed:
     E_1 = h(x_0) - h* + (theta^2 / 2 beta) |x_1 - x_0|^2.
     """
     if gamma <= 0 or L <= 0:
         raise InvalidParameter("gamma and L must be positive")
-    if not (0.0 < theta < 1.0):
-        raise ParameterWindowViolation("theta must lie strictly inside ]0, 1[")
-    if beta <= 0:
-        raise ParameterWindowViolation("beta must be positive")
-    rho = hb_rho(beta, L, theta)
-    if rho <= 0:
-        raise ParameterWindowViolation(
-            "rho = min{beta/2, (1-beta L-theta^2)/2beta} must be positive")
-    sigma = hb_sigma(beta, L, gamma)
+    rho = hb_window(theta, beta, L)
+    sigma = max(2.0 * L / gamma ** 2 + beta, 1.0 / beta)
     factor = 1.0 - rho / sigma
     if "h_gap" not in traj.diagnostics:
         raise MissingMinimizer("trajectory lacks minimizer diagnostics")

@@ -109,6 +109,23 @@ class TestGDCommand:
                     "--x0", "1,1", "--max-iters", "5",
                     "--stop-grad-tol", "0"]) == 2
 
+    # runs inside the window that the value envelopes of the optimal step
+    # rejected, although no bound was broken
+    @pytest.mark.parametrize("command", [
+        "gd --function quadratic_3d --beta 0.001 --x0 1,0,0 --max-iters 2000 "
+        "--stop-grad-tol 0",
+        "gd --function quadratic_3d --beta 0.05 --x0 0,0,1 --max-iters 400 "
+        "--stop-grad-tol 0",
+        "gd --function quadratic_2d --beta 0.009106 --x0=0.980383,-1.629299 "
+        "--max-iters 20000 --stop-grad-tol 0",
+        "gd --function sin_quadratic --optimal --x0 2 --max-iters 200",
+    ], ids=["gd_value", "first_step", "trajectory", "estimated"])
+    def test_value_envelopes_hold_off_the_optimal_step(self, capsys, command):
+        assert run(command.split()) == 0
+        certs = json.loads(capsys.readouterr().out)
+        assert [(c["kind"], c["satisfied"]) for c in certs] == [
+            ("gd_contraction", True), ("gd_value", True)]
+
 
 class TestHBCommand:
     def test_run_and_certificate(self, tmp_path, capsys):
@@ -486,10 +503,11 @@ class TestResolutionBranches:
     }
 
     # taken from the code before the run path was folded into one resolver
-    # and one writer
+    # and one writer; the two gd pins were retaken when the gd value
+    # envelopes began to follow the step (gd_estimated then passes)
     PINNED = {
         "config_override": (
-            0, "4859d2218fd5348102780a80f383439b63bea8b4b7d7ce16950ab0b22bd0c53f",
+            0, "7fba9c7135804802229494b2ad98ece2bc1bf1c86ba59404ae4ad0eecf7176e8",
             {"L0": 4.0, "gamma": 1.0}, [],
             {"function": "quadratic_2d", "seed": 3, "task": "gd",
              "task_params": {"beta": 0.04, "max_iters": 40, "stop_grad_tol": 0,
@@ -512,7 +530,7 @@ class TestResolutionBranches:
              "task_params": {"alpha": 3.0, "dt": 0.01, "order": 2, "t_end": 2.0,
                              "x0": [2.0]}}),
         "gd_estimated": (
-            1, "493622c205469b71382caf9685a646dbb9f55c8df2d868cf70c90d2837105956",
+            0, "4fd1efd60a0863669a5beb2af4a030d4c56bf71020b58bbf907f89efc714b476",
             {"L0": 8.799880525789774, "gamma": 0.7008359240138836},
             ["gamma estimated empirically (safety-adjusted)",
              "L estimated on the initial sublevel set (safety-adjusted)"],
@@ -565,7 +583,8 @@ class TestResolutionBranches:
 class TestFailingCertificates:
     """Runs that fail a certificate of every kind, pinned at the exit code
     and the SHA-256 of certificate.json taken before the envelope checks
-    were folded into one builder."""
+    were folded into one builder (gd_both since the gd value envelopes
+    follow the step)."""
 
     CASES = {
         # both flow_first certificates fail: gamma = 3 overstates the modulus
@@ -576,16 +595,12 @@ class TestFailingCertificates:
             "flow --function quadratic_2d --order 2 --alpha 3 --x0 1,1 "
             "--t-end 5 --kappa 20",
             "32ec766732279c333fb433316e48d636291c0b76dac2d598b9fd7feea663c456"),
-        # contraction fails at k = 2, values at k = 6
+        # gamma = 6 overstates the modulus: contraction fails at k = 2,
+        # values at k = 6
         "gd_both": (
             "gd --function quadratic_2d --gamma 6 --L0 4 --beta 0.2 --x0 1,1 "
             "--max-iters 50",
-            "23c03bbc1f2fec17bb3518d84c1a7afc18127e80a128c3f849f0ef07d6f42e66"),
-        # gd_value fails at k = 32
-        "gd_value": (
-            "gd --function quadratic_3d --beta 0.001 --x0 1,0,0 --max-iters 2000 "
-            "--stop-grad-tol 0",
-            "f3cfabc10570c385d3c94951201d26380774ad9b0b464c0858b06ec3b372cf48"),
+            "5ec08c8d31f63148a3d81a4e5b35fafeaf29fc23ae77aafdf6451ed79185d810"),
         # the step and gradient tail bounds fail
         "hb_tails": (
             "hb --function sqrt_norm_2d --theta 0.5 --x0 0.3,0.2 --max-iters 500",
@@ -604,8 +619,9 @@ class TestErrorPaths:
     """Exit code and stderr kind of each error branch of ``cli.main``.
 
     ``{file}`` names an existing file, ``{missing}`` a path that does not
-    exist and ``{bad_json}`` a file that is not JSON.  The JSON line is the
-    last one on stderr, after any numpy warning.
+    exist, ``{bad_json}`` a file that is not JSON and ``{config}`` a file
+    holding the case's config.  The JSON line is the last one on stderr,
+    after any numpy warning.
     """
 
     CASES = {
@@ -642,36 +658,60 @@ class TestErrorPaths:
         "insufficient_samples": (
             "estimate --function quadratic_2d --constant kappa --x0 0,0",
             2, "error"),
+        # the subcommand decides the task
+        "config_other_task": (
+            "gd --function quadratic_2d --x0 1,1 --beta 0.01 --config {config}",
+            2, "usage", {"task": "flow"}),
+        "config_bench_under_verify": (
+            "verify --config {config} --output-dir {missing}", 2, "usage",
+            {"task": "bench", "task_params": {"suite": "ladder"}}),
+        # gd has --L0, not --L, so "L" cannot overrule the flag
+        "config_L_for_gd": (
+            "gd --function quadratic_2d --x0 1,1 --beta 0.01 --L0 4 "
+            "--config {config}", 2, "usage", {"task_params": {"L": 5}}),
+        # the estimate budgets of gd and hb are not settable
+        "config_samples_for_hb": (
+            "hb --function sin_quadratic --x0 2 --config {config}", 2, "usage",
+            {"task_params": {"samples": 50}}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exit_code_and_kind(self, tmp_path, capsys, case):
-        command, code, kind = self.CASES[case]
+        command, code, kind, *config = self.CASES[case]
         (tmp_path / "file").write_text("")
         (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / "config.json").write_text(json.dumps(config[0] if config
+                                                         else {}))
         argv = command.format(file=tmp_path / "file",
                               missing=tmp_path / "missing.json",
-                              bad_json=tmp_path / "bad.json").split()
+                              bad_json=tmp_path / "bad.json",
+                              config=tmp_path / "config.json").split()
         assert run(argv) == code
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["kind"] == kind
 
 
-def test_closed_stdout_keeps_the_verdict(tmp_path):
+@pytest.mark.parametrize("argv,files", [
+    (["gd", "--function", "quadratic_3d", "--optimal", "--x0", "1,1,0.5",
+      "--max-iters", "300"], ["certificate.json", "meta.json", "trace.csv"]),
+    (["list-functions", "--json"], None),
+    (["bench", "--suite", "ladder"], ["summary.csv"]),
+], ids=["gd", "list_functions", "bench_ladder"])
+def test_closed_stdout_keeps_the_verdict(tmp_path, argv, files):
     # the read end is closed before the run starts, so every write to
     # stdout fails with EPIPE
     out = tmp_path / "run"
+    if files is not None:
+        argv = argv + ["--output-dir", str(out)]
     env = dict(os.environ, PYTHONPATH=str(Path(sqcflow.__file__).parents[1]))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "sqcflow.cli", "gd", "--function",
-             "quadratic_3d", "--optimal", "--x0", "1,1,0.5", "--max-iters",
-             "300", "--output-dir", str(out)],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        proc = subprocess.run([sys.executable, "-m", "sqcflow.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
-    assert sorted(p.name for p in out.iterdir()) == [
-        "certificate.json", "meta.json", "trace.csv"]
+    if files is not None:
+        assert sorted(p.name for p in out.iterdir()) == files

@@ -8,8 +8,8 @@ from sqcflow.core import (DomainExit, DomainSpec, FunctionOracle,
 from sqcflow.flows import FlowConfig, integrate_second_order
 from sqcflow.solvers import (GDConfig, HBConfig, certify_gd_contraction,
                              certify_gd_values, certify_hb_energy,
-                             gradient_descent, heavy_ball, optimal_step,
-                             step_window)
+                             gd_window, gradient_descent, hb_window,
+                             heavy_ball, optimal_step, step_window)
 
 CAT = catalog.default_catalog()
 
@@ -295,6 +295,33 @@ class TestGDCertificates:
         with pytest.raises(ParameterWindowViolation):
             certify_gd_values(traj, 2.0, 1.0)  # gamma < 2 L0 fails
 
+    def test_value_envelopes_follow_the_step(self):
+        # gamma = L0 = 1, beta = 0.25: q = 1 - 0.25 (1 - 0.25) = 0.8125 and
+        # f = 1 - 0.25 (1 - 0.125) / 2 = 0.890625; the gap contracts by 0.5625
+        traj = gradient_descent(CAT["quadratic_1d"].oracle,
+                                GDConfig(x0=[1.0], beta=0.25,
+                                         max_iters=30, stop_grad_tol=0.0))
+        cert = certify_gd_values(traj, 1.0, 1.0)
+        assert cert.satisfied
+        assert cert.constants["factor_dist"] == 0.8125
+        assert cert.constants["factor_value"] == 0.890625
+        assert cert.theoretical_rate == 0.890625
+        assert cert.empirical_rate == pytest.approx(0.5625, rel=1e-6)
+
+    def test_value_envelopes_checked_step_by_step(self):
+        # h - h* = |x - x_bar|^2 / 2 on the variable-step runs: the distance
+        # envelope (1/2) q_0 ... q_{k-1} |x_0 - x_bar|^2 holds for betas
+        # 0.25, 0.5, 0.125 and fails at k = 1 with the first two swapped
+        # (0.8 > 0.75 * 1.05)
+        for betas, first in (([0.25, 0.5, 0.125], None),
+                             ([0.5, 0.25, 0.125], 1.0)):
+            traj = variable_step_trajectory(betas, VARIABLE_STEP_DIST)
+            traj.diagnostics["h_gap"] = traj.h_values
+            cert = certify_gd_values(traj, 1.0, 1.0)
+            assert cert.first_violation == first
+        # f = 1 - b (1 - b/2) / 2 is largest at b = 0.125
+        assert cert.theoretical_rate == 1 - 0.125 * (1 - 0.0625) / 2
+
 
 class TestHeavyBall:
     def test_hand_recursion(self):
@@ -410,6 +437,30 @@ class TestStepHelpers:
     def test_optimal(self):
         assert optimal_step(1.0, 1.0) == pytest.approx(0.5)
         assert optimal_step(2.0, 2.0) == pytest.approx(0.25)
+
+    def test_gd_window(self):
+        traj = variable_step_trajectory([0.25, 0.5], VARIABLE_STEP_DIST[:3])
+        assert gd_window(1.0, 1.0, traj).tolist() == [0.25, 0.5]
+        assert gd_window(1.0, 4.0, 0.05).tolist() == [0.05]
+        with pytest.raises(ParameterWindowViolation, match=r"beta=0.5 outside "
+                           r"the certified window \]0, 0.0625\["):
+            gd_window(1.0, 4.0, 0.5)
+        with pytest.raises(ParameterWindowViolation, match="beta=nan"):
+            gd_window(1.0, 4.0, float("nan"))
+        for beta in (0.0, -1.0):
+            with pytest.raises(ParameterWindowViolation,
+                               match="step size must be positive"):
+                gd_window(1.0, 4.0, beta)
+        with pytest.raises(InvalidParameter):
+            gd_window(1.0, 0.0, 0.05)
+
+    def test_hb_window(self):
+        # theta = beta = 0.5, L = 1: rho = min{0.25, (1 - 0.5 - 0.25)/1}
+        assert hb_window(0.5, 0.5, 1.0) == 0.25
+        # the boundary beta = (1 - theta^2)/L, theta outside ]0, 1[, beta <= 0
+        for theta, beta in ((0.5, 0.75), (0.0, 0.5), (1.0, 0.1), (0.5, 0.0)):
+            with pytest.raises(ParameterWindowViolation):
+                hb_window(theta, beta, 1.0)
 
     def test_invalid(self):
         with pytest.raises(InvalidParameter):
