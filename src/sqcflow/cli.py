@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -145,18 +146,13 @@ def _resolve_constants(entry: CatalogEntry, params: dict, x0, seed: int,
     return float(gamma), float(L), notes
 
 
-def _with_reference_minimizer(entry: CatalogEntry, x0, notes: list):
-    oracle = entry.oracle
-    if oracle.known_minimizer is None:
-        try:
-            x_bar = reference_minimizer(oracle, x0)
-        except StagnationFailure:
-            notes.append("minimizer search stagnated; minimizer-dependent "
-                         "certificates skipped")
-            return oracle
-        oracle = dataclasses.replace(oracle, known_minimizer=x_bar)
-        notes.append("reference-based: minimizer from a long gradient run")
-    return oracle
+def _minimizer(entry: CatalogEntry, notes: list):
+    """The catalog minimizer; without one the run notes that the
+    certificates that need it are skipped, and returns None."""
+    if entry.oracle.known_minimizer is None:
+        notes.append("no known minimizer; minimizer-dependent certificates "
+                     "skipped")
+    return entry.oracle.known_minimizer
 
 
 def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
@@ -216,28 +212,26 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
     notes: list[str] = []
     constants: dict = {}
     certs = []
+    oracle = entry.oracle
     L = params.get("L")
     if L is None:
-        L = entry.oracle.known_lipschitz
+        L = oracle.known_lipschitz
     if int(params.get("order", 1)) == 1:
         # the first-order flow certifies only what is given or catalogued
         gamma = _resolve_gamma(entry, params, config.seed, notes, estimate=False)
-        oracle = entry.oracle
-        if gamma is not None:
-            oracle = _with_reference_minimizer(entry, cfg.x0, notes)
+        x_bar = None if gamma is None else _minimizer(entry, notes)
         traj = integrate_first_order(oracle, cfg)
-        if gamma is not None and oracle.known_minimizer is not None:
+        if x_bar is not None:
             constants["gamma"] = float(gamma)
-            certs.append(certify_first_order(traj, float(gamma),
-                                             oracle.known_minimizer))
+            certs.append(certify_first_order(traj, float(gamma), x_bar))
             if L is not None:
                 constants["L"] = float(L)
                 certs.append(certify_first_order_values(
-                    traj, float(gamma), float(L), oracle.known_minimizer))
+                    traj, float(gamma), float(L), x_bar))
     else:
         alpha = float(cfg.alpha)
         gamma = _resolve_gamma(entry, params, config.seed, notes)
-        oracle = _with_reference_minimizer(entry, cfg.x0, notes)
+        x_bar = _minimizer(entry, notes)
         kappa = params.get("kappa")
         if kappa is None:
             if L is not None:
@@ -247,10 +241,10 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
                     raise InvalidParameter("kappa = gamma / L needs L != 0")
                 kappa = gamma / L
                 notes.append("kappa = gamma / L")
-            elif oracle.known_minimizer is not None:
+            elif x_bar is not None:
                 probe = integrate_first_order(oracle, dataclasses.replace(
                     cfg, integrator="rk4", stop_dist=None))
-                kappa = estimate_kappa(oracle, probe, oracle.known_minimizer)
+                kappa = estimate_kappa(oracle, probe, x_bar)
                 notes.append("kappa estimated along a probe trajectory "
                              "(safety-adjusted)")
         lyap = None
@@ -261,7 +255,7 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
                               "xi": lyap.xi})
         constants.update({"gamma": float(gamma), "alpha": alpha})
         traj = integrate_second_order(oracle, cfg, lyap)
-        if "Sigma" in traj.diagnostics and lyap is not None:
+        if "Sigma" in traj.diagnostics:
             certs.append(certify_second_order(traj, lyap))
 
     return _emit_run(config, out, traj, "t", certs, constants, notes)
@@ -280,10 +274,9 @@ def _run_gd(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     cfg = GDConfig(x0=x0, beta=float(beta),
                    max_iters=int(params.get("max_iters", 1000)),
                    stop_grad_tol=float(params.get("stop_grad_tol", 1e-10)))
-    oracle = _with_reference_minimizer(entry, x0, notes)
-    traj = gradient_descent(oracle, cfg)
+    traj = gradient_descent(entry.oracle, cfg)
     certs = []
-    if oracle.known_minimizer is not None:
+    if _minimizer(entry, notes) is not None:
         certs = [certify_gd_contraction(traj, gamma, L0),
                  certify_gd_values(traj, gamma, L0)]
     return _emit_run(config, out, traj, "k", certs,
@@ -302,14 +295,13 @@ def _run_hb(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     # certification is always attempted, so enforce its window up front; for
     # L <= 0 there is no positive default step
     hb_window(theta, 0.0 if beta is None else float(beta), L)
-    oracle = _with_reference_minimizer(entry, x0, notes)
     cfg = HBConfig(x0=x0, theta=theta, beta=float(beta),
                    x_prev=params.get("x_prev"),
                    max_iters=int(params.get("max_iters", 1000)),
                    stop_grad_tol=float(params.get("stop_grad_tol", 1e-10)))
-    traj = heavy_ball(oracle, cfg)
+    traj = heavy_ball(entry.oracle, cfg)
     certs = []
-    if oracle.known_minimizer is not None:
+    if _minimizer(entry, notes) is not None:
         certs = [certify_hb_energy(traj, gamma, L, theta, float(beta))]
     return _emit_run(config, out, traj, "k", certs,
                      {"gamma": gamma, "L": L, "theta": theta,
@@ -527,6 +519,10 @@ def _config_from_args(args) -> ExperimentConfig:
                 run[key] = val
             elif key not in _RUN_DESTS:
                 params[key] = val
+    bad = sorted(k for k, v in {**run, **params}.items()
+                 if isinstance(v, float) and not math.isfinite(v))
+    if bad:
+        raise InvalidParameter(f"non-finite value for {', '.join(bad)}")
     if run["seed"] is None:
         run["seed"] = int(os.environ.get("SQCFLOW_SEED", "0"))
     for key in _VECTOR_KEYS:

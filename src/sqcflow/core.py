@@ -92,6 +92,11 @@ class DomainExit(SqcflowError):
         super().__init__(message or f"state left the domain at {where!r}")
 
 
+def positive(*values) -> bool:
+    """True when every value is a positive finite number; NaN and inf fail."""
+    return all(0.0 < v < math.inf for v in values)
+
+
 def as_point(x, dim: Optional[int] = None) -> Vector:
     """Validate and convert to a finite float64 vector."""
     p = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -248,7 +253,8 @@ def step_rows(first, n_max: int, unit, advance, inside, *, width=None,
     """Rows 0..n of a fixed-step recursion making at most ``n_max`` steps.
 
     Rows live in one buffer that doubles when full, so memory follows the
-    steps made, not ``n_max``.  Row 0 begins with ``first``; ``width``
+    steps made, not ``n_max``.  A ``first`` not ``inside`` the domain
+    raises DomainExit at 0.  Row 0 begins with ``first``; ``width``
     (default ``first.size``) leaves room for the columns ``fill`` writes.
     Step k, in order: ``advance(rows, k)`` returns the next state, or None
     to stop before stepping; a non-finite state raises NumericalBlowup and
@@ -258,6 +264,8 @@ def step_rows(first, n_max: int, unit, advance, inside, *, width=None,
     after that row.  The buffer is replaced when it grows, so ``advance``
     and ``fill`` must keep no reference to it between calls.
     """
+    if not inside(first):
+        raise DomainExit(0, "x0 outside the domain")
     n = first.size
     rows = np.empty((min(n_max, 1024) + 1, width or n))
     rows[0, :n] = first

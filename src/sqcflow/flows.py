@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (NOISE_FLOOR, DomainExit, FunctionOracle, InvalidParameter,
+from .core import (NOISE_FLOOR, FunctionOracle, InvalidParameter,
                    MissingMinimizer, RateCertificate, Trajectory, as_point,
-                   envelope_violations, rate_certificate, step_rows)
+                   envelope_violations, positive, rate_certificate, step_rows)
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class FlowConfig:
         object.__setattr__(self, "x0", as_point(self.x0))
         if self.integrator not in ("rk4", "explicit_euler"):
             raise InvalidParameter(f"unknown integrator {self.integrator!r}")
-        if self.dt <= 0 or self.t_end <= 0 or self.dt > self.t_end:
+        if not (positive(self.dt, self.t_end) and self.dt <= self.t_end):
             raise InvalidParameter("need 0 < dt <= t_end")
 
 
@@ -62,12 +62,12 @@ class LyapunovParams:
     kappa: float
 
     def __post_init__(self):
-        if self.lam <= 0 or self.kappa <= 0:
+        if not positive(self.lam, self.kappa):
             raise InvalidParameter("lam, xi, kappa must all be positive")
 
     @classmethod
     def from_constants(cls, gamma: float, kappa: float, alpha: float) -> "LyapunovParams":
-        if gamma <= 0 or kappa <= 0 or alpha <= 0:
+        if not positive(gamma, kappa, alpha):
             raise InvalidParameter("gamma, kappa, alpha must all be positive")
         return cls(lam=min(math.sqrt(gamma / (2.0 * kappa)),
                            2.0 * alpha / (kappa + 4.0)), kappa=kappa)
@@ -117,8 +117,6 @@ def _flow_rows(oracle: FunctionOracle, config: FlowConfig, z0, f):
 def integrate_first_order(oracle: FunctionOracle, config: FlowConfig) -> Trajectory:
     """Integrate dx/dt = -grad h(x) from config.x0 up to t_end."""
     x = as_point(config.x0, oracle.dim)
-    if not oracle.domain.contains(x):
-        raise DomainExit(0.0, "x0 outside the domain")
     x_bar = oracle.known_minimizer
     h_star = oracle.minimum_value() if x_bar is not None else None
     times, S = _flow_rows(oracle, config, x,
@@ -141,14 +139,12 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
     Sigma is recorded when ``lyap`` is given and the oracle knows its
     minimizer; velocity components are always recorded as diagnostics.
     """
-    if config.alpha is None or config.alpha <= 0:
+    if config.alpha is None or not positive(config.alpha):
         raise InvalidParameter("second-order flow needs alpha > 0")
     v0 = np.zeros_like(config.x0) if config.v0 is None else as_point(config.v0)
     if v0.shape != config.x0.shape:
         raise InvalidParameter("v0 dimension must match x0")
     x0 = as_point(config.x0, oracle.dim)
-    if not oracle.domain.contains(x0):
-        raise DomainExit(0.0, "x0 outside the domain")
     alpha = float(config.alpha)
     d = oracle.dim
     x_bar = oracle.known_minimizer
@@ -176,7 +172,7 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
 
 def certify_first_order(traj: Trajectory, gamma: float, x_bar) -> RateCertificate:
     """Distance envelope |x(t) - x_bar| <= |x0 - x_bar| exp(-gamma t / 2)."""
-    if gamma <= 0:
+    if not positive(gamma):
         raise InvalidParameter("gamma must be positive")
     x_bar = as_point(x_bar)
     dist = np.linalg.norm(traj.states - x_bar, axis=-1)
@@ -197,7 +193,7 @@ def certify_first_order_values(traj: Trajectory, gamma: float, L: float,
     h - h* <= (L/2) |x - x_bar|^2, applied to the distance envelope
     |x - x_bar| <= |x0 - x_bar| exp(-gamma t / 2).
     """
-    if gamma <= 0 or L <= 0:
+    if not positive(gamma, L):
         raise InvalidParameter("gamma and L must be positive")
     if "h_gap" not in traj.diagnostics:
         raise MissingMinimizer("trajectory lacks h_gap diagnostics (minimizer unknown)")

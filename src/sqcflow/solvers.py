@@ -24,18 +24,18 @@ import numpy as np
 from .core import (NOISE_FLOOR, RATE_SLACK, DomainExit, FunctionOracle,
                    InvalidParameter, MissingMinimizer, ParameterWindowViolation,
                    RateCertificate, Trajectory, as_point, envelope_violations,
-                   rate_certificate, step_rows)
+                   positive, rate_certificate, step_rows)
 
 
 def step_window(gamma: float, L0: float) -> float:
     """Upper end of the certified step window min{gamma/L0^2, 2/L0}."""
-    if gamma <= 0 or L0 <= 0:
+    if not positive(gamma, L0):
         raise InvalidParameter("gamma and L0 must be positive")
     return min(gamma / L0 ** 2, 2.0 / L0)
 
 
 def optimal_step(gamma: float, L0: float) -> float:
-    if gamma <= 0 or L0 <= 0:
+    if not positive(gamma, L0):
         raise InvalidParameter("gamma and L0 must be positive")
     return gamma / (2.0 * L0 ** 2)
 
@@ -48,12 +48,12 @@ class GDConfig:
     stop_grad_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not positive(self.beta):
             raise InvalidParameter("step size must be positive")
         object.__setattr__(self, "x0", as_point(self.x0))
         if self.max_iters < 1:
             raise InvalidParameter("max_iters must be >= 1")
-        if self.stop_grad_tol < 0:
+        if not 0.0 <= self.stop_grad_tol < math.inf:
             raise InvalidParameter("stop_grad_tol must be >= 0")
 
 
@@ -72,7 +72,7 @@ class HBConfig:
         # against plain gradient descent; certificates require theta > 0.
         if not (0.0 <= self.theta < 1.0):
             raise InvalidParameter("theta must lie in [0, 1[")
-        if self.beta <= 0:
+        if not positive(self.beta):
             raise InvalidParameter("beta must be positive")
         prev = self.x0 if self.x_prev is None else as_point(self.x_prev)
         if prev.shape != self.x0.shape:
@@ -80,6 +80,8 @@ class HBConfig:
         object.__setattr__(self, "x_prev", prev)
         if self.max_iters < 1:
             raise InvalidParameter("max_iters must be >= 1")
+        if not 0.0 <= self.stop_grad_tol < math.inf:
+            raise InvalidParameter("stop_grad_tol must be >= 0")
 
 
 def _trajectory(oracle, rows) -> Trajectory:
@@ -101,8 +103,6 @@ def _trajectory(oracle, rows) -> Trajectory:
 def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
     """Run the gradient method; the trace records the step used at each k."""
     x = as_point(config.x0, oracle.dim)
-    if not oracle.domain.contains(x):
-        raise DomainExit(0, "x0 outside the domain")
     d, beta, tol = oracle.dim, config.beta, config.stop_grad_tol
 
     def fill(rows, k):
@@ -129,12 +129,8 @@ def heavy_ball(oracle: FunctionOracle, config: HBConfig) -> Trajectory:
     """Run the two-term momentum recursion from (x_prev, x0)."""
     x = as_point(config.x0, oracle.dim)
     x_prev = as_point(config.x_prev, oracle.dim)
-    if not (oracle.domain.contains(x) and oracle.domain.contains(x_prev)):
+    if not oracle.domain.contains(x_prev):
         raise DomainExit(0, "starting points outside the domain")
-    L = oracle.known_lipschitz
-    if L is not None and config.beta > (1.0 - config.theta ** 2) / L * (1 + 1e-12):
-        raise ParameterWindowViolation(
-            "beta exceeds (1 - theta^2)/L for the known Lipschitz constant")
     d, tol = oracle.dim, config.stop_grad_tol
 
     def fill(rows, k):
@@ -252,10 +248,10 @@ def hb_window(theta: float, beta: float, L: float) -> float:
     """rho = min{beta/2, (1 - beta L - theta^2)/(2 beta)}, checked against
     the window of the heavy-ball certificate: 0 < theta < 1 and rho > 0
     (so beta > 0, and the boundary beta = (1 - theta^2)/L, where the rate
-    is vacuous, is rejected)."""
-    rho = 0.0 if beta <= 0 or not 0.0 < theta < 1.0 else \
-        min(0.5 * beta, (1.0 - beta * L - theta ** 2) / (2.0 * beta))
-    if rho <= 0:
+    is vacuous, is rejected); a NaN or infinite input is outside."""
+    rho = min(0.5 * beta, (1.0 - beta * L - theta ** 2) / (2.0 * beta)) \
+        if positive(beta) and 0.0 < theta < 1.0 and math.isfinite(L) else 0.0
+    if not rho > 0:
         raise ParameterWindowViolation(
             "theta must lie in ]0,1[ with rho = min{beta/2, "
             "(1 - beta L - theta^2)/2beta} > 0 for certification")
@@ -272,7 +268,7 @@ def certify_hb_energy(traj: Trajectory, gamma: float, L: float,
     checked against E_1 as printed:
     E_1 = h(x_0) - h* + (theta^2 / 2 beta) |x_1 - x_0|^2.
     """
-    if gamma <= 0 or L <= 0:
+    if not positive(gamma, L):
         raise InvalidParameter("gamma and L must be positive")
     rho = hb_window(theta, beta, L)
     sigma = max(2.0 * L / gamma ** 2 + beta, 1.0 / beta)

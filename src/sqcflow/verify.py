@@ -20,13 +20,14 @@ Every inequality is written once, as an entry of the property table
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FunctionOracle, InvalidParameter, MissingMinimizer
+from .core import FunctionOracle, InvalidParameter, MissingMinimizer, positive
 from .sampling import NestedSampler, sample_pairs, sample_points
 
 INEQ_TOL_COEFF = 1e-9
@@ -100,7 +101,7 @@ class ClassReport:
 
 def derive_pl_modulus(gamma: float, L: float) -> float:
     """PL constant implied by a strong-quasiconvexity modulus and L-smoothness."""
-    if gamma <= 0 or L <= 0:
+    if not positive(gamma, L):
         raise InvalidParameter("need gamma > 0 and L > 0")
     return gamma * gamma / (2.0 * L)
 
@@ -299,11 +300,11 @@ def _check(name: str, oracle: FunctionOracle, modulus: float,
     """Sample the named property at the modulus and report every violation."""
     prop = PROPERTIES[name]
     if prop.param == "mu":
-        if modulus <= 0:
+        if not positive(modulus):
             raise InvalidParameter("mu must be positive")
         if oracle.known_minimizer is None:
             raise MissingMinimizer(f"{prop.checker} needs a known minimizer")
-    elif modulus < 0:
+    elif not 0.0 <= modulus < math.inf:
         raise InvalidParameter(f"{prop.param} must be nonnegative")
     s = _draw(prop, oracle, budget)
     lhs, rhs = prop.inequality(s, modulus)
@@ -451,7 +452,7 @@ def check_implication_ladder(oracle: FunctionOracle, gamma: float,
     (the pseudo- and quasimonotonicity checks run at gamma/2, the PL check
     at gamma^2 / 2L when the oracle knows L and a minimizer).
     """
-    if gamma < 0:
+    if not 0.0 <= gamma < math.inf:
         raise InvalidParameter("gamma must be nonnegative")
     reports = []
     for prop in _TABLE:

@@ -487,7 +487,7 @@ class TestResolutionBranches:
         "flow2_catalog": (
             ["flow", "--order", "2", "--function", "quadratic_2d", "--x0",
              "1,1", "--t-end", "2", "--dt", "0.01"], None),
-        # the reference minimizer search stagnates
+        # no catalog minimizer, so the certificates are skipped
         "gd_stagnated": (
             ["gd", "--function", "max_two_quadratics", "--optimal", "--x0",
              "1,1", "--max-iters", "50"], None),
@@ -504,7 +504,9 @@ class TestResolutionBranches:
 
     # taken from the code before the run path was folded into one resolver
     # and one writer; the two gd pins were retaken when the gd value
-    # envelopes began to follow the step (gd_estimated then passes)
+    # envelopes began to follow the step (gd_estimated then passes); the
+    # gd_stagnated note changed when runs stopped searching for a minimizer
+    # the catalog lacks (its certificate.json did not)
     PINNED = {
         "config_override": (
             0, "7fba9c7135804802229494b2ad98ece2bc1bf1c86ba59404ae4ad0eecf7176e8",
@@ -540,8 +542,7 @@ class TestResolutionBranches:
             0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
             {"L0": 99.25370854859926, "gamma": 1.0},
             ["L estimated on the initial sublevel set (safety-adjusted)",
-             "minimizer search stagnated; minimizer-dependent certificates "
-             "skipped"],
+             "no known minimizer; minimizer-dependent certificates skipped"],
             {"function": "max_two_quadratics", "seed": 0, "task": "gd",
              "task_params": {"max_iters": 50, "optimal": True,
                              "x0": [1.0, 1.0]}}),
@@ -673,6 +674,50 @@ class TestErrorPaths:
         "config_samples_for_hb": (
             "hb --function sin_quadratic --x0 2 --config {config}", 2, "usage",
             {"task_params": {"samples": 50}}),
+        # no NaN or infinite number reaches a check or a certificate
+        "verify_gamma_nan": (
+            "verify --function degenerate_quadratic --property "
+            "strong_quasiconvexity --gamma nan --pairs 500 --seed 1",
+            2, "usage"),
+        "verify_gamma_inf": (
+            "verify --function degenerate_quadratic --property "
+            "strong_quasiconvexity --gamma inf --pairs 500 --seed 1",
+            2, "usage"),
+        "verify_mu_nan": (
+            "verify --function quadratic_1d --property pl --mu nan",
+            2, "usage"),
+        "flow_kappa_nan": (
+            "flow --function quadratic_2d --order 2 --x0 1,1 --t-end 1 "
+            "--dt 0.1 --kappa nan", 2, "usage"),
+        "flow_gamma_nan": (
+            "flow --function quadratic_2d --order 1 --x0 1,1 --t-end 1 "
+            "--dt 0.1 --gamma nan", 2, "usage"),
+        "flow_t_end_nan": (
+            "flow --function quadratic_2d --x0 1,1 --t-end nan", 2, "usage"),
+        "flow_t_end_inf": (
+            "flow --function quadratic_2d --x0 1,1 --t-end inf", 2, "usage"),
+        "flow_dt_nan": ("flow --function quadratic_2d --x0 1,1 --dt nan",
+                        2, "usage"),
+        "flow_alpha_nan": (
+            "flow --function quadratic_2d --order 2 --x0 1,1 --t-end 1 "
+            "--alpha nan", 2, "usage"),
+        "hb_gamma_nan": (
+            "hb --function quadratic_2d --theta 0.5 --x0 1,1 --gamma nan",
+            2, "usage"),
+        "hb_L_nan": ("hb --function quadratic_2d --theta 0.5 --x0 1,1 --L nan",
+                     2, "usage"),
+        "hb_beta_nan": (
+            "hb --function quadratic_2d --theta 0.5 --beta nan --x0 1,1",
+            2, "usage"),
+        "hb_negative_stop_grad_tol": (
+            "hb --function quadratic_2d --theta 0.5 --x0 1,1 "
+            "--stop-grad-tol -1", 2, "usage"),
+        "config_nan": (
+            "gd --function quadratic_2d --x0 1,1 --config {config}",
+            2, "usage", {"task_params": {"beta": float("nan")}}),
+        "config_inf_seed": (
+            "gd --function quadratic_2d --x0 1,1 --beta 0.01 "
+            "--config {config}", 2, "usage", {"seed": float("inf")}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -689,6 +734,50 @@ class TestErrorPaths:
         assert run(argv) == code
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["kind"] == kind
+
+
+class TestRunPremises:
+    """Runs use the catalog minimizer and never search for one, and each
+    run checks its start through the step loop."""
+
+    SKIPPED = "no known minimizer; minimizer-dependent certificates skipped"
+
+    @pytest.fixture(autouse=True)
+    def no_search(self, monkeypatch):
+        def search(*args, **kwargs):
+            raise cli.StagnationFailure("minimizer search reached")
+        monkeypatch.setattr(cli, "reference_minimizer", search)
+
+    @pytest.mark.parametrize("command", [
+        "gd --optimal --max-iters 50", "hb --theta 0.5 --max-iters 50",
+        "flow --order 1 --t-end 1 --dt 0.01",
+        "flow --order 2 --t-end 1 --dt 0.01"])
+    def test_no_minimizer_skips_its_certificates(self, tmp_path, capsys,
+                                                 command):
+        out = tmp_path / "out"
+        assert run(command.split() + [
+            "--function", "max_two_quadratics", "--x0", "1,1",
+            "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().out == "[]\n"
+        meta = json.loads((out / "meta.json").read_text())
+        assert self.SKIPPED in meta["notes"]
+
+    def test_estimate_minimizer_still_searches(self, capsys):
+        assert run(["estimate", "--function", "max_two_quadratics",
+                    "--constant", "minimizer", "--x0", "0.6,0.1"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(err)["error"] == "minimizer search reached"
+
+    # hb checks x_prev itself, so it starts from inside the ball
+    @pytest.mark.parametrize("command", [
+        "gd --optimal", "hb --theta 0.5 --x-prev 0.1,0.1", "flow --order 1",
+        "flow --order 2"])
+    def test_start_outside_the_domain(self, capsys, command):
+        assert run(command.split() + ["--function", "sqrt_norm_2d",
+                                      "--x0", "3,3"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(err) == {"error": "x0 outside the domain",
+                                   "kind": "numerical"}
 
 
 @pytest.mark.parametrize("argv,files", [

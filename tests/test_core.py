@@ -4,11 +4,12 @@ import statistics
 import numpy as np
 import pytest
 
-from sqcflow import catalog, sampling
+from sqcflow import catalog, flows, sampling, solvers, verify
 from sqcflow.core import (DomainSamplingFailure, DomainSpec, DomainViolation,
                           FunctionOracle, InvalidParameter, NonPositiveSequence,
-                          Trajectory, as_point, envelope_violations,
-                          fit_decay_exponent, fit_linear_rate, rate_certificate)
+                          ParameterWindowViolation, Trajectory, as_point,
+                          envelope_violations, fit_decay_exponent,
+                          fit_linear_rate, rate_certificate)
 from sqcflow.sampling import (NestedSampler, inverse_normal_cdf, sample_pairs,
                               sample_points)
 
@@ -348,3 +349,54 @@ class TestOracleInvariants:
         with pytest.raises(InvalidParameter):
             FunctionOracle(dim=1, value=lambda x: 0.0, grad=lambda x: x,
                            known_modulus=-1.0)
+
+
+def _range_checks():
+    """One call per range check of the library, each taking ``bad`` where
+    a positive (or nonnegative) finite number belongs."""
+    q1 = catalog.default_catalog()["quadratic_1d"].oracle
+    traj = flows.integrate_first_order(q1, flows.FlowConfig(
+        x0=[1.0], t_end=1.0, dt=0.1))
+    budget = verify.SampleBudget(pairs=10)
+    return {
+        "step_window": lambda bad: solvers.step_window(1.0, bad),
+        "optimal_step": lambda bad: solvers.optimal_step(bad, 1.0),
+        "gd_beta": lambda bad: solvers.GDConfig(x0=[1.0], beta=bad),
+        "gd_stop_grad_tol": lambda bad: solvers.GDConfig(
+            x0=[1.0], beta=0.1, stop_grad_tol=bad),
+        "hb_beta": lambda bad: solvers.HBConfig(x0=[1.0], theta=0.5, beta=bad),
+        "hb_stop_grad_tol": lambda bad: solvers.HBConfig(
+            x0=[1.0], theta=0.5, beta=0.1, stop_grad_tol=bad),
+        "hb_window_beta": lambda bad: solvers.hb_window(0.5, bad, 1.0),
+        "hb_window_L": lambda bad: solvers.hb_window(0.5, 0.1, bad),
+        "hb_window_theta": lambda bad: solvers.hb_window(bad, 0.1, 1.0),
+        "certify_hb_energy": lambda bad: solvers.certify_hb_energy(
+            traj, bad, 1.0, 0.5, 0.5),
+        "certify_first_order": lambda bad: flows.certify_first_order(
+            traj, bad, [0.0]),
+        "certify_first_order_values": lambda bad:
+            flows.certify_first_order_values(traj, 1.0, bad, [0.0]),
+        "flow_t_end": lambda bad: flows.FlowConfig(x0=[1.0], t_end=bad,
+                                                   dt=0.1),
+        "flow_dt": lambda bad: flows.FlowConfig(x0=[1.0], t_end=1.0, dt=bad),
+        "lyapunov": lambda bad: flows.LyapunovParams(lam=bad, kappa=1.0),
+        "lyapunov_from_constants": lambda bad:
+            flows.LyapunovParams.from_constants(1.0, bad, 3.0),
+        "second_order_alpha": lambda bad: flows.integrate_second_order(
+            q1, flows.FlowConfig(x0=[1.0], t_end=1.0, dt=0.1, alpha=bad)),
+        "check_gamma": lambda bad: verify.check_property(
+            "strong_quasiconvexity", q1, bad, budget),
+        "check_mu": lambda bad: verify.check_property("pl", q1, bad, budget),
+        "ladder": lambda bad: verify.check_implication_ladder(q1, bad, budget),
+        "derive_pl_modulus": lambda bad: verify.derive_pl_modulus(bad, 1.0),
+    }
+
+
+RANGE_CHECKS = _range_checks()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("check", sorted(RANGE_CHECKS))
+def test_range_checks_refuse_non_finite_numbers(check, bad):
+    with pytest.raises((InvalidParameter, ParameterWindowViolation)):
+        RANGE_CHECKS[check](bad)

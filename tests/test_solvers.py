@@ -355,11 +355,6 @@ class TestHeavyBall:
         with pytest.raises(InvalidParameter):
             HBConfig(x0=[1.0], theta=-0.1, beta=0.1)
 
-    def test_window_enforced_when_L_known(self):
-        with pytest.raises(ParameterWindowViolation):
-            heavy_ball(CAT["quadratic_1d"].oracle,
-                       HBConfig(x0=[1.0], theta=0.5, beta=0.8, max_iters=5))
-
     def test_discretization_matches_damped_flow(self):
         # theta = 1 - alpha eta, beta = eta^2 reproduces the flow to O(eta)
         entry = catalog.strongly_convex_quadratic(2, 1.0, 1.0)
