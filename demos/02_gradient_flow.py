@@ -17,7 +17,7 @@ from sqcflow.flows import FlowConfig
 def certify(name, oracle, gamma, L, x0, t_end):
     cfg = FlowConfig(x0=x0, t_end=t_end, dt=1e-3)
     traj = flows.integrate_first_order(oracle, cfg)
-    dist_cert = flows.certify_first_order(traj, gamma, oracle.known_minimizer)
+    dist_cert = flows.certify_first_order(traj, gamma)
     print(f"\n  {name}: {len(traj) - 1} rk4 steps to t={traj.times[-1]:g}")
     print(f"    h(x0)={traj.h_values[0]:.4f} -> h(x_end)={traj.h_values[-1]:.3e},"
           f" monotone: {bool(np.all(np.diff(traj.h_values) <= 1e-9))}")
@@ -25,8 +25,7 @@ def certify(name, oracle, gamma, L, x0, t_end):
           f"satisfied={dist_cert.satisfied}, fitted exponent="
           f"{dist_cert.empirical_rate:.4f}")
     if L is not None:
-        val_cert = flows.certify_first_order_values(traj, gamma, L,
-                                                    oracle.known_minimizer)
+        val_cert = flows.certify_first_order_values(traj, gamma, L)
         print(f"    value envelopes (L={L:.3g}): satisfied={val_cert.satisfied},"
               f" fitted exponent={val_cert.empirical_rate:.4f}"
               f" >= certified {val_cert.theoretical_rate:.4f}")
@@ -54,8 +53,7 @@ def main():
     sq = catalog.default_catalog()["sqrt_norm_1d"]
     cfg = FlowConfig(x0=[0.9], t_end=1.2, dt=1e-4, stop_dist=1e-3)
     traj = flows.integrate_first_order(sq.oracle, cfg)
-    cert = flows.certify_first_order(traj, sq.constants_known["gamma"],
-                                     np.zeros(1))
+    cert = flows.certify_first_order(traj, sq.constants_known["gamma"])
     t_star = (4.0 / 3.0) * 0.9 ** 1.5
     print(f"\n  sqrt_norm_1d from 0.9: stopped at t={traj.times[-1]:.4f} "
           f"(finite extinction time {t_star:.4f}), |x|={abs(traj.final_state[0]):.2e}")

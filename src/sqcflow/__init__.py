@@ -16,15 +16,12 @@ The package is organized around five capabilities:
 
 __version__ = "0.1.0"
 
-from .core import (DomainSpec, FunctionOracle, RateCertificate, Trajectory,
-                   fit_decay_exponent, fit_linear_rate)
+from .core import DomainSpec, FunctionOracle, RateCertificate, Trajectory
 
 __all__ = [
     "DomainSpec",
     "FunctionOracle",
     "RateCertificate",
     "Trajectory",
-    "fit_decay_exponent",
-    "fit_linear_rate",
     "__version__",
 ]

@@ -31,11 +31,11 @@ def criterion_equivalence(workdir: Path):
     cat = catalog.default_catalog()
     cases = [
         ("quadratic_2d", 1.0),
-        ("sqrt_norm_2d", cat["sqrt_norm_2d"].constants_known["gamma"]),
+        ("sqrt_norm_2d", cat["sqrt_norm_2d"].oracle.known_modulus),
         ("sin_quadratic", estimate.empirical_modulus(
             cat["sin_quadratic"].oracle, samples=100_000, seed=SEED)
          * estimate.SAFETY_MODULUS),
-        ("quadratic_fraction", cat["quadratic_fraction"].constants_known["gamma"]),
+        ("quadratic_fraction", cat["quadratic_fraction"].oracle.known_modulus),
         ("max_two_quadratics", 1.0),
     ]
     budget = verify.SampleBudget(pairs=PAIRS, lambdas_per_pair=2, seed=SEED)
@@ -84,7 +84,7 @@ def criterion_flow_envelope(workdir: Path):
     entry = catalog.default_catalog()["quadratic_2d"]
     cfg = FlowConfig(x0=[1.0, 1.0], t_end=10.0, dt=1e-3)
     traj = flows.integrate_first_order(entry.oracle, cfg)
-    cert = flows.certify_first_order(traj, 1.0, entry.oracle.known_minimizer)
+    cert = flows.certify_first_order(traj, 1.0)
     elapsed = time.time() - t0
     ok = (cert.satisfied and cert.first_violation is None
           and cert.empirical_rate >= 0.95 and elapsed < 5.0)
@@ -212,7 +212,7 @@ def ladder_rows():
     all_sound = True
     by_entry = {}
     for name, entry in sorted(catalog.default_catalog().items()):
-        gamma = entry.constants_known.get("gamma")
+        gamma = entry.oracle.known_modulus
         if gamma is None:
             gamma = max(estimate.empirical_modulus(entry.oracle, samples=20000,
                                                    seed=7)

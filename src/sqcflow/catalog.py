@@ -1,9 +1,10 @@
 """Ready-made oracles with known moduli, plus the closure combinators.
 
-Every entry records which constants are known for it (strong-quasiconvexity
-modulus gamma, gradient Lipschitz constant, ball radius, PL constant) so
-verifiers and solvers can be driven without hand-tuning.  All oracle
-callables broadcast over leading axes.
+Every entry records which constants are known for it so verifiers and
+solvers can be driven without hand-tuning: its oracle carries the modulus
+gamma and the gradient Lipschitz constant, the entry the other facts (ball
+radius, denominator band, PL constant).  All oracle callables broadcast
+over leading axes.
 """
 
 from __future__ import annotations
@@ -23,10 +24,20 @@ _TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """An oracle with its provenance; ``facts`` holds the known constants
+    the oracle does not carry: ``radius``, ``m``, ``M`` and ``mu``."""
+
     name: str
     oracle: FunctionOracle
     provenance: str
-    constants_known: dict[str, float] = field(default_factory=dict)
+    facts: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def constants_known(self) -> dict[str, float]:
+        """gamma and lipschitz where the oracle knows them, then the facts."""
+        known = {"gamma": self.oracle.known_modulus,
+                 "lipschitz": self.oracle.known_lipschitz}
+        return {**{k: v for k, v in known.items() if v is not None}, **self.facts}
 
     def to_metadata(self) -> dict:
         return {
@@ -76,7 +87,7 @@ def sqrt_norm(dim: int, radius: float) -> CatalogEntry:
         oracle=oracle,
         provenance="square root of the Euclidean norm; nonconvex but strongly "
                    "quasiconvex on the ball, nonsmooth only at the origin",
-        constants_known={"gamma": gamma, "radius": float(radius)},
+        facts={"radius": float(radius)},
     )
 
 
@@ -164,9 +175,6 @@ def quadratic_fraction(A, a, alpha: float, B, b, beta: float,
         known_lipschitz = float(eigs_A.max()) / beta
         known_minimizer = np.linalg.solve(A, -a)
 
-    constants = {"gamma": gamma, "m": float(m), "M": float(M)}
-    if known_lipschitz is not None:
-        constants["lipschitz"] = known_lipschitz
     oracle = FunctionOracle(dim=dim, value=value, grad=grad,
                             known_modulus=gamma,
                             known_lipschitz=known_lipschitz,
@@ -176,7 +184,7 @@ def quadratic_fraction(A, a, alpha: float, B, b, beta: float,
         oracle=oracle,
         provenance="ratio of quadratic forms on a denominator band; strongly "
                    "quasiconvex there with modulus lambda_min(A)/M",
-        constants_known=constants,
+        facts={"m": float(m), "M": float(M)},
     )
 
 
@@ -236,10 +244,8 @@ def max_combine(e1: CatalogEntry, e2: CatalogEntry) -> CatalogEntry:
         return np.where(take_first[..., None], g1, g2)
 
     gamma = None
-    constants = {}
     if o1.known_modulus is not None and o2.known_modulus is not None:
         gamma = min(o1.known_modulus, o2.known_modulus)
-        constants["gamma"] = gamma
     oracle = FunctionOracle(dim=o1.dim, value=value, grad=grad,
                             known_modulus=gamma,
                             domain=_intersect_domains(o1.domain, o2.domain))
@@ -248,7 +254,6 @@ def max_combine(e1: CatalogEntry, e2: CatalogEntry) -> CatalogEntry:
         oracle=oracle,
         provenance="pointwise maximum; modulus is the minimum of the branch "
                    "moduli, nonsmooth on the tie set",
-        constants_known=constants,
     )
 
 
@@ -257,10 +262,9 @@ def scale_combine(entry: CatalogEntry, alpha: float) -> CatalogEntry:
     if alpha <= 0:
         raise InvalidParameter("scale factor must be positive")
     o = entry.oracle
-    constants = dict(entry.constants_known)
-    for key in ("gamma", "lipschitz", "mu"):
-        if key in constants:
-            constants[key] = alpha * constants[key]
+    facts = dict(entry.facts)
+    if "mu" in facts:
+        facts["mu"] = alpha * facts["mu"]
     oracle = FunctionOracle(
         dim=o.dim,
         value=lambda x, _v=o.value: alpha * _v(x),
@@ -273,7 +277,7 @@ def scale_combine(entry: CatalogEntry, alpha: float) -> CatalogEntry:
         name=f"scale({entry.name},{alpha:g})",
         oracle=oracle,
         provenance=f"{entry.provenance}; scaled by {alpha:g}",
-        constants_known=constants,
+        facts=facts,
     )
 
 
@@ -299,7 +303,6 @@ def sin_quadratic() -> CatalogEntry:
         oracle=oracle,
         provenance="quadratic plus squared sine; nonconvex, strongly "
                    "quasiconvex with unique minimizer at the origin",
-        constants_known={},
     )
 
 
@@ -337,7 +340,6 @@ def strongly_convex_quadratic(dim: int, gamma: float, L: float) -> CatalogEntry:
         oracle=oracle,
         provenance="diagonal strongly convex quadratic with geometrically "
                    "spaced eigenvalues",
-        constants_known={"gamma": float(gamma), "lipschitz": float(L)},
     )
 
 
@@ -359,7 +361,6 @@ def shifted_isotropic_quadratic(dim: int, center) -> CatalogEntry:
         name=f"shifted_quadratic_{dim}d",
         oracle=oracle,
         provenance="isotropic quadratic centered away from the origin",
-        constants_known={"gamma": 1.0, "lipschitz": 1.0},
     )
 
 
@@ -390,7 +391,7 @@ def pl_degenerate_quadratic() -> CatalogEntry:
         oracle=oracle,
         provenance="quadratic in the first coordinate only; PL with modulus "
                    "1 but not strongly quasiconvex (non-unique argmin)",
-        constants_known={"mu": 1.0, "lipschitz": 1.0},
+        facts={"mu": 1.0},
     )
 
 

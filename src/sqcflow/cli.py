@@ -31,7 +31,7 @@ from . import __version__
 from .catalog import CatalogEntry, default_catalog, get_entry
 from .core import (DomainExit, DomainSamplingFailure, InvalidParameter,
                    NumericalBlowup, ParameterWindowViolation, SqcflowError,
-                   StagnationFailure, Trajectory)
+                   StagnationFailure, Trajectory, positive)
 from .estimate import (SAFETY_KAPPA, SAFETY_LIPSCHITZ, SAFETY_MODULUS,
                        empirical_modulus, estimate_kappa,
                        estimate_lipschitz_sublevel, reference_minimizer)
@@ -48,11 +48,6 @@ EXIT_OK = 0
 EXIT_CERT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-# canonical trace column ordering after the index/state/value columns
-_DIAG_ORDER = ("E", "Sigma", "h_gap", "dist", "beta", "step_norm",
-               "energy", "v_norm")
-
 
 @dataclass
 class ExperimentConfig:
@@ -78,9 +73,9 @@ class ExperimentConfig:
 
 
 def write_trace_csv(path: Path, traj: Trajectory, index_name: str) -> None:
+    """The trajectory, its diagnostics in the order the run recorded them."""
     dim = traj.states.shape[1]
-    diag_names = [n for n in _DIAG_ORDER if n in traj.diagnostics]
-    diag_names += sorted(n for n in traj.diagnostics if n not in diag_names)
+    diag_names = list(traj.diagnostics)
     header = [index_name] + [f"x{i}" for i in range(dim)] \
         + ["h", "grad_norm"] + diag_names
     table = np.column_stack([traj.times, traj.states, traj.h_values,
@@ -133,7 +128,8 @@ def _resolve_gamma(entry: CatalogEntry, params: dict, seed: int, notes: list,
 def _resolve_constants(entry: CatalogEntry, params: dict, x0, seed: int,
                        L_key: str):
     """(gamma, L, notes) of gd (``L_key`` "L0") and hb ("L"), each from its
-    flag, else the catalog, else an estimate (L from 2000 points)."""
+    flag, else the catalog, else an estimate (L from 2000 points); both
+    must be positive before a run starts."""
     notes = []
     gamma = _resolve_gamma(entry, params, seed, notes)
     L = params.get(L_key)
@@ -143,6 +139,8 @@ def _resolve_constants(entry: CatalogEntry, params: dict, x0, seed: int,
         L = estimate_lipschitz_sublevel(entry.oracle, x0, samples=2000,
                                         seed=seed)
         notes.append("L estimated on the initial sublevel set (safety-adjusted)")
+    if not positive(gamma, L):
+        raise InvalidParameter(f"gamma and {L_key} must be positive")
     return float(gamma), float(L), notes
 
 
@@ -223,11 +221,11 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
         traj = integrate_first_order(oracle, cfg)
         if x_bar is not None:
             constants["gamma"] = float(gamma)
-            certs.append(certify_first_order(traj, float(gamma), x_bar))
+            certs.append(certify_first_order(traj, float(gamma)))
             if L is not None:
                 constants["L"] = float(L)
                 certs.append(certify_first_order_values(
-                    traj, float(gamma), float(L), x_bar))
+                    traj, float(gamma), float(L)))
     else:
         alpha = float(cfg.alpha)
         gamma = _resolve_gamma(entry, params, config.seed, notes)
@@ -255,7 +253,7 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
                               "xi": lyap.xi})
         constants.update({"gamma": float(gamma), "alpha": alpha})
         traj = integrate_second_order(oracle, cfg, lyap)
-        if "Sigma" in traj.diagnostics:
+        if lyap is not None and x_bar is not None:
             certs.append(certify_second_order(traj, lyap))
 
     return _emit_run(config, out, traj, "t", certs, constants, notes)
@@ -289,12 +287,11 @@ def _run_hb(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     theta = float(params.get("theta", 0.5))
     beta = params.get("beta")
     gamma, L, notes = _resolve_constants(entry, params, x0, config.seed, "L")
-    if beta is None and L > 0:
+    if beta is None:
         beta = 0.5 * (1.0 - theta ** 2) / L
         notes.append("beta = (1 - theta^2) / 2L")
-    # certification is always attempted, so enforce its window up front; for
-    # L <= 0 there is no positive default step
-    hb_window(theta, 0.0 if beta is None else float(beta), L)
+    # certification is always attempted, so enforce its window up front
+    hb_window(theta, float(beta), L)
     cfg = HBConfig(x0=x0, theta=theta, beta=float(beta),
                    x_prev=params.get("x_prev"),
                    max_iters=int(params.get("max_iters", 1000)),

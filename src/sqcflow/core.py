@@ -52,10 +52,6 @@ class InvalidParameter(SqcflowError):
     """A constructor or operation received an out-of-range parameter."""
 
 
-class NonPositiveSequence(SqcflowError):
-    """Rate fitting needs strictly positive values; shift by h* first."""
-
-
 class DomainSamplingFailure(SqcflowError):
     """Rejection sampling could not hit the domain (1000 consecutive misses)."""
 
@@ -212,7 +208,9 @@ class Trajectory:
 
     ``times`` is strictly increasing (continuous time for flows, the
     iteration counter for solvers).  ``diagnostics`` maps a name to an
-    array aligned with ``times``; entries may be NaN where undefined.
+    array aligned with ``times``; entries may be NaN where undefined.  A
+    run inserts them in the order ``trace.csv`` writes them, and the
+    certificates read them instead of recomputing them.
     """
 
     times: np.ndarray
@@ -338,21 +336,24 @@ def rate_certificate(kind: str, constants: dict, rate: float, times, series,
     ``violations`` marks broken samples of the last ``len(violations)``
     times (a recursion over transitions k -> k+1 marks times[1:]); the
     first one is ``first_violation``.  The rate is fitted to the samples
-    of ``series`` above ``fit_floor`` (against their index for a per-step
-    factor), NaN when fewer than 3.  ``failed`` fails the certificate
-    for a reason of its own, which ``notes`` should name.
+    of ``series`` above ``fit_floor``: the least-squares slope of their log
+    against time is minus a decay exponent, against their index the log
+    of a per-step factor; NaN when fewer than 3 samples remain.
+    ``failed`` fails the certificate for a reason of its own, which
+    ``notes`` should name.
     """
     bad = np.flatnonzero(violations)
     first = None if bad.size == 0 else \
         float(times[len(times) - len(violations) + bad[0]])
     decay = kind in _DECAY_KINDS
     pos = series > fit_floor
-    if np.count_nonzero(pos) < 3:
+    n = np.count_nonzero(pos)
+    if n < 3:
         empirical = math.nan
-    elif decay:
-        empirical = fit_decay_exponent(times[pos], series[pos])
     else:
-        empirical = fit_linear_rate(series[pos])
+        at = times[pos] if decay else np.arange(n, dtype=np.float64)
+        slope = np.polyfit(at, np.log(series[pos]), 1)[0]
+        empirical = -slope if decay else np.exp(slope)
     if math.isnan(empirical):
         within = True
     elif decay:
@@ -364,33 +365,3 @@ def rate_certificate(kind: str, constants: dict, rate: float, times, series,
         empirical_rate=float(empirical),
         satisfied=bool(first is None and not failed and within),
         first_violation=first, notes=notes)
-
-
-def fit_linear_rate(values) -> float:
-    """Per-step geometric factor fitted to a positive sequence.
-
-    Least-squares slope of log(values[k]) against k, exponentiated.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] < 3:
-        raise InvalidParameter("need at least 3 values to fit a rate")
-    if np.any(v <= 0):
-        raise NonPositiveSequence("values must be strictly positive")
-    k = np.arange(v.shape[0], dtype=np.float64)
-    slope = np.polyfit(k, np.log(v), 1)[0]
-    return float(np.exp(slope))
-
-
-def fit_decay_exponent(times, values) -> float:
-    """Continuous-time analogue of fit_linear_rate.
-
-    Returns the positive exponent c of the best-fitting values ~ exp(-c t).
-    """
-    t = np.asarray(times, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if t.shape != v.shape or t.shape[0] < 3:
-        raise InvalidParameter("need at least 3 aligned samples to fit an exponent")
-    if np.any(v <= 0):
-        raise NonPositiveSequence("values must be strictly positive")
-    slope = np.polyfit(t, np.log(v), 1)[0]
-    return float(-slope)

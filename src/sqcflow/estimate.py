@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (DomainSamplingFailure, FunctionOracle, InsufficientSamples,
-                   InvalidParameter, StagnationFailure, as_point)
-from .core import DomainSpec
+from .core import (DomainExit, DomainSamplingFailure, DomainSpec,
+                   FunctionOracle, InsufficientSamples, InvalidParameter,
+                   StagnationFailure, as_point)
 from .sampling import NestedSampler, sample_pairs, sample_points
+from .verify import PROPERTIES, _Batch, _penalty
 
 SAFETY_LIPSCHITZ = 1.1
 SAFETY_MODULUS = 0.95
@@ -62,11 +63,14 @@ def estimate_lipschitz_sublevel(oracle: FunctionOracle, x0,
     """Gradient Lipschitz constant on the sublevel set of h(x0), inflated by 1.1.
 
     Takes the largest difference quotient |g(x)-g(y)| / |x-y| over all
-    pairs of sampled sublevel points (x0 included).
+    pairs of sampled sublevel points (x0 included, so an x0 outside the
+    domain raises DomainExit before any sampling).
     """
     if samples < 2:
         raise InvalidParameter("need at least 2 samples")
     x0 = as_point(x0, oracle.dim)
+    if not oracle.domain.contains(x0):
+        raise DomainExit(0, "x0 outside the domain")
     level = float(oracle.value(x0))
     region = _sublevel_region(oracle, x0, level)
     pts = sample_points(region, oracle.dim, samples, NestedSampler(seed),
@@ -97,30 +101,25 @@ def _largest_ratio(xs, gxs, ys, gys) -> float:
 
 def empirical_modulus(oracle: FunctionOracle, samples: int = 20000,
                       seed: int = 0) -> float:
-    """Largest gamma compatible with the sampled interpolation inequalities.
+    """Largest gamma compatible with the sampled strong-quasiconvexity
+    inequalities of ``verify.PROPERTIES``.
 
-    For each sampled (x, y, lam) with x != y the inequality is tight at
-
-        gamma(x, y, lam) = 2 (max{h(x), h(y)} - h(x + lam (y-x)))
-                           / (lam (1-lam) |x-y|^2),
-
-    and the estimate is the minimum over the sample, clamped at zero.  The
-    estimate can only overestimate the true modulus; multiply by 0.95
-    (SAFETY_MODULUS) before certification use.
+    At a sampled (x, y, lam) with x != y the margin falls linearly in gamma
+    and is zero at its value for gamma = 0 over the penalty per unit of
+    gamma.  The estimate is the minimum of that gamma over the sample,
+    clamped at zero.  It can only overestimate the true modulus; multiply
+    by 0.95 (SAFETY_MODULUS) before certification use.
     """
     if samples < 1:
         raise InvalidParameter("need at least 1 sample")
     X, Y, LAM = sample_pairs(oracle.domain, oracle.dim, samples, 1,
                              NestedSampler(seed), lam_range=_LAMBDA_RANGE)
-    lam = LAM[:, 0]
-    d2 = np.sum((X - Y) ** 2, axis=-1)
-    valid = d2 >= 1e-12
+    s = _Batch(oracle, X, Y, LAM)
+    valid = s.d2 >= 1e-12
     if np.count_nonzero(valid) < 10:
         raise InsufficientSamples("fewer than 10 distinct sampled pairs")
-    hx, hy = np.asarray(oracle.value(X)), np.asarray(oracle.value(Y))
-    mid = X + lam[:, None] * (Y - X)
-    h_mid = np.asarray(oracle.value(mid))
-    ratio = 2.0 * (np.maximum(hx, hy) - h_mid) / (lam * (1.0 - lam) * d2)
+    lhs, rhs = PROPERTIES["strong_quasiconvexity"].inequality(s, 0.0)
+    ratio = ((lhs - rhs) / _penalty(s, 1.0))[:, 0]
     return max(float(ratio[valid].min()), 0.0)
 
 

@@ -10,8 +10,8 @@ energy
 
     Sigma = h(x) - h* + 0.5 |lam (x - x_bar) + v|^2 + (xi/2) |x - x_bar|^2
 
-for the second-order flow.  Certificates compare each trajectory against
-its exponential envelope and fit the observed decay exponent.
+for the second-order flow.  Certificates read these columns, compare each
+against its exponential envelope and fit the observed decay exponent.
 """
 
 from __future__ import annotations
@@ -158,32 +158,39 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
     X, V = Z[:, :d], Z[:, d:]
     h = np.asarray(oracle.value(X))
     g = np.asarray(oracle.grad(X))
-    diags = {"v_norm": np.linalg.norm(V, axis=-1)}
-    for i in range(d):
-        diags[f"v{i}"] = V[:, i]
+    diags = {}
     if lyap is not None and x_bar is not None:
         diff = X - x_bar
         diags["Sigma"] = (h - h_star
                           + 0.5 * np.sum((lyap.lam * diff + V) ** 2, axis=-1)
                           + 0.5 * lyap.xi * np.sum(diff * diff, axis=-1))
+    diags["v_norm"] = np.linalg.norm(V, axis=-1)
+    for i in range(d):
+        diags[f"v{i}"] = V[:, i]
     return Trajectory(times=times, states=X, h_values=h,
                       grad_norms=np.linalg.norm(g, axis=-1), diagnostics=diags)
 
 
-def certify_first_order(traj: Trajectory, gamma: float, x_bar) -> RateCertificate:
+def _distances(traj: Trajectory) -> np.ndarray:
+    """|x - x_bar| = sqrt(2 E) from the ``E`` column of a first-order flow."""
+    if "E" not in traj.diagnostics:
+        raise MissingMinimizer("trajectory lacks E diagnostics (minimizer unknown)")
+    return np.sqrt(2.0 * traj.diagnostic("E"))
+
+
+def certify_first_order(traj: Trajectory, gamma: float) -> RateCertificate:
     """Distance envelope |x(t) - x_bar| <= |x0 - x_bar| exp(-gamma t / 2)."""
     if not positive(gamma):
         raise InvalidParameter("gamma must be positive")
-    x_bar = as_point(x_bar)
-    dist = np.linalg.norm(traj.states - x_bar, axis=-1)
+    dist = _distances(traj)
     envelope = dist[0] * np.exp(-0.5 * gamma * traj.times)
     return rate_certificate(
         "flow_first", {"gamma": gamma, "dist0": float(dist[0])}, 0.5 * gamma,
         traj.times, dist, envelope_violations(dist, envelope))
 
 
-def certify_first_order_values(traj: Trajectory, gamma: float, L: float,
-                               x_bar) -> RateCertificate:
+def certify_first_order_values(traj: Trajectory, gamma: float,
+                               L: float) -> RateCertificate:
     """Value envelope: h gap below the smaller of the two exponential bounds,
 
         min{ (L/2) |x0 - x_bar|^2 exp(-gamma t),
@@ -197,9 +204,8 @@ def certify_first_order_values(traj: Trajectory, gamma: float, L: float,
         raise InvalidParameter("gamma and L must be positive")
     if "h_gap" not in traj.diagnostics:
         raise MissingMinimizer("trajectory lacks h_gap diagnostics (minimizer unknown)")
-    x_bar = as_point(x_bar)
     gaps = traj.diagnostic("h_gap")
-    dist0 = np.linalg.norm(traj.states - x_bar, axis=-1)[0]
+    dist0 = _distances(traj)[0]
     t = traj.times
     env = np.minimum(0.5 * L * dist0 ** 2 * np.exp(-gamma * t),
                      gaps[0] * np.exp(-(gamma ** 2) / (2.0 * L) * t))

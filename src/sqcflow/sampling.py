@@ -115,6 +115,22 @@ def _first_accepted(keep: np.ndarray, need: int, run: int) -> tuple[np.ndarray, 
     return idx, int(runs[-1]) if open_end else 0
 
 
+def _accepted(n: int, width: int, sampler: NestedSampler, draw) -> list:
+    """The first ``n`` accepted candidates of the row stream.
+
+    ``draw(rows)`` maps a chunk of rows, one candidate each, to a tuple of
+    arrays aligned with the rows and the candidates' accept mask.  Returns
+    those arrays, each cut to its accepted rows and concatenated.
+    """
+    parts, got, run = [], 0, 0
+    while got < n:
+        arrays, keep = draw(sampler.rows(min(_CHUNK, max(n - got, 64)), width))
+        idx, run = _first_accepted(keep, n - got, run)
+        parts.append([a[idx] for a in arrays])
+        got += idx.size
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
 def sample_points(domain: DomainSpec, dim: int, n: int,
                   sampler: NestedSampler,
                   accept=None) -> np.ndarray:
@@ -124,20 +140,14 @@ def sample_points(domain: DomainSpec, dim: int, n: int,
     sublevel-set restriction.  Raises DomainSamplingFailure after 1000
     consecutive rejected candidates.
     """
-    w = point_width(domain, dim)
-    out = []
-    got = 0
-    run = 0
-    while got < n:
-        rows = sampler.rows(min(_CHUNK, max(n - got, 64)), w)
+    def draw(rows):
         X = points_from_rows(domain, dim, rows)
         keep = domain.predicate_mask(X)
         if accept is not None:
             keep = keep & np.asarray(accept(X), dtype=bool)
-        idx, run = _first_accepted(keep, n - got, run)
-        out.append(X[idx])
-        got += idx.size
-    return np.concatenate(out, axis=0)
+        return (X,), keep
+
+    return _accepted(n, point_width(domain, dim), sampler, draw)[0]
 
 
 def sample_pairs(domain: DomainSpec, dim: int, pairs: int, n_lambdas: int,
@@ -150,21 +160,12 @@ def sample_pairs(domain: DomainSpec, dim: int, pairs: int, n_lambdas: int,
     the nested-prefix property.
     """
     w = point_width(domain, dim)
-    width = 2 * w + n_lambdas
     lo, span = lam_range[0], lam_range[1] - lam_range[0]
-    xs, ys, ls = [], [], []
-    got = 0
-    run = 0
-    while got < pairs:
-        rows = sampler.rows(min(_CHUNK, max(pairs - got, 64)), width)
+
+    def draw(rows):
         X = points_from_rows(domain, dim, rows[:, :w])
         Y = points_from_rows(domain, dim, rows[:, w:2 * w])
-        LAM = lo + span * rows[:, 2 * w:]
         keep = domain.predicate_mask(X) & domain.predicate_mask(Y)
-        idx, run = _first_accepted(keep, pairs - got, run)
-        xs.append(X[idx])
-        ys.append(Y[idx])
-        ls.append(LAM[idx])
-        got += idx.size
-    return (np.concatenate(xs), np.concatenate(ys),
-            np.concatenate(ls) if n_lambdas else np.empty((pairs, 0)))
+        return (X, Y, lo + span * rows[:, 2 * w:]), keep
+
+    return tuple(_accepted(pairs, 2 * w + n_lambdas, sampler, draw))

@@ -91,9 +91,8 @@ def _trajectory(oracle, rows) -> Trajectory:
     h = np.asarray(oracle.value(S))
     diags = {}
     if oracle.known_minimizer is not None:
-        diff = S - oracle.known_minimizer
-        diags["dist"] = np.linalg.norm(diff, axis=-1)
         diags["h_gap"] = h - oracle.minimum_value()
+        diags["dist"] = np.linalg.norm(S - oracle.known_minimizer, axis=-1)
     return Trajectory(times=np.arange(S.shape[0], dtype=np.float64), states=S,
                       h_values=h,
                       grad_norms=np.linalg.norm(rows[:, d:2 * d], axis=-1),
@@ -262,10 +261,11 @@ def certify_hb_energy(traj: Trajectory, gamma: float, L: float,
                       theta: float, beta: float) -> RateCertificate:
     """Energy recursion E_{k+1} <= (1 - rho/sigma) E_k and its tail bounds.
 
-    E_k = h(x_k) - h* + (theta^2 / 2 beta) |x_k - x_{k-1}|^2 with rho from
-    ``hb_window`` and sigma = max{2L/gamma^2 + beta, 1/beta}.  The four
-    tail bounds (values, step norms, gradient norms, distances) are
-    checked against E_1 as printed:
+    E_k = h(x_k) - h* + (theta^2 / 2 beta) |x_k - x_{k-1}|^2 is the
+    ``energy`` column of a ``heavy_ball`` run with this theta and beta; rho
+    comes from ``hb_window`` and sigma = max{2L/gamma^2 + beta, 1/beta}.
+    The four tail bounds (values, step norms, gradient norms, distances)
+    are checked against E_1 as printed:
     E_1 = h(x_0) - h* + (theta^2 / 2 beta) |x_1 - x_0|^2.
     """
     if not positive(gamma, L):
@@ -273,13 +273,13 @@ def certify_hb_energy(traj: Trajectory, gamma: float, L: float,
     rho = hb_window(theta, beta, L)
     sigma = max(2.0 * L / gamma ** 2 + beta, 1.0 / beta)
     factor = 1.0 - rho / sigma
-    if "h_gap" not in traj.diagnostics:
+    if "energy" not in traj.diagnostics:
         raise MissingMinimizer("trajectory lacks minimizer diagnostics")
 
+    E = traj.diagnostic("energy")
     gaps = traj.diagnostic("h_gap")
     steps = traj.diagnostic("step_norm")
     dist = traj.diagnostic("dist")
-    E = gaps + (theta ** 2 / (2.0 * beta)) * steps ** 2
     # a run stopped at x_0 makes no step, so x_1 = x_0 and every check below
     # is vacuous
     step1 = steps[1] if len(traj) > 1 else 0.0

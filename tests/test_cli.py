@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sqcflow
-from sqcflow import cli
+from sqcflow import cli, estimate
 from sqcflow.core import Trajectory
 
 
@@ -349,10 +349,11 @@ class TestTraceWriter:
                          "alpha": np.roll(special, 3), "E": ramp ** 2})
         path = tmp_path / "trace.csv"
         cli.write_trace_csv(path, traj, "k")
-        expected = reference_trace_csv(traj, "k", ["E", "beta", "alpha", "zeta"])
+        # diagnostics are written in the order the trajectory holds them
+        expected = reference_trace_csv(traj, "k", ["zeta", "beta", "alpha", "E"])
         assert path.read_text() == expected
         rows = expected.split("\n")
-        assert rows[0] == "k,x0,x1,h,grad_norm,E,beta,alpha,zeta"
+        assert rows[0] == "k,x0,x1,h,grad_norm,zeta,beta,alpha,E"
         assert rows[1].split(",")[1] == "nan" and rows[2].split(",")[1] == "nan"
         assert rows[3].split(",")[1] == "-0"
 
@@ -778,6 +779,40 @@ class TestRunPremises:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err) == {"error": "x0 outside the domain",
                                    "kind": "numerical"}
+
+    # a non-positive gamma or L is refused before any step is taken
+    @pytest.mark.parametrize("command,message", [
+        ("hb --theta 0.5 --L -1 --beta 0.1", "gamma and L must be positive"),
+        ("hb --theta 0.5 --gamma -1 --beta 0.1", "gamma and L must be positive"),
+        ("gd --L0 -1 --beta 0.05", "gamma and L0 must be positive"),
+        ("gd --gamma -1 --beta 0.05", "gamma and L0 must be positive")])
+    def test_constants_are_checked_before_the_run(self, monkeypatch, capsys,
+                                                  command, message):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(cli, "gradient_descent", never)
+        monkeypatch.setattr(cli, "heavy_ball", never)
+        assert run(command.split() + ["--function", "quadratic_2d",
+                                      "--x0", "1,1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(err) == {"error": message, "kind": "usage"}
+
+
+# the L estimator refuses a start outside the domain before it samples;
+# gd, hb and the minimizer search estimate L first, so its check covers them
+@pytest.mark.parametrize("command", [
+    "estimate --constant L0", "estimate --constant minimizer", "gd --optimal",
+    "hb --theta 0.5"])
+def test_estimators_refuse_a_start_outside_the_domain(monkeypatch, capsys,
+                                                      command):
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled for a start outside the domain")
+    monkeypatch.setattr(estimate, "sample_points", sample)
+    assert run(command.split() + ["--function", "sqrt_norm_2d",
+                                  "--x0", "3,3"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(err) == {"error": "x0 outside the domain",
+                               "kind": "numerical"}
 
 
 @pytest.mark.parametrize("argv,files", [

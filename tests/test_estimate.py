@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sqcflow import catalog, estimate, flows, solvers
-from sqcflow.core import (DomainSamplingFailure, DomainSpec, FunctionOracle,
-                          InsufficientSamples)
+from sqcflow.core import (DomainExit, DomainSamplingFailure, DomainSpec,
+                          FunctionOracle, InsufficientSamples)
 from sqcflow.flows import FlowConfig
 from sqcflow.verify import SampleBudget, check_strong_quasiconvexity
 
@@ -37,6 +37,11 @@ class TestLipschitzEstimate:
         L2 = estimate.estimate_lipschitz_sublevel(entry.oracle, [2.0],
                                                   samples=1000, seed=4)
         assert L2 >= L1
+
+    def test_start_outside_the_domain(self):
+        with pytest.raises(DomainExit, match="x0 outside the domain"):
+            estimate.estimate_lipschitz_sublevel(CAT["sqrt_norm_2d"].oracle,
+                                                 [3.0, 3.0])
 
     def test_unbounded_sublevel_fails(self):
         with pytest.raises(DomainSamplingFailure):

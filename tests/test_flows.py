@@ -30,9 +30,8 @@ class TestFirstOrderIntegration:
         entry = catalog.strongly_convex_quadratic(1, 2.0, 2.0)
         cfg = FlowConfig(x0=[1.0], t_end=3.0, dt=1e-3)
         traj = integrate_first_order(entry.oracle, cfg)
-        from sqcflow.core import fit_decay_exponent
-        assert fit_decay_exponent(traj.times, np.abs(traj.states[:, 0])) \
-            == pytest.approx(2.0, rel=1e-3)
+        slope = np.polyfit(traj.times, np.log(np.abs(traj.states[:, 0])), 1)[0]
+        assert -slope == pytest.approx(2.0, rel=1e-3)
 
     def test_values_nonincreasing_on_sin_quadratic(self):
         cfg = FlowConfig(x0=[2.0], t_end=4.0, dt=1e-3)
@@ -208,7 +207,7 @@ class TestFirstOrderCertificates:
     def test_half_square_envelope(self):
         cfg = FlowConfig(x0=[1.0], t_end=5.0, dt=1e-3)
         traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
-        cert = certify_first_order(traj, 1.0, np.zeros(1))
+        cert = certify_first_order(traj, 1.0)
         assert cert.satisfied
         assert cert.empirical_rate == pytest.approx(1.0, rel=1e-3)
         assert cert.theoretical_rate == 0.5
@@ -217,8 +216,7 @@ class TestFirstOrderCertificates:
         entry = CAT["sqrt_norm_1d"]
         cfg = FlowConfig(x0=[0.9], t_end=1.2, dt=1e-4, stop_dist=1e-3)
         traj = integrate_first_order(entry.oracle, cfg)
-        cert = certify_first_order(traj, entry.constants_known["gamma"],
-                                   np.zeros(1))
+        cert = certify_first_order(traj, entry.constants_known["gamma"])
         assert cert.satisfied and cert.first_violation is None
 
     def test_sin_quadratic_empirical_modulus_envelope(self):
@@ -228,20 +226,20 @@ class TestFirstOrderCertificates:
                                            seed=3) * estimate.SAFETY_MODULUS
         cfg = FlowConfig(x0=[2.0], t_end=6.0, dt=1e-3)
         traj = integrate_first_order(entry.oracle, cfg)
-        cert = certify_first_order(traj, gamma, np.zeros(1))
+        cert = certify_first_order(traj, gamma)
         assert cert.satisfied
 
     def test_wrong_modulus_falsified(self):
         cfg = FlowConfig(x0=[1.0], t_end=5.0, dt=1e-3)
         traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
-        cert = certify_first_order(traj, 10.0, np.zeros(1))
+        cert = certify_first_order(traj, 10.0)
         assert not cert.satisfied
         assert cert.first_violation is not None
 
     def test_value_envelopes_half_square(self):
         cfg = FlowConfig(x0=[1.0], t_end=5.0, dt=1e-3)
         traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
-        cert = certify_first_order_values(traj, 1.0, 1.0, np.zeros(1))
+        cert = certify_first_order_values(traj, 1.0, 1.0)
         assert cert.satisfied
         # actual decay exp(-2t) beats both envelope exponents
         assert cert.empirical_rate == pytest.approx(2.0, rel=1e-3)
@@ -250,14 +248,13 @@ class TestFirstOrderCertificates:
         entry = CAT["quadratic_2d"]
         cfg = FlowConfig(x0=[1.0, 1.0], t_end=8.0, dt=1e-3)
         traj = integrate_first_order(entry.oracle, cfg)
-        cert = certify_first_order_values(traj, 1.0, 4.0,
-                                          entry.oracle.known_minimizer)
+        cert = certify_first_order_values(traj, 1.0, 4.0)
         assert cert.satisfied and cert.first_violation is None
 
     def test_value_envelope_wrong_modulus_falsified(self):
         cfg = FlowConfig(x0=[1.0], t_end=5.0, dt=1e-3)
         traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
-        cert = certify_first_order_values(traj, 10.0, 1.0, np.zeros(1))
+        cert = certify_first_order_values(traj, 10.0, 1.0)
         assert not cert.satisfied
 
     def test_value_envelope_far_start(self):
@@ -266,7 +263,7 @@ class TestFirstOrderCertificates:
         # at t = 0
         cfg = FlowConfig(x0=[4.0], t_end=10.0, dt=1e-3)
         traj = integrate_first_order(CAT["quadratic_1d"].oracle, cfg)
-        cert = certify_first_order_values(traj, 1.0, 1.0, np.zeros(1))
+        cert = certify_first_order_values(traj, 1.0, 1.0)
         assert cert.satisfied and cert.first_violation is None
         assert cert.theoretical_rate == 0.5
 
@@ -274,7 +271,14 @@ class TestFirstOrderCertificates:
         cfg = FlowConfig(x0=[0.5], t_end=1.0, dt=1e-2)
         traj = integrate_first_order(cubic_free(), cfg)
         with pytest.raises(MissingMinimizer):
-            certify_first_order_values(traj, 1.0, 1.0, np.zeros(1))
+            certify_first_order_values(traj, 1.0, 1.0)
+
+    def test_distance_envelope_needs_minimizer_diag(self):
+        cfg = FlowConfig(x0=[0.5], t_end=1.0, dt=1e-2)
+        traj = integrate_first_order(cubic_free(), cfg)
+        assert "E" not in traj.diagnostics
+        with pytest.raises(MissingMinimizer):
+            certify_first_order(traj, 1.0)
 
 
 def cubic_free():
@@ -291,8 +295,8 @@ class TestStartAtMinimizer:
     def test_first_order(self):
         cfg = FlowConfig(x0=[0.0, 0.0], t_end=1.0, dt=0.01)
         traj = integrate_first_order(CAT["quadratic_2d"].oracle, cfg)
-        for cert in (certify_first_order(traj, 1.0, np.zeros(2)),
-                     certify_first_order_values(traj, 1.0, 4.0, np.zeros(2))):
+        for cert in (certify_first_order(traj, 1.0),
+                     certify_first_order_values(traj, 1.0, 4.0)):
             assert np.isnan(cert.empirical_rate)
             assert cert.satisfied and cert.first_violation is None
 

@@ -25,13 +25,13 @@ def test_rates_suite_passes_on_every_start(tmp_path, capsys):
 @pytest.mark.parametrize("entry", bench.rates_entries(), ids=lambda e: e.name)
 def test_flow_certificates_pass_on_every_start(entry):
     o = entry.oracle
-    gamma, L, x_bar = o.known_modulus, o.known_lipschitz, o.known_minimizer
+    gamma, L = o.known_modulus, o.known_lipschitz
     failed = []
     for x0 in bench.rates_starts(o.dim):
         cfg = FlowConfig(x0=x0, t_end=10.0, dt=0.05)
         traj = integrate_first_order(o, cfg)
-        certs = [certify_first_order(traj, gamma, x_bar),
-                 certify_first_order_values(traj, gamma, L, x_bar)]
+        certs = [certify_first_order(traj, gamma),
+                 certify_first_order_values(traj, gamma, L)]
         for alpha in (0.5, 3.0):
             lyap = LyapunovParams.from_constants(gamma, gamma / L, alpha)
             traj = integrate_second_order(o, FlowConfig(
@@ -49,11 +49,11 @@ TIMES = np.linspace(0.0, 6.0, 61)
 
 
 def _traj(dist, **diagnostics):
-    """A one-dimensional trajectory at ``dist`` from the minimizer 0."""
+    """A trajectory at ``dist`` from the minimizer: E = dist^2 / 2."""
     n = TIMES.size
-    return Trajectory(times=TIMES, states=np.reshape(dist, (n, 1)),
+    return Trajectory(times=TIMES, states=np.zeros((n, 1)),
                       h_values=np.zeros(n), grad_norms=np.zeros(n),
-                      diagnostics=diagnostics)
+                      diagnostics={"E": 0.5 * np.square(dist), **diagnostics})
 
 
 def _scaled(envelope, scale):
@@ -64,7 +64,7 @@ def _scaled(envelope, scale):
 def test_flow_first_distance_envelope(scale, first):
     gamma = 1.0
     traj = _traj(_scaled(np.exp(-0.5 * gamma * TIMES), scale))
-    cert = certify_first_order(traj, gamma, [0.0])
+    cert = certify_first_order(traj, gamma)
     assert cert.first_violation == first
     assert cert.theoretical_rate == 0.5 * gamma
 
@@ -80,7 +80,7 @@ def test_flow_first_value_envelope(scale, first):
     assert (by_gap < by_dist).any() and (by_dist < by_gap).any()
     traj = _traj(np.ones(TIMES.size),
                  h_gap=_scaled(np.minimum(by_dist, by_gap), scale))
-    cert = certify_first_order_values(traj, gamma, L, [0.0])
+    cert = certify_first_order_values(traj, gamma, L)
     assert cert.first_violation == first
     assert cert.theoretical_rate == max(0.5 * gamma, gamma ** 2 / (2.0 * L))
 
