@@ -11,17 +11,8 @@ The package is organized around five capabilities:
 * ``estimate``  empirical constants: sublevel Lipschitz, modulus, curvature
                 ratio, reference minimizer
 
-``cli`` ties them together behind the ``sqcflow`` command.
+``cli`` ties them together behind the ``sqcflow`` command.  Importing the
+package itself loads no numpy; the shared types live in ``core``.
 """
 
 __version__ = "0.1.0"
-
-from .core import DomainSpec, FunctionOracle, RateCertificate, Trajectory
-
-__all__ = [
-    "DomainSpec",
-    "FunctionOracle",
-    "RateCertificate",
-    "Trajectory",
-    "__version__",
-]

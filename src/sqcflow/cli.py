@@ -11,6 +11,13 @@ and writes deterministic artifacts into --output-dir:
 Exit codes: 0 pass, 1 certificate failure, 2 usage/config error,
 3 numerical failure; a reader that closes stdout early does not change
 the code of a task run.  SQCFLOW_SEED overrides the default seed.
+
+numpy's BLAS runs on one thread unless OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS picks another count.  States have dimension <= 3 and
+sampled batches are elementwise, so no BLAS call is big enough for a second
+thread, while starting OpenBLAS's idle pool cost each task ~0.1 s of CPU
+(2 vCPUs, OpenBLAS 0.3.31).  Importing sqcflow.core leaves threading to
+the program that imports it.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
+
+if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -442,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--v0", type=str, default=None)
     f.add_argument("--t-end", type=float, default=None)
     f.add_argument("--dt", type=float, default=None)
-    f.add_argument("--integrator", choices=("rk4", "euler", "explicit_euler"),
+    f.add_argument("--integrator", choices=("rk4", "explicit_euler"),
                    default=None)
     f.add_argument("--gamma", type=float, default=None)
     f.add_argument("--kappa", type=float, default=None)
@@ -527,8 +537,6 @@ def _config_from_args(args) -> ExperimentConfig:
             params[key] = _parse_vector(params[key])
         elif isinstance(params.get(key), list):
             params[key] = np.asarray(params[key], dtype=np.float64)
-    if params.get("integrator") == "euler":
-        params["integrator"] = "explicit_euler"
     if args.command != "bench" and not run["function"]:
         raise InvalidParameter("--function is required")
     return ExperimentConfig(task=args.command, task_params=params, **run)

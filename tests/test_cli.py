@@ -168,10 +168,12 @@ class TestFlowCommand:
         assert header.startswith("t,x0,x1,h,grad_norm,E")
 
     def test_euler_alias(self, capsys):
-        code = run(["flow", "--function", "quadratic_1d", "--order", "1",
-                    "--x0", "1", "--t-end", "1", "--dt", "0.001",
-                    "--integrator", "euler"])
-        assert code == 0
+        # the one spelling of the Euler step is FlowConfig's explicit_euler
+        with pytest.raises(SystemExit) as exc:
+            run(["flow", "--function", "quadratic_1d", "--order", "1",
+                 "--x0", "1", "--t-end", "1", "--dt", "0.001",
+                 "--integrator", "euler"])
+        assert exc.value.code == 2
 
     def test_second_order_sigma_column(self, tmp_path):
         out = tmp_path / "flow2"
@@ -412,6 +414,64 @@ def test_import_does_not_load_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _env(**threads):
+    """A child environment that sets only the given BLAS thread variables."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    return dict(env, PYTHONPATH=str(Path(sqcflow.__file__).parents[1]),
+                **threads)
+
+
+def test_import_sqcflow_does_not_load_numpy():
+    code = "import sys, sqcflow; sys.exit('numpy' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=_env(), check=True,
+                   timeout=120)
+
+
+@pytest.mark.parametrize("threads, expected", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}),
+    ({"OPENBLAS_NUM_THREADS": "2"},
+     {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None}),
+    ({"OMP_NUM_THREADS": "2"},
+     {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2"}),
+], ids=["unset", "openblas", "omp"])
+def test_cli_pins_blas_threads_unless_the_caller_chose(threads, expected):
+    code = ("import json, os, sqcflow.cli; print(json.dumps("
+            f"{{k: os.environ.get(k) for k in {THREAD_VARS!r}}}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(**threads),
+                          check=True, capture_output=True, text=True,
+                          timeout=120)
+    assert json.loads(proc.stdout) == expected
+
+
+@pytest.mark.parametrize("command", [
+    # polyfit rate fit over 20001 samples
+    "flow --function quadratic_2d --order 2 --alpha 3 --x0 1,1 --t-end 20 "
+    "--dt 0.001",
+    # pairwise scan
+    "estimate --function quadratic_3d --constant L0 --samples 2000 "
+    "--x0 1,1,1",
+    # einsum / matmul oracle
+    "verify --function quadratic_fraction --property ladder --pairs 2000",
+], ids=["flow", "estimate", "verify"])
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path, command):
+    # the same relative --output-dir, since meta.json records it
+    artifacts = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        subprocess.run([sys.executable, "-m", "sqcflow.cli", *command.split(),
+                        "--output-dir", "out"], cwd=cwd, check=True,
+                       capture_output=True, timeout=120,
+                       env=_env(OPENBLAS_NUM_THREADS=threads))
+        artifacts[threads] = {p.name: p.read_bytes()
+                              for p in (cwd / "out").iterdir()}
+    assert {"meta.json"} < set(artifacts["1"])
+    assert artifacts["1"] == artifacts["2"]
+
+
 # the flags every subcommand shares; they configure the run, not the task
 COMMON_DESTS = {"function", "seed", "output_dir", "config"}
 VECTOR_DESTS = {"x0", "v0", "x_prev"}
@@ -650,10 +710,10 @@ class TestErrorPaths:
         "bench_without_output_dir": ("bench --suite ladder", 2, "usage"),
         "blowup": (
             "flow --function quadratic_2d --order 1 --x0 1,1 --t-end 1000 "
-            "--dt 1 --integrator euler", 3, "numerical"),
+            "--dt 1 --integrator explicit_euler", 3, "numerical"),
         "domain_exit": (
             "flow --function sqrt_norm_2d --order 1 --x0 0.3,0.2 --t-end 5 "
-            "--dt 0.5 --integrator euler", 3, "numerical"),
+            "--dt 0.5 --integrator explicit_euler", 3, "numerical"),
         "sampling_failure": (
             "estimate --function degenerate_quadratic --constant L0 --x0 1,1 "
             "--samples 100", 3, "numerical"),
