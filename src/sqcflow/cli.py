@@ -42,8 +42,8 @@ from .catalog import CatalogEntry, default_catalog, get_entry
 from .core import (DomainExit, DomainSamplingFailure, InvalidParameter,
                    NumericalBlowup, ParameterWindowViolation, SqcflowError,
                    StagnationFailure, Trajectory, positive)
-from .estimate import (SAFETY_KAPPA, SAFETY_LIPSCHITZ, SAFETY_MODULUS,
-                       empirical_modulus, estimate_kappa,
+from .estimate import (REFERENCE_SAMPLES, SAFETY_KAPPA, SAFETY_LIPSCHITZ,
+                       SAFETY_MODULUS, empirical_modulus, estimate_kappa,
                        estimate_lipschitz_sublevel, reference_minimizer)
 from .flows import (FlowConfig, LyapunovParams, certify_first_order,
                     certify_first_order_values, certify_second_order,
@@ -346,7 +346,8 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
         x_bar = reference_minimizer(entry.oracle, x0)
         payload = {"constant": "minimizer",
                    "value": [float(v) for v in x_bar],
-                   "safety_adjusted_value": None, "samples": samples}
+                   "safety_adjusted_value": None,
+                   "samples": REFERENCE_SAMPLES}
     else:
         raise InvalidParameter(
             "estimate --constant must be one of L0, gamma, kappa, minimizer")

@@ -11,7 +11,8 @@ import pytest
 
 import sqcflow
 from sqcflow import cli, estimate
-from sqcflow.core import Trajectory
+from sqcflow.catalog import CatalogEntry
+from sqcflow.core import FunctionOracle, Trajectory
 
 
 def run(argv):
@@ -262,6 +263,31 @@ class TestEstimateCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["value"][0]) < 1e-8
+
+    def test_minimizer_reports_the_samples_it_used(self, monkeypatch, capsys):
+        used = []
+
+        def spy(oracle, x0, samples=2000, seed=0):
+            used.append(samples)
+            return lipschitz(oracle, x0, samples, seed)
+        lipschitz = estimate.estimate_lipschitz_sublevel
+        monkeypatch.setattr(estimate, "estimate_lipschitz_sublevel", spy)
+        assert run(["estimate", "--function", "sin_quadratic", "--constant",
+                    "minimizer", "--x0", "2", "--samples", "100"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert used == [payload["samples"]] == [estimate.REFERENCE_SAMPLES]
+
+    def test_non_finite_gradient_exits_numerical(self, monkeypatch, capsys):
+        oracle = FunctionOracle(
+            dim=1, value=lambda x: 2.5 * np.asarray(x)[..., 0] ** 4,
+            grad=lambda x: np.where(np.asarray(x) == 1.0, np.nan,
+                                    10.0 * np.asarray(x) ** 3))
+        entry = CatalogEntry("quartic", oracle, "2.5 x^4, gradient NaN at 1")
+        monkeypatch.setattr(cli, "get_entry", lambda name: entry)
+        assert run(["estimate", "--function", "quartic", "--constant", "L0",
+                    "--x0", "1", "--seed", "1"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(err)["kind"] == "numerical"
 
     def test_kappa_with_stagnated_minimizer_search(self, capsys):
         argv = ["estimate", "--function", "max_two_quadratics", "--x0",

@@ -1,12 +1,15 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sqcflow import catalog, estimate, flows, solvers
+from sqcflow import catalog, estimate, flows, sampling, solvers
+from sqcflow.cli import _start
 from sqcflow.core import (DomainExit, DomainSamplingFailure, DomainSpec,
-                          FunctionOracle, InsufficientSamples)
+                          FunctionOracle, InsufficientSamples, NumericalBlowup)
 from sqcflow.flows import FlowConfig
+from sqcflow.sampling import NestedSampler, sample_points
 from sqcflow.verify import SampleBudget, check_strong_quasiconvexity
 
 CAT = catalog.default_catalog()
@@ -48,6 +51,138 @@ class TestLipschitzEstimate:
             estimate.estimate_lipschitz_sublevel(
                 CAT["degenerate_quadratic"].oracle, [1.0, 1.0], samples=100,
                 seed=0)
+
+
+def quartic_with_nan_gradient_at_one():
+    """h = 2.5 x^4, whose gradient 10 x^3 reads NaN at x = 1 only."""
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == 1.0, np.nan, 10.0 * x ** 3)
+    return FunctionOracle(
+        dim=1, value=lambda x: 2.5 * np.asarray(x)[..., 0] ** 4, grad=grad)
+
+
+class TestNonFiniteGradient:
+    def test_refused(self):
+        # the sublevel set of h(1) holds x0 = 1 itself; skipping its pairs
+        # would return an estimate below the largest finite quotient
+        with pytest.raises(NumericalBlowup, match="non-finite gradient"):
+            estimate.estimate_lipschitz_sublevel(
+                quartic_with_nan_gradient_at_one(), [1.0], samples=2000,
+                seed=1)
+
+    def test_infinite_gradient_refused(self):
+        oracle = dataclasses.replace(
+            quartic_with_nan_gradient_at_one(),
+            grad=lambda x: np.where(np.asarray(x) < 0.0, np.inf, 1.0))
+        with pytest.raises(NumericalBlowup):
+            estimate.estimate_lipschitz_sublevel(oracle, [1.0], samples=200)
+
+
+def exhaustive_ratio(pts, grads) -> float:
+    """Largest |g_i - g_j| / |x_i - x_j| over the full (n, n) table of
+    pairs, squares summed in ascending coordinate order; pairs closer than
+    1e-12 count as 0."""
+    def distances(A):
+        return np.sqrt(sum((A[:, None, k] - A[None, :, k]) ** 2
+                           for k in range(A.shape[1])))
+    dist = distances(pts)
+    dist[dist < 1e-12] = np.inf
+    return float((distances(grads) / dist).max())
+
+
+def blocked_ratio(pts, grads) -> float:
+    return estimate._largest_ratio(np.stack([pts.T, grads.T]))
+
+
+class TestBlockedScan:
+    """The blocked pair scan against an exhaustive reference, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(CAT))
+    def test_catalog_gradients(self, name):
+        # x0 first, as the estimator stacks it, then points of the domain
+        # (its sampling window when the domain is all of space)
+        o = CAT[name].oracle
+        pts = np.concatenate([_start(CAT[name], {})[None, :],
+                              sample_points(o.domain, o.dim, 600,
+                                            NestedSampler(7))])
+        grads = np.asarray(o.grad(pts))
+        assert blocked_ratio(pts, grads) == exhaustive_ratio(pts, grads)
+
+    # the degenerate quadratic's sublevel sets are unbounded
+    @pytest.mark.parametrize("name",
+                             sorted(set(CAT) - {"degenerate_quadratic"}))
+    def test_estimate_is_the_scan_of_its_sublevel_samples(self, monkeypatch,
+                                                         name):
+        scans = []
+
+        def spy(XG):
+            scans.append((XG[0].T.copy(), XG[1].T.copy()))
+            return largest_ratio(XG)
+        largest_ratio = estimate._largest_ratio
+        monkeypatch.setattr(estimate, "_largest_ratio", spy)
+        L = estimate.estimate_lipschitz_sublevel(
+            CAT[name].oracle, _start(CAT[name], {}), samples=500, seed=3)
+        [(pts, grads)] = scans
+        assert pts.shape[0] == 501
+        assert L == exhaustive_ratio(pts, grads) * estimate.SAFETY_LIPSCHITZ
+
+    @pytest.mark.parametrize("budget", ["one_row", "default", "above_n2"])
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_random_points_with_duplicates(self, monkeypatch, budget, dim):
+        rng = np.random.default_rng(dim)
+        n = 150
+        pts = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3, dim)
+        grads = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3, dim)
+        # repeated points, some with other gradients, in and across blocks
+        for i, j in rng.integers(0, n, (20, 2)):
+            pts[i] = pts[j]
+        pts[1] = pts[0]
+        grads[5:9] = grads[4]
+        # a pair closer than 1e-12, which counts as 0
+        pts[3] = 0.5
+        pts[2] = pts[3] + 1e-13
+        monkeypatch.setattr(estimate, "_PAIR_BUDGET", {
+            "one_row": 1, "default": estimate._PAIR_BUDGET,
+            "above_n2": n * n + 1}[budget])
+        assert blocked_ratio(pts, grads) == exhaustive_ratio(pts, grads)
+
+    @pytest.mark.parametrize("budget", [1, 2, 7, 8, 100, 1000, 1 << 15])
+    def test_blocks_tile_the_rows_within_the_budget(self, monkeypatch, budget):
+        blocks = []
+
+        def spy(XG, start, end):
+            blocks.append((start, end))
+            return 0.0
+        monkeypatch.setattr(estimate, "_PAIR_BUDGET", budget)
+        monkeypatch.setattr(estimate, "_block_ratio", spy)
+        n = 2001
+        estimate._largest_ratio(np.zeros((2, 1, n)))
+        assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+        assert blocks[-1][1] == n
+        for start, end in blocks:
+            assert end - start == 1 or (end - start) * end <= budget
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        oracle, x0, n = CAT["quadratic_3d"].oracle, [1.0, 1.0, 1.0], 8000
+        # the scan holds at most four float64 arrays of _PAIR_BUDGET
+        # elements: two squared sums, one difference, and the comparison
+        # mask with room to spare
+        scan = 4 * 8 * estimate._PAIR_BUDGET
+        # a few copies of the (n + 1, 3) points: the sampler's parts and
+        # their concatenation, x0 prepended, the gradients, the stacked
+        # copy; and a few sampler chunks of rows, points and masks
+        samples = 8 * 8 * (n + 1) * 3 + 4 * 8 * sampling._CHUNK * 3
+        estimate.estimate_lipschitz_sublevel(oracle, x0, samples=10)
+        tracemalloc.start()
+        try:
+            estimate.estimate_lipschitz_sublevel(oracle, x0, samples=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 2.9 MiB; a (512, n, 3) broadcast of the differences alone
+        # takes 94 MiB
+        assert peak <= scan + samples
 
 
 class TestEmpiricalModulus:
