@@ -27,7 +27,7 @@ def main():
     traj = solvers.heavy_ball(entry.oracle,
                               HBConfig(x0=[1.0], theta=0.5, beta=0.5,
                                        max_iters=200, stop_grad_tol=0.0))
-    cert = solvers.certify_hb_energy(traj, 1.0, 1.0, 0.5, 0.5)
+    cert = solvers.certify_hb_energy(traj, 1.0, 1.0)
     c = cert.constants
     print(f"  rho={c['rho']}, sigma={c['sigma']}, "
           f"per-step factor={c['factor']}")
@@ -47,7 +47,7 @@ def main():
         traj = solvers.heavy_ball(entry.oracle,
                                   HBConfig(x0=[1.0], theta=theta, beta=beta,
                                            max_iters=300, stop_grad_tol=0.0))
-        cert = solvers.certify_hb_energy(traj, 1.0, 1.0, theta, beta)
+        cert = solvers.certify_hb_energy(traj, 1.0, 1.0)
         print(f"    {theta:6.2f} {beta:8.4f} {cert.theoretical_rate:8.4f} "
               f"{cert.empirical_rate:8.4f} {str(cert.satisfied):>4s}")
 

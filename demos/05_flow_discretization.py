@@ -31,7 +31,7 @@ def lyapunov_block():
           f"certified rate = {lyap.decay_exponent:.6f}")
     cfg = FlowConfig(x0=[1.0, 1.0], t_end=20.0, dt=1e-3, alpha=alpha)
     traj = flows.integrate_second_order(entry.oracle, cfg, lyap)
-    cert = flows.certify_second_order(traj, lyap)
+    cert = flows.certify_second_order(traj)
     sigma = traj.diagnostic("Sigma")
     print(f"  Sigma(0)={sigma[0]:.4f} -> Sigma(20)={sigma[-1]:.3e}, "
           f"nonincreasing: {bool(np.all(np.diff(sigma) <= 1e-9))}")

@@ -149,7 +149,7 @@ def criterion_hb_energy(workdir: Path):
     traj = solvers.heavy_ball(entry.oracle,
                               HBConfig(x0=[1.0], theta=0.5, beta=0.5,
                                        max_iters=200, stop_grad_tol=0.0))
-    cert = solvers.certify_hb_energy(traj, 1.0, 1.0, 0.5, 0.5)
+    cert = solvers.certify_hb_energy(traj, 1.0, 1.0)
     elapsed = time.time() - t0
     ok = (cert.satisfied
           and abs(cert.constants["rho"] - 0.25) < 1e-15
@@ -171,7 +171,7 @@ def criterion_second_order_lyapunov(workdir: Path):
     lam_expected = min(np.sqrt(gamma / (2 * kappa)), 2 * alpha / (kappa + 4))
     cfg = FlowConfig(x0=[1.0, 1.0], t_end=20.0, dt=1e-3, alpha=alpha)
     traj = flows.integrate_second_order(entry.oracle, cfg, lyap)
-    cert = flows.certify_second_order(traj, lyap)
+    cert = flows.certify_second_order(traj)
     elapsed = time.time() - t0
     ok = (cert.satisfied and cert.first_violation is None
           and abs(lyap.lam - lam_expected) < 1e-15 and elapsed < 5.0)
@@ -214,9 +214,8 @@ def ladder_rows():
     for name, entry in sorted(catalog.default_catalog().items()):
         gamma = entry.oracle.known_modulus
         if gamma is None:
-            gamma = max(estimate.empirical_modulus(entry.oracle, samples=20000,
-                                                   seed=7)
-                        * estimate.SAFETY_MODULUS, 0.0)
+            gamma = estimate.empirical_modulus(entry.oracle, samples=20000,
+                                               seed=7) * estimate.SAFETY_MODULUS
         reports = verify.check_implication_ladder(entry.oracle, gamma, budget)
         broken = verify.ladder_soundness(reports)
         by_entry[name] = reports
@@ -360,8 +359,8 @@ def _rates_rows():
                     traj = solvers.heavy_ball(
                         o, HBConfig(x0=x0, theta=theta, beta=beta,
                                     max_iters=400, stop_grad_tol=0.0))
-                    runs.append((entry.name, beta, solvers.certify_hb_energy(
-                        traj, gamma, L, theta, beta)))
+                    runs.append((entry.name, beta,
+                                 solvers.certify_hb_energy(traj, gamma, L)))
     return [[name, c.kind, f"{beta:.6g}", f"{c.empirical_rate:.6g}",
              f"{c.theoretical_rate:.6g}", c.satisfied] for name, beta, c in runs]
 

@@ -252,7 +252,7 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
             elif x_bar is not None:
                 probe = integrate_first_order(oracle, dataclasses.replace(
                     cfg, integrator="rk4", stop_dist=None))
-                kappa = estimate_kappa(oracle, probe, x_bar)
+                kappa = estimate_kappa(oracle, probe)
                 notes.append("kappa estimated along a probe trajectory "
                              "(safety-adjusted)")
         lyap = None
@@ -264,7 +264,7 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
         constants.update({"gamma": float(gamma), "alpha": alpha})
         traj = integrate_second_order(oracle, cfg, lyap)
         if lyap is not None and x_bar is not None:
-            certs.append(certify_second_order(traj, lyap))
+            certs.append(certify_second_order(traj))
 
     return _emit_run(config, out, traj, "t", certs, constants, notes)
 
@@ -309,7 +309,7 @@ def _run_hb(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     traj = heavy_ball(entry.oracle, cfg)
     certs = []
     if _minimizer(entry, notes) is not None:
-        certs = [certify_hb_energy(traj, gamma, L, theta, float(beta))]
+        certs = [certify_hb_energy(traj, gamma, L)]
     return _emit_run(config, out, traj, "k", certs,
                      {"gamma": gamma, "L": L, "theta": theta,
                       "beta": float(beta)}, notes)
@@ -335,15 +335,15 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
         oracle = entry.oracle
         if oracle.known_minimizer is None:
             # a stagnated search fails the run, as --constant minimizer does
-            oracle = dataclasses.replace(
-                oracle, known_minimizer=reference_minimizer(oracle, x0))
+            x_bar = reference_minimizer(oracle, x0, config.seed)
+            oracle = dataclasses.replace(oracle, known_minimizer=x_bar)
         cfg = FlowConfig(x0=x0, t_end=5.0, dt=1e-3)
         traj = integrate_first_order(oracle, cfg)
-        adjusted = estimate_kappa(oracle, traj, oracle.known_minimizer)
+        adjusted = estimate_kappa(oracle, traj)
         payload = {"constant": "kappa", "value": adjusted / SAFETY_KAPPA,
                    "safety_adjusted_value": adjusted, "samples": len(traj)}
     elif which == "minimizer":
-        x_bar = reference_minimizer(entry.oracle, x0)
+        x_bar = reference_minimizer(entry.oracle, x0, config.seed)
         payload = {"constant": "minimizer",
                    "value": [float(v) for v in x_bar],
                    "safety_adjusted_value": None,

@@ -210,7 +210,10 @@ class Trajectory:
     iteration counter for solvers).  ``diagnostics`` maps a name to an
     array aligned with ``times``; entries may be NaN where undefined.  A
     run inserts them in the order ``trace.csv`` writes them, and the
-    certificates read them instead of recomputing them.
+    certificates read them instead of recomputing them.  ``params`` holds
+    the scalars the run used that its certificates read: ``beta`` of gd,
+    ``theta`` and ``beta`` of heavy ball, ``lam`` and ``kappa`` of a
+    damped flow that records ``Sigma``.
     """
 
     times: np.ndarray
@@ -218,6 +221,7 @@ class Trajectory:
     h_values: np.ndarray
     grad_norms: np.ndarray
     diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
+    params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -241,9 +245,17 @@ class Trajectory:
         return self.states[-1]
 
     def diagnostic(self, name: str) -> np.ndarray:
+        """A recorded column.  Runs record the minimizer's columns only when
+        the oracle knows it, so a missing one raises MissingMinimizer."""
         if name not in self.diagnostics:
-            raise KeyError(f"trajectory has no diagnostic {name!r}")
+            raise MissingMinimizer(f"trajectory lacks {name!r} diagnostics")
         return self.diagnostics[name]
+
+    def param(self, name: str) -> float:
+        """A parameter the run recorded; InvalidParameter when it has none."""
+        if name not in self.params:
+            raise InvalidParameter(f"trajectory records no parameter {name!r}")
+        return self.params[name]
 
 
 def step_rows(first, n_max: int, unit, advance, inside, *, width=None,

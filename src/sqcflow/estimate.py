@@ -141,34 +141,34 @@ def empirical_modulus(oracle: FunctionOracle, samples: int = 20000,
     return max(float(ratio[valid].min()), 0.0)
 
 
-def estimate_kappa(oracle: FunctionOracle, traj, x_bar) -> float:
+def estimate_kappa(oracle: FunctionOracle, traj) -> float:
     """Smallest sampled ratio <grad h(x), x - x_bar> / (h(x) - h(x_bar)).
 
-    Evaluated along a trajectory, times the 0.95 safety factor.  Samples
-    closer than 1e-12 to the optimal value are skipped.
+    Evaluated along a trajectory (x_bar the oracle's minimizer, the ratio's
+    denominator its ``h_gap`` column), times the 0.95 safety factor.
+    Samples closer than 1e-12 to the optimal value are skipped.
     """
-    x_bar = as_point(x_bar, oracle.dim)
-    h_star = float(oracle.value(x_bar))
-    gaps = traj.h_values - h_star
+    gaps = traj.diagnostic("h_gap")
     valid = gaps > 1e-12
     if not np.any(valid):
         raise InsufficientSamples("no trajectory samples above the optimal value")
     X = traj.states[valid]
     grads = np.asarray(oracle.grad(X))
-    inner = np.sum(grads * (X - x_bar), axis=-1)
+    inner = np.sum(grads * (X - oracle.known_minimizer), axis=-1)
     return float((inner / gaps[valid]).min()) * SAFETY_KAPPA
 
 
-def reference_minimizer(oracle: FunctionOracle, x0) -> np.ndarray:
+def reference_minimizer(oracle: FunctionOracle, x0, seed: int = 0) -> np.ndarray:
     """Long conservative gradient run used when no minimizer is known.
 
-    Step 1/(2 L-hat) with L-hat estimated on the initial sublevel set;
-    stops at a gradient norm of 1e-12 or after 10^6 iterations and returns
-    the best iterate found.  Raises StagnationFailure if the best
-    value stops improving for 10^4 consecutive iterations.
+    Step 1/(2 L-hat) with L-hat estimated from ``seed`` on the initial
+    sublevel set; stops at a gradient norm of 1e-12 or after 10^6
+    iterations and returns the best iterate found.  Raises
+    StagnationFailure if the best value stops improving for 10^4
+    consecutive iterations.
     """
     x = as_point(x0, oracle.dim)
-    L_hat = estimate_lipschitz_sublevel(oracle, x, REFERENCE_SAMPLES, seed=0)
+    L_hat = estimate_lipschitz_sublevel(oracle, x, REFERENCE_SAMPLES, seed=seed)
     beta = 0.5 / L_hat
     best_x, best_h = x.copy(), float(oracle.value(x))
     ref_h = best_h  # value at the last decrease visible above roundoff

@@ -10,8 +10,10 @@ energy
 
     Sigma = h(x) - h* + 0.5 |lam (x - x_bar) + v|^2 + (xi/2) |x - x_bar|^2
 
-for the second-order flow.  Certificates read these columns, compare each
-against its exponential envelope and fit the observed decay exponent.
+for the second-order flow, whose trajectory then records the lam and kappa
+it was computed with.  Certificates read these columns and parameters,
+compare each column against its exponential envelope and fit the observed
+decay exponent.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (NOISE_FLOOR, FunctionOracle, InvalidParameter,
-                   MissingMinimizer, RateCertificate, Trajectory, as_point,
-                   envelope_violations, positive, rate_certificate, step_rows)
+                   RateCertificate, Trajectory, as_point, envelope_violations,
+                   positive, rate_certificate, step_rows)
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,6 @@ def _step_fn(integrator: str):
     return step
 
 
-def _n_steps(t_end: float, dt: float) -> int:
-    return max(1, int(round(t_end / dt)))
-
-
 def _flow_rows(oracle: FunctionOracle, config: FlowConfig, z0, f):
     """Times and states of z' = f(z), whose first oracle.dim entries are x."""
     d, dt, x_bar = oracle.dim, config.dt, oracle.known_minimizer
@@ -108,7 +106,7 @@ def _flow_rows(oracle: FunctionOracle, config: FlowConfig, z0, f):
         def done(z):
             r = z[:d] - x_bar
             return math.sqrt(r.dot(r)) <= config.stop_dist
-    rows = step_rows(z0, _n_steps(config.t_end, dt), dt,
+    rows = step_rows(z0, max(1, int(round(config.t_end / dt))), dt,
                      lambda rows, k: step(f, rows[k], dt),
                      lambda z: oracle.domain.contains(z[:d]), done=done)
     return np.arange(rows.shape[0]) * dt, rows
@@ -136,8 +134,9 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
                            lyap: Optional[LyapunovParams] = None) -> Trajectory:
     """Integrate the damped system as (x, v) with dv/dt = -alpha v - grad h(x).
 
-    Sigma is recorded when ``lyap`` is given and the oracle knows its
-    minimizer; velocity components are always recorded as diagnostics.
+    Sigma, and with it lam and kappa as parameters, is recorded when
+    ``lyap`` is given and the oracle knows its minimizer; velocity
+    components are always recorded as diagnostics.
     """
     if config.alpha is None or not positive(config.alpha):
         raise InvalidParameter("second-order flow needs alpha > 0")
@@ -158,8 +157,9 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
     X, V = Z[:, :d], Z[:, d:]
     h = np.asarray(oracle.value(X))
     g = np.asarray(oracle.grad(X))
-    diags = {}
+    diags, params = {}, {}
     if lyap is not None and x_bar is not None:
+        params = {"lam": lyap.lam, "kappa": lyap.kappa}
         diff = X - x_bar
         diags["Sigma"] = (h - h_star
                           + 0.5 * np.sum((lyap.lam * diff + V) ** 2, axis=-1)
@@ -168,21 +168,15 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
     for i in range(d):
         diags[f"v{i}"] = V[:, i]
     return Trajectory(times=times, states=X, h_values=h,
-                      grad_norms=np.linalg.norm(g, axis=-1), diagnostics=diags)
-
-
-def _distances(traj: Trajectory) -> np.ndarray:
-    """|x - x_bar| = sqrt(2 E) from the ``E`` column of a first-order flow."""
-    if "E" not in traj.diagnostics:
-        raise MissingMinimizer("trajectory lacks E diagnostics (minimizer unknown)")
-    return np.sqrt(2.0 * traj.diagnostic("E"))
+                      grad_norms=np.linalg.norm(g, axis=-1), diagnostics=diags,
+                      params=params)
 
 
 def certify_first_order(traj: Trajectory, gamma: float) -> RateCertificate:
     """Distance envelope |x(t) - x_bar| <= |x0 - x_bar| exp(-gamma t / 2)."""
     if not positive(gamma):
         raise InvalidParameter("gamma must be positive")
-    dist = _distances(traj)
+    dist = np.sqrt(2.0 * traj.diagnostic("E"))  # E = |x - x_bar|^2 / 2
     envelope = dist[0] * np.exp(-0.5 * gamma * traj.times)
     return rate_certificate(
         "flow_first", {"gamma": gamma, "dist0": float(dist[0])}, 0.5 * gamma,
@@ -202,10 +196,8 @@ def certify_first_order_values(traj: Trajectory, gamma: float,
     """
     if not positive(gamma, L):
         raise InvalidParameter("gamma and L must be positive")
-    if "h_gap" not in traj.diagnostics:
-        raise MissingMinimizer("trajectory lacks h_gap diagnostics (minimizer unknown)")
     gaps = traj.diagnostic("h_gap")
-    dist0 = _distances(traj)[0]
+    dist0 = np.sqrt(2.0 * traj.diagnostic("E")[0])
     t = traj.times
     env = np.minimum(0.5 * L * dist0 ** 2 * np.exp(-gamma * t),
                      gaps[0] * np.exp(-(gamma ** 2) / (2.0 * L) * t))
@@ -216,10 +208,10 @@ def certify_first_order_values(traj: Trajectory, gamma: float,
         envelope_violations(gaps, env), notes="value envelope")
 
 
-def certify_second_order(traj: Trajectory, lyap: LyapunovParams) -> RateCertificate:
-    """Energy envelope Sigma(t) <= Sigma(0) exp(-lam kappa t / 2)."""
-    if "Sigma" not in traj.diagnostics:
-        raise InvalidParameter("trajectory lacks Sigma diagnostics")
+def certify_second_order(traj: Trajectory) -> RateCertificate:
+    """Energy envelope Sigma(t) <= Sigma(0) exp(-lam kappa t / 2), with the
+    lam and kappa the run computed Sigma with."""
+    lyap = LyapunovParams(lam=traj.param("lam"), kappa=traj.param("kappa"))
     sigma = traj.diagnostic("Sigma")
     rate = lyap.decay_exponent
     envelope = sigma[0] * np.exp(-rate * traj.times)

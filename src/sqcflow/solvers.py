@@ -8,8 +8,10 @@ Heavy ball:       x_{k+1} = x_k + theta (x_k - x_{k-1}) - beta grad h(x_k),
 the explicit discretization of the damped second-order flow under
 theta = 1 - alpha eta, beta = eta^2.
 
-Certificates check the closed-form contraction / energy inequalities at
-every step and compare the fitted empirical factor with the theoretical
+Each run records the parameters it used in ``Trajectory.params`` (``beta``
+of gd, ``theta`` and ``beta`` of heavy ball).  Certificates read them with
+the run's columns, check the closed-form contraction / energy inequalities
+at every step and compare the fitted empirical factor with the theoretical
 one.
 """
 
@@ -22,9 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .core import (NOISE_FLOOR, RATE_SLACK, DomainExit, FunctionOracle,
-                   InvalidParameter, MissingMinimizer, ParameterWindowViolation,
-                   RateCertificate, Trajectory, as_point, envelope_violations,
-                   positive, rate_certificate, step_rows)
+                   InvalidParameter, ParameterWindowViolation, RateCertificate,
+                   Trajectory, as_point, envelope_violations, positive,
+                   rate_certificate, step_rows)
 
 
 def step_window(gamma: float, L0: float) -> float:
@@ -84,7 +86,7 @@ class HBConfig:
             raise InvalidParameter("stop_grad_tol must be >= 0")
 
 
-def _trajectory(oracle, rows) -> Trajectory:
+def _trajectory(oracle, rows, params) -> Trajectory:
     """Trajectory of solver rows laid out as [x | grad h(x) | step record]."""
     d = oracle.dim
     S = np.ascontiguousarray(rows[:, :d])
@@ -96,7 +98,7 @@ def _trajectory(oracle, rows) -> Trajectory:
     return Trajectory(times=np.arange(S.shape[0], dtype=np.float64), states=S,
                       h_values=h,
                       grad_norms=np.linalg.norm(rows[:, d:2 * d], axis=-1),
-                      diagnostics=diags)
+                      diagnostics=diags, params=params)
 
 
 def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
@@ -119,7 +121,7 @@ def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
 
     rows = step_rows(x, config.max_iters, 1, advance, oracle.domain.contains,
                      width=2 * d + 1, fill=fill)
-    traj = _trajectory(oracle, rows)
+    traj = _trajectory(oracle, rows, {"beta": float(beta)})
     traj.diagnostics["beta"] = np.append(rows[:-1, -1], np.nan)
     return traj
 
@@ -148,7 +150,8 @@ def heavy_ball(oracle: FunctionOracle, config: HBConfig) -> Trajectory:
 
     rows = step_rows(x, config.max_iters, 1, advance, oracle.domain.contains,
                      width=2 * d + 1, fill=fill)
-    traj = _trajectory(oracle, rows)
+    traj = _trajectory(oracle, rows, {"theta": float(config.theta),
+                                      "beta": float(config.beta)})
     diags = traj.diagnostics
     diags["step_norm"] = rows[:, -1]
     if oracle.known_minimizer is not None:
@@ -157,21 +160,17 @@ def heavy_ball(oracle: FunctionOracle, config: HBConfig) -> Trajectory:
     return traj
 
 
-def gd_window(gamma: float, L0: float, steps) -> np.ndarray:
-    """The steps of a gd run, checked against the window of both gd
-    certificates, 0 < beta_k < min{gamma/L0^2, 2/L0}: one step, or the
-    ``beta`` column of a trajectory (one step per transition)."""
+def gd_window(gamma: float, L0: float, beta: float) -> float:
+    """The step ``beta`` of a gd run, checked against the window of both gd
+    certificates, 0 < beta < min{gamma/L0^2, 2/L0}."""
     top = step_window(gamma, L0)
-    b = steps.diagnostic("beta")[:-1] if isinstance(steps, Trajectory) \
-        else np.array([steps], dtype=np.float64)
-    above = ~(b < top)  # a NaN step is outside
-    if above.any():
+    if not beta < top:  # a NaN step is outside
         raise ParameterWindowViolation(
-            f"beta={float(b[above][0])} outside the certified window "
+            f"beta={float(beta)} outside the certified window "
             f"]0, {top:.6g}[ for gamma={gamma:.6g}, L0={L0:.6g}")
-    if (b <= 0).any():
+    if beta <= 0:
         raise ParameterWindowViolation("step size must be positive")
-    return b
+    return beta
 
 
 def gd_factor(beta, gamma: float, L0: float):
@@ -182,64 +181,57 @@ def gd_factor(beta, gamma: float, L0: float):
 def certify_gd_contraction(traj: Trajectory, gamma: float, L0: float) -> RateCertificate:
     """Per-step squared-distance contraction
 
-        |x_{k+1} - x_bar|^2 <= q(beta_k) |x_k - x_bar|^2
+        |x_{k+1} - x_bar|^2 <= q^2 |x_k - x_bar|^2,  q^2 = q(beta),
 
-    plus the aggregate factor q^2 = 1 - beta_lo (gamma - beta_hi L0^2)
-    against the fitted empirical factor.  The step window (``gd_window``)
-    is enforced before any checking.
+    for the run's step ``beta`` (``gd_window``), plus q^2 against the
+    fitted empirical factor.
     """
-    if "dist" not in traj.diagnostics:
-        raise MissingMinimizer("trajectory lacks distance diagnostics")
-    b = gd_window(gamma, L0, traj)
     d2 = traj.diagnostic("dist") ** 2
+    beta = gd_window(gamma, L0, traj.param("beta"))
+    q_sq = gd_factor(beta, gamma, L0)
     # ~(a <= b): a NaN sample is a violation
-    bad = ~(d2[1:] <= gd_factor(b, gamma, L0) * d2[:-1] * (1.0 + RATE_SLACK)
-            + NOISE_FLOOR)
-    beta_lo, beta_hi = (float(b.min()), float(b.max())) if b.size else (np.nan, np.nan)
-    q_sq = 1.0 - beta_lo * (gamma - beta_hi * L0 ** 2)
+    bad = ~(d2[1:] <= q_sq * d2[:-1] * (1.0 + RATE_SLACK) + NOISE_FLOOR)
     return rate_certificate(
         "gd_contraction",
-        {"gamma": gamma, "L0": L0, "beta_lower": beta_lo, "beta_upper": beta_hi,
-         "q": float(np.sqrt(q_sq)), "q_squared": float(q_sq)},
+        {"gamma": gamma, "L0": L0, "beta_lower": beta, "beta_upper": beta,
+         "q": float(np.sqrt(q_sq)), "q_squared": q_sq},
         q_sq, traj.times, d2, bad, fit_floor=NOISE_FLOOR ** 2)
 
 
 def certify_gd_values(traj: Trajectory, gamma: float, L0: float) -> RateCertificate:
-    """Function-value envelopes from iterate k = 1 on, for steps in the
-    window (``gd_window``):
+    """Function-value envelopes from iterate k = 1 on, for the run's step
+    ``beta`` in the window (``gd_window``):
 
-        h(x_k) - h* <= (L0/2) q_0 ... q_{k-1} |x_0 - x_bar|^2
-        h(x_k) - h* <= f_0 ... f_{k-1} (h(x_0) - h*)
+        h(x_k) - h* <= (L0/2) q^k |x_0 - x_bar|^2
+        h(x_k) - h* <= f^k (h(x_0) - h*)
 
-    with q_j = q(beta_j), f_j = 1 - beta_j (1 - L0 beta_j/2) gamma^2/(2 L0).
+    with q = q(beta), f = 1 - beta (1 - L0 beta/2) gamma^2/(2 L0).
     The premises are the modulus, <grad h(x), x - x_bar> >= (gamma/2)
     |x - x_bar|^2, so |grad h(x)| >= (gamma/2)|x - x_bar|, and an
     L0-Lipschitz gradient, so |grad h(x)| <= L0 |x - x_bar| (together
     gamma <= 2 L0; a larger gamma is rejected) and h - h* <= (L0/2)
     |x - x_bar|^2.  The first envelope is the contraction of
     ``certify_gd_contraction`` followed by that last bound.  The second is
-    the descent lemma, h(x_{k+1}) <= h(x_k) - beta_k (1 - L0 beta_k/2)
+    the descent lemma, h(x_{k+1}) <= h(x_k) - beta (1 - L0 beta/2)
     |grad h(x_k)|^2, with |grad h|^2 >= (gamma^2/4)|x - x_bar|^2 >=
-    (gamma^2/2L0)(h - h*).  The theoretical rate is the largest f_j.  At
-    the optimal step beta* = gamma/2L0^2 the factors are the printed
+    (gamma^2/2L0)(h - h*).  The theoretical rate is f.  At the optimal
+    step beta* = gamma/2L0^2 the factors are the printed
     q = 1 - gamma^2/4L0^2 and f = 1 - (gamma^3/4L0^3)(1 - gamma/4L0).
     """
-    if "h_gap" not in traj.diagnostics or "dist" not in traj.diagnostics:
-        raise MissingMinimizer("trajectory lacks minimizer diagnostics")
-    b = gd_window(gamma, L0, traj)
-    if not gamma < 2.0 * L0:
-        raise ParameterWindowViolation("need gamma < 2 L0")
     gaps = traj.diagnostic("h_gap")
     dist0_sq = float(traj.diagnostic("dist")[0]) ** 2
-    q = gd_factor(b, gamma, L0)
-    f = 1.0 - b * (1.0 - 0.5 * L0 * b) * gamma ** 2 / (2.0 * L0)
-    env = np.minimum(0.5 * L0 * dist0_sq * np.cumprod(q), gaps[0] * np.cumprod(f))
-    worst_q, worst_f = (float(q.max()), float(f.max())) if b.size else (np.nan, np.nan)
+    beta = gd_window(gamma, L0, traj.param("beta"))
+    if not gamma < 2.0 * L0:
+        raise ParameterWindowViolation("need gamma < 2 L0")
+    q = gd_factor(beta, gamma, L0)
+    f = 1.0 - beta * (1.0 - 0.5 * L0 * beta) * gamma ** 2 / (2.0 * L0)
+    k = np.arange(1, len(traj), dtype=np.float64)
+    env = np.minimum(0.5 * L0 * dist0_sq * q ** k, gaps[0] * f ** k)
     return rate_certificate(
         "gd_value",
-        {"gamma": gamma, "L0": L0, "factor_dist": worst_q, "factor_value": worst_f,
+        {"gamma": gamma, "L0": L0, "factor_dist": q, "factor_value": f,
          "dist0_sq": dist0_sq, "gap0": float(gaps[0])},
-        worst_f, traj.times, gaps, envelope_violations(gaps[1:], env),
+        f, traj.times, gaps, envelope_violations(gaps[1:], env),
         fit_floor=NOISE_FLOOR)
 
 
@@ -257,25 +249,23 @@ def hb_window(theta: float, beta: float, L: float) -> float:
     return rho
 
 
-def certify_hb_energy(traj: Trajectory, gamma: float, L: float,
-                      theta: float, beta: float) -> RateCertificate:
+def certify_hb_energy(traj: Trajectory, gamma: float, L: float) -> RateCertificate:
     """Energy recursion E_{k+1} <= (1 - rho/sigma) E_k and its tail bounds.
 
     E_k = h(x_k) - h* + (theta^2 / 2 beta) |x_k - x_{k-1}|^2 is the
-    ``energy`` column of a ``heavy_ball`` run with this theta and beta; rho
-    comes from ``hb_window`` and sigma = max{2L/gamma^2 + beta, 1/beta}.
+    ``energy`` column of a ``heavy_ball`` run, which records its theta and
+    beta; rho comes from ``hb_window`` and
+    sigma = max{2L/gamma^2 + beta, 1/beta}.
     The four tail bounds (values, step norms, gradient norms, distances)
     are checked against E_1 as printed:
     E_1 = h(x_0) - h* + (theta^2 / 2 beta) |x_1 - x_0|^2.
     """
     if not positive(gamma, L):
         raise InvalidParameter("gamma and L must be positive")
+    theta, beta = traj.param("theta"), traj.param("beta")
     rho = hb_window(theta, beta, L)
     sigma = max(2.0 * L / gamma ** 2 + beta, 1.0 / beta)
     factor = 1.0 - rho / sigma
-    if "energy" not in traj.diagnostics:
-        raise MissingMinimizer("trajectory lacks minimizer diagnostics")
-
     E = traj.diagnostic("energy")
     gaps = traj.diagnostic("h_gap")
     steps = traj.diagnostic("step_norm")

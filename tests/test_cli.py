@@ -110,6 +110,24 @@ class TestGDCommand:
                     "--x0", "1,1", "--max-iters", "5",
                     "--stop-grad-tol", "0"]) == 2
 
+    def test_run_without_a_step_reports_the_step_constants(self, capsys):
+        # x0 is the minimizer, so the run stops at x_0; the certificates
+        # still report the constants of the step it recorded
+        assert run(["gd", "--function", "quadratic_2d", "--beta", "0.05",
+                    "--x0", "0,0"]) == 0
+        contraction, value = json.loads(capsys.readouterr().out)
+        assert contraction["constants"]["beta_lower"] == 0.05
+        assert contraction["constants"]["beta_upper"] == 0.05
+        # q^2 = 1 - 0.05 (1 - 0.05 * 16), f = 1 - 0.05 (1 - 0.1) / 8
+        assert contraction["constants"]["q_squared"] == 0.99
+        assert contraction["theoretical_rate"] == 0.99
+        assert value["constants"]["factor_dist"] == 0.99
+        assert value["constants"]["factor_value"] == 0.994375
+        assert value["theoretical_rate"] == 0.994375
+        for cert in (contraction, value):
+            assert cert["satisfied"] and cert["first_violation"] is None
+            assert np.isnan(cert["empirical_rate"])
+
     # runs inside the window that the value envelopes of the optimal step
     # rejected, although no bound was broken
     @pytest.mark.parametrize("command", [
@@ -288,6 +306,21 @@ class TestEstimateCommand:
                     "--x0", "1", "--seed", "1"]) == 3
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["kind"] == "numerical"
+
+    @pytest.mark.parametrize("constant", ["minimizer", "kappa"])
+    def test_minimizer_search_uses_the_run_seed(self, monkeypatch, capsys,
+                                                constant):
+        seeds = []
+
+        def spy(oracle, x0, samples=2000, seed=0):
+            seeds.append(seed)
+            raise cli.StagnationFailure("stopped by the spy")
+        monkeypatch.setattr(estimate, "estimate_lipschitz_sublevel", spy)
+        # max_two_quadratics has no catalog minimizer, so kappa searches too
+        assert run(["estimate", "--function", "max_two_quadratics",
+                    "--constant", constant, "--x0", "0.6,0.1",
+                    "--seed", "7"]) == 3
+        assert seeds == [7]
 
     def test_kappa_with_stagnated_minimizer_search(self, capsys):
         argv = ["estimate", "--function", "max_two_quadratics", "--x0",

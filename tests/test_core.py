@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import statistics
 
@@ -6,7 +7,7 @@ import pytest
 
 from sqcflow import catalog, flows, sampling, solvers, verify
 from sqcflow.core import (DomainSamplingFailure, DomainSpec, DomainViolation,
-                          FunctionOracle, InvalidParameter,
+                          FunctionOracle, InvalidParameter, MissingMinimizer,
                           ParameterWindowViolation, Trajectory, as_point,
                           envelope_violations, rate_certificate)
 from sqcflow.sampling import (NestedSampler, inverse_normal_cdf, sample_pairs,
@@ -380,7 +381,7 @@ def _range_checks():
         "hb_window_L": lambda bad: solvers.hb_window(0.5, 0.1, bad),
         "hb_window_theta": lambda bad: solvers.hb_window(bad, 0.1, 1.0),
         "certify_hb_energy": lambda bad: solvers.certify_hb_energy(
-            traj, bad, 1.0, 0.5, 0.5),
+            traj, bad, 1.0),
         "certify_first_order": lambda bad: flows.certify_first_order(
             traj, bad),
         "certify_first_order_values": lambda bad:
@@ -409,3 +410,81 @@ RANGE_CHECKS = _range_checks()
 def test_range_checks_refuse_non_finite_numbers(check, bad):
     with pytest.raises((InvalidParameter, ParameterWindowViolation)):
         RANGE_CHECKS[check](bad)
+
+
+class TestCertificateContract:
+    """A certificate takes its trajectory and the function's constants;
+    the run's parameters come from the trajectory."""
+
+    CERTIFICATES = {name: fn for module in (flows, solvers)
+                    for name, fn in vars(module).items()
+                    if name.startswith("certify_")}
+
+    @staticmethod
+    def runs():
+        """gd, heavy ball and a damped flow on quadratic_2d (gamma 1, L 4),
+        each with the certificates that read it."""
+        o = catalog.default_catalog()["quadratic_2d"].oracle
+        gd = solvers.gradient_descent(o, solvers.GDConfig(
+            x0=[1.0, 1.0], beta=0.05, max_iters=20))
+        hb = solvers.heavy_ball(o, solvers.HBConfig(
+            x0=[1.0, 1.0], theta=0.5, beta=0.05, max_iters=20))
+        flow = flows.integrate_second_order(
+            o, flows.FlowConfig(x0=[1.0, 1.0], t_end=1.0, dt=0.1, alpha=3.0),
+            flows.LyapunovParams.from_constants(1.0, 0.25, 3.0))
+        return [
+            (gd, lambda t: solvers.certify_gd_contraction(t, 1.0, 4.0)),
+            (gd, lambda t: solvers.certify_gd_values(t, 1.0, 4.0)),
+            (hb, lambda t: solvers.certify_hb_energy(t, 1.0, 4.0)),
+            (flow, flows.certify_second_order),
+        ]
+
+    def test_signatures(self):
+        assert len(self.CERTIFICATES) == 6
+        for name, fn in self.CERTIFICATES.items():
+            traj, *constants = inspect.signature(fn).parameters
+            assert traj == "traj", name
+            assert set(constants) <= {"gamma", "L", "L0"}, name
+
+    def test_runs_record_their_parameters(self):
+        gd, _, hb, flow = (traj for traj, _ in self.runs())
+        assert gd.params == {"beta": 0.05}
+        assert hb.params == {"theta": 0.5, "beta": 0.05}
+        assert flow.params == {"lam": min(np.sqrt(2.0), 6.0 / 4.25),
+                               "kappa": 0.25}
+        for traj, certify in self.runs():
+            assert certify(traj).satisfied
+
+    @pytest.mark.parametrize("config,certify", [
+        (solvers.GDConfig(x0=[1.0, 1.0], beta=0.4, max_iters=5),
+         lambda t: solvers.certify_gd_contraction(t, 1.0, 4.0)),
+        (solvers.GDConfig(x0=[1.0, 1.0], beta=0.4, max_iters=5),
+         lambda t: solvers.certify_gd_values(t, 1.0, 4.0)),
+        (solvers.HBConfig(x0=[1.0, 1.0], theta=0.0, beta=0.05, max_iters=5),
+         lambda t: solvers.certify_hb_energy(t, 1.0, 4.0)),
+        (solvers.HBConfig(x0=[1.0, 1.0], theta=0.5, beta=0.1875, max_iters=5),
+         lambda t: solvers.certify_hb_energy(t, 1.0, 4.0)),
+    ], ids=["gd_contraction_beta", "gd_value_beta", "hb_theta",
+            "hb_boundary_beta"])
+    def test_recorded_parameters_outside_the_window_are_refused(
+            self, config, certify):
+        o = catalog.default_catalog()["quadratic_2d"].oracle
+        run = solvers.gradient_descent if isinstance(config, solvers.GDConfig) \
+            else solvers.heavy_ball
+        with pytest.raises(ParameterWindowViolation):
+            certify(run(o, config))
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_missing_parameter(self, index):
+        traj, certify = self.runs()[index]
+        traj.params.clear()
+        with pytest.raises(InvalidParameter, match="records no parameter"):
+            certify(traj)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_missing_minimizer_column(self, index):
+        traj, certify = self.runs()[index]
+        for name in ("h_gap", "dist", "energy", "Sigma"):
+            traj.diagnostics.pop(name, None)
+        with pytest.raises(MissingMinimizer):
+            certify(traj)

@@ -7,7 +7,8 @@ import pytest
 from sqcflow import catalog, estimate, flows, sampling, solvers
 from sqcflow.cli import _start
 from sqcflow.core import (DomainExit, DomainSamplingFailure, DomainSpec,
-                          FunctionOracle, InsufficientSamples, NumericalBlowup)
+                          FunctionOracle, InsufficientSamples, MissingMinimizer,
+                          NumericalBlowup)
 from sqcflow.flows import FlowConfig
 from sqcflow.sampling import NestedSampler, sample_points
 from sqcflow.verify import SampleBudget, check_strong_quasiconvexity
@@ -229,20 +230,19 @@ class TestKappa:
 
     def test_half_square_ratio_is_two(self):
         entry = CAT["quadratic_1d"]
-        k = estimate.estimate_kappa(entry.oracle, self.traj(entry, [1.0]),
-                                    entry.oracle.known_minimizer)
+        k = estimate.estimate_kappa(entry.oracle, self.traj(entry, [1.0]))
         assert k == pytest.approx(1.9)
 
     def test_convex_entries_at_least_one(self):
         # max_two_quadratics is nonsmooth at its minimizer (0.5, 0); a
-        # gradient run cannot certify it, so the analytic point is passed
-        minimizers = {"max_two_quadratics": np.array([0.5, 0.0])}
+        # gradient run cannot certify it, so the oracle is given that point
         for name in ("quadratic_2d", "quadratic_fraction", "max_two_quadratics"):
-            entry = CAT[name]
-            x_bar = minimizers.get(name, entry.oracle.known_minimizer)
-            traj = self.traj(entry, [0.9, 0.7])
-            k = estimate.estimate_kappa(entry.oracle, traj, x_bar)
-            assert k >= 0.95
+            oracle = CAT[name].oracle
+            if oracle.known_minimizer is None:
+                oracle = dataclasses.replace(oracle, known_minimizer=[0.5, 0.0])
+            traj = flows.integrate_first_order(
+                oracle, FlowConfig(x0=[0.9, 0.7], t_end=3.0, dt=1e-3))
+            assert estimate.estimate_kappa(oracle, traj) >= 0.95
 
     def test_reference_run_stagnates_on_nonsmooth_minimizer(self):
         from sqcflow.core import StagnationFailure
@@ -252,8 +252,7 @@ class TestKappa:
 
     def test_gamma_over_L_lower_bound(self):
         entry = CAT["quadratic_2d"]
-        k = estimate.estimate_kappa(entry.oracle, self.traj(entry, [1.0, 1.0]),
-                                    entry.oracle.known_minimizer)
+        k = estimate.estimate_kappa(entry.oracle, self.traj(entry, [1.0, 1.0]))
         assert k >= 0.95 * 1.0 / 4.0
 
     def test_no_valid_samples(self):
@@ -261,8 +260,13 @@ class TestKappa:
         traj = flows.integrate_first_order(
             entry.oracle, FlowConfig(x0=[1e-9], t_end=0.1, dt=1e-2))
         with pytest.raises(InsufficientSamples):
-            estimate.estimate_kappa(entry.oracle, traj,
-                                    entry.oracle.known_minimizer)
+            estimate.estimate_kappa(entry.oracle, traj)
+
+    def test_needs_the_gap_column(self):
+        # a run on an oracle without a minimizer records no h_gap
+        entry = CAT["max_two_quadratics"]
+        with pytest.raises(MissingMinimizer):
+            estimate.estimate_kappa(entry.oracle, self.traj(entry, [0.9, 0.7]))
 
 
 class TestReferenceMinimizer:

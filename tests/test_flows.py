@@ -304,7 +304,7 @@ class TestStartAtMinimizer:
         lyap = LyapunovParams.from_constants(1.0, 0.25, 3.0)
         cfg = FlowConfig(x0=[0.0, 0.0], t_end=1.0, dt=0.01, alpha=3.0)
         traj = integrate_second_order(CAT["quadratic_2d"].oracle, cfg, lyap)
-        cert = certify_second_order(traj, lyap)
+        cert = certify_second_order(traj)
         assert np.isnan(cert.empirical_rate)
         assert cert.satisfied and cert.first_violation is None
 
@@ -315,7 +315,7 @@ class TestSecondOrderCertificate:
         lyap = LyapunovParams.from_constants(1.0, 0.25, 3.0)
         cfg = FlowConfig(x0=[1.0, 1.0], t_end=10.0, dt=1e-3, alpha=3.0)
         traj = integrate_second_order(entry.oracle, cfg, lyap)
-        cert = certify_second_order(traj, lyap)
+        cert = certify_second_order(traj)
         assert cert.satisfied
         assert cert.theoretical_rate == pytest.approx(0.5 * lyap.lam * 0.25)
 
@@ -323,4 +323,4 @@ class TestSecondOrderCertificate:
         cfg = FlowConfig(x0=[1.0], t_end=1.0, dt=1e-2, alpha=1.0)
         traj = integrate_second_order(CAT["quadratic_1d"].oracle, cfg, lyap=None)
         with pytest.raises(InvalidParameter):
-            certify_second_order(traj, LyapunovParams.from_constants(1.0, 1.0, 1.0))
+            certify_second_order(traj)

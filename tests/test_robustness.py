@@ -2,6 +2,8 @@
 constants are exact.  Inside its premises no run may fail: a failure here
 is a bug in a bound or in a step loop, never a tolerance to widen."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,16 @@ from sqcflow.flows import (FlowConfig, LyapunovParams, certify_first_order,
 
 
 def test_rates_suite_passes_on_every_start(tmp_path, capsys):
-    # both gd certificates and heavy ball, from bench.rates_starts
+    # both gd certificates and heavy ball, from bench.rates_starts; the
+    # digest pins every fitted and certified rate, so a drift fails too
     out = tmp_path / "rates"
     assert cli.main(["bench", "--suite", "rates", "--output-dir", str(out)]) == 0
     header, *rows = (out / "summary.csv").read_text().splitlines()
     assert header == "entry,method,beta,empirical,theoretical,satisfied"
     assert len(rows) == 4 * 12 * (5 * 2 + 9)
     assert all(row.endswith(",True") for row in rows)
+    assert hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest() == \
+        "6ba352ec6b2bd29a40df42cf2197b2cff1cc8a90bfcd9b2df5356fc29a372213"
 
 
 @pytest.mark.parametrize("entry", bench.rates_entries(), ids=lambda e: e.name)
@@ -36,7 +41,7 @@ def test_flow_certificates_pass_on_every_start(entry):
             lyap = LyapunovParams.from_constants(gamma, gamma / L, alpha)
             traj = integrate_second_order(o, FlowConfig(
                 x0=x0, t_end=10.0, dt=0.05, alpha=alpha), lyap)
-            certs.append(certify_second_order(traj, lyap))
+            certs.append(certify_second_order(traj))
         failed += [(list(x0), c.kind) for c in certs if not c.satisfied]
     assert failed == []
 
@@ -92,6 +97,7 @@ def test_flow_second_sigma_envelope(scale, first):
     lyap = LyapunovParams.from_constants(1.0, 0.5, 3.0)
     traj = _traj(np.ones(TIMES.size),
                  Sigma=_scaled(2.0 * np.exp(-0.25 * TIMES), scale))
-    cert = certify_second_order(traj, lyap)
+    traj.params.update(lam=lyap.lam, kappa=lyap.kappa)
+    cert = certify_second_order(traj)
     assert cert.first_violation == first
     assert cert.theoretical_rate == 0.25

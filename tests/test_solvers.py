@@ -4,7 +4,7 @@ import pytest
 from sqcflow import catalog, estimate, flows, solvers
 from sqcflow.core import (DomainExit, DomainSpec, FunctionOracle,
                           InvalidParameter, MissingMinimizer, NumericalBlowup,
-                          ParameterWindowViolation, Trajectory)
+                          ParameterWindowViolation)
 from sqcflow.flows import FlowConfig, integrate_second_order
 from sqcflow.solvers import (GDConfig, HBConfig, certify_gd_contraction,
                              certify_gd_values, certify_hb_energy,
@@ -194,42 +194,7 @@ class TestStepLoopSemantics:
         assert peak < 4 * 2 ** 20
 
 
-# squared distances shrink by 0.8, 0.74 and 0.89 per step
-VARIABLE_STEP_DIST = np.sqrt(np.cumprod([1.0, 0.8, 0.74, 0.89]))
-
-
-def variable_step_trajectory(betas, dist):
-    """Hand-built 1-D gd trajectory with per-step ``betas`` and distances."""
-    dist = np.asarray(dist, dtype=float)
-    n = len(dist)
-    return Trajectory(times=np.arange(n, dtype=float), states=dist[:, None],
-                      h_values=0.5 * dist ** 2, grad_norms=dist,
-                      diagnostics={"dist": dist,
-                                   "beta": np.append(betas, np.nan)})
-
-
 class TestGDCertificates:
-    def test_variable_steps_aggregate_factor(self):
-        # gamma = L0 = 1, betas 0.25, 0.5, 0.125: per-step squared factors
-        # 1 - b(1 - b) = 0.8125, 0.75, 0.890625 and the aggregate
-        # q^2 = 1 - 0.125 (1 - 0.5) = 0.9375
-        traj = variable_step_trajectory([0.25, 0.5, 0.125], VARIABLE_STEP_DIST)
-        cert = certify_gd_contraction(traj, 1.0, 1.0)
-        assert cert.satisfied and cert.first_violation is None
-        assert cert.constants["beta_lower"] == 0.125
-        assert cert.constants["beta_upper"] == 0.5
-        assert cert.constants["q_squared"] == 0.9375
-        assert cert.theoretical_rate == 0.9375
-
-    def test_variable_steps_checked_one_by_one(self):
-        # the same distances with the first two steps swapped: 0.8 exceeds
-        # the factor 0.75 of beta = 0.5 at k = 1, though not 0.8125
-        traj = variable_step_trajectory([0.5, 0.25, 0.125], VARIABLE_STEP_DIST)
-        cert = certify_gd_contraction(traj, 1.0, 1.0)
-        assert not cert.satisfied
-        assert cert.first_violation == 1.0
-        assert cert.constants["q_squared"] == 0.9375
-
     def test_per_step_factor_quarter_vs_bound(self):
         traj = gradient_descent(CAT["quadratic_1d"].oracle,
                                 GDConfig(x0=[1.0], beta=0.5,
@@ -308,20 +273,6 @@ class TestGDCertificates:
         assert cert.theoretical_rate == 0.890625
         assert cert.empirical_rate == pytest.approx(0.5625, rel=1e-6)
 
-    def test_value_envelopes_checked_step_by_step(self):
-        # h - h* = |x - x_bar|^2 / 2 on the variable-step runs: the distance
-        # envelope (1/2) q_0 ... q_{k-1} |x_0 - x_bar|^2 holds for betas
-        # 0.25, 0.5, 0.125 and fails at k = 1 with the first two swapped
-        # (0.8 > 0.75 * 1.05)
-        for betas, first in (([0.25, 0.5, 0.125], None),
-                             ([0.5, 0.25, 0.125], 1.0)):
-            traj = variable_step_trajectory(betas, VARIABLE_STEP_DIST)
-            traj.diagnostics["h_gap"] = traj.h_values
-            cert = certify_gd_values(traj, 1.0, 1.0)
-            assert cert.first_violation == first
-        # f = 1 - b (1 - b/2) / 2 is largest at b = 0.125
-        assert cert.theoretical_rate == 1 - 0.125 * (1 - 0.0625) / 2
-
 
 class TestHeavyBall:
     def test_hand_recursion(self):
@@ -377,7 +328,7 @@ class TestHBCertificate:
                                    max_iters=iters, stop_grad_tol=0.0))
 
     def test_constants_by_substitution(self):
-        cert = certify_hb_energy(self.run_default(), 1.0, 1.0, 0.5, 0.5)
+        cert = certify_hb_energy(self.run_default(), 1.0, 1.0)
         assert cert.constants["rho"] == pytest.approx(0.25)
         assert cert.constants["sigma"] == pytest.approx(2.5)
         assert cert.constants["factor"] == pytest.approx(0.9)
@@ -390,7 +341,7 @@ class TestHBCertificate:
 
     def test_printed_E1_uses_first_step(self):
         traj = self.run_default(iters=5)
-        cert = certify_hb_energy(traj, 1.0, 1.0, 0.5, 0.5)
+        cert = certify_hb_energy(traj, 1.0, 1.0)
         step1 = traj.diagnostic("step_norm")[1]
         expected = traj.diagnostic("h_gap")[0] + (0.25 / 1.0) * step1 ** 2
         assert cert.constants["E1"] == pytest.approx(expected)
@@ -401,17 +352,17 @@ class TestHBCertificate:
                           HBConfig(x0=[1.0], theta=0.5, beta=0.75,
                                    max_iters=10, stop_grad_tol=0.0))
         with pytest.raises(ParameterWindowViolation):
-            certify_hb_energy(traj, 1.0, 1.0, 0.5, 0.75)
+            certify_hb_energy(traj, 1.0, 1.0)
 
     def test_run_without_a_step_is_vacuous(self):
         # at rest on the minimizer the run stops at x_0
         traj = heavy_ball(CAT["quadratic_1d"].oracle,
                           HBConfig(x0=[0.0], theta=0.5, beta=0.5, max_iters=10))
         assert len(traj) == 1
-        cert = certify_hb_energy(traj, 1.0, 1.0, 0.5, 0.5)
+        cert = certify_hb_energy(traj, 1.0, 1.0)
         assert cert.satisfied and cert.first_violation is None
         assert np.isnan(cert.empirical_rate)
-        full = certify_hb_energy(self.run_default(), 1.0, 1.0, 0.5, 0.5)
+        full = certify_hb_energy(self.run_default(), 1.0, 1.0)
         for name in ("rho", "sigma", "factor"):
             assert cert.constants[name] == full.constants[name]
         assert cert.constants["E1"] == 0.0
@@ -421,7 +372,7 @@ class TestHBCertificate:
                           HBConfig(x0=[1.0], theta=0.0, beta=0.5,
                                    max_iters=10, stop_grad_tol=0.0))
         with pytest.raises(ParameterWindowViolation):
-            certify_hb_energy(traj, 1.0, 1.0, 0.0, 0.5)
+            certify_hb_energy(traj, 1.0, 1.0)
 
 
 class TestStepHelpers:
@@ -434,9 +385,7 @@ class TestStepHelpers:
         assert optimal_step(2.0, 2.0) == pytest.approx(0.25)
 
     def test_gd_window(self):
-        traj = variable_step_trajectory([0.25, 0.5], VARIABLE_STEP_DIST[:3])
-        assert gd_window(1.0, 1.0, traj).tolist() == [0.25, 0.5]
-        assert gd_window(1.0, 4.0, 0.05).tolist() == [0.05]
+        assert gd_window(1.0, 4.0, 0.05) == 0.05
         with pytest.raises(ParameterWindowViolation, match=r"beta=0.5 outside "
                            r"the certified window \]0, 0.0625\["):
             gd_window(1.0, 4.0, 0.5)
