@@ -288,7 +288,7 @@ def _run_gd(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
         certs = [certify_gd_contraction(traj, gamma, L0),
                  certify_gd_values(traj, gamma, L0)]
     return _emit_run(config, out, traj, "k", certs,
-                     {"gamma": gamma, "L0": L0}, notes)
+                     {"gamma": gamma, "L0": L0, "beta": float(beta)}, notes)
 
 
 def _run_hb(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):

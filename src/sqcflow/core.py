@@ -286,7 +286,7 @@ def step_rows(first, n_max: int, unit, advance, inside, *, width=None,
         state = advance(rows, k)
         if state is None:
             break
-        if not np.isfinite(state).all():
+        if not all(map(math.isfinite, state.tolist())):
             raise NumericalBlowup((k + 1) * unit)
         if not inside(state):
             raise DomainExit((k + 1) * unit)

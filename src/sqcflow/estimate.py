@@ -24,7 +24,7 @@ from .core import (DomainExit, DomainSamplingFailure, DomainSpec,
                    FunctionOracle, InsufficientSamples, InvalidParameter,
                    NumericalBlowup, StagnationFailure, as_point)
 from .sampling import NestedSampler, sample_pairs, sample_points
-from .verify import PROPERTIES, _Batch, _penalty
+from .verify import _PAIR_BUDGET, PROPERTIES, _Batch, _penalty
 
 SAFETY_LIPSCHITZ = 1.1
 SAFETY_MODULUS = 0.95
@@ -34,7 +34,6 @@ SAFETY_KAPPA = 0.95
 # interval ends, and the ratio denominator blows up there.
 _LAMBDA_RANGE = (0.05, 0.95)
 
-_PAIR_BUDGET = 1 << 15  # 256 KiB per float64 temporary, which fits in L2
 REFERENCE_SAMPLES = 512  # sublevel samples behind reference_minimizer's step
 
 

@@ -117,7 +117,7 @@ def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
         x_next = x - beta * g
         # x_next equal to x_k is an exact fixed point: beta grad h(x_k) = 0,
         # so x_k is stationary and the run stops there
-        return None if (x_next == x).all() else x_next
+        return None if x_next.tolist() == x.tolist() else x_next
 
     rows = step_rows(x, config.max_iters, 1, advance, oracle.domain.contains,
                      width=2 * d + 1, fill=fill)

@@ -16,6 +16,12 @@ Every inequality is written once, as an entry of the property table
 ``PROPERTIES``.  The ``check_*`` functions, ``witness_margin``,
 ``check_property`` (the command line's dispatch) and
 ``check_implication_ladder`` all evaluate those entries.
+
+A check draws its whole sample first, O(pairs (2 dim + weights)) floats,
+then evaluates it in blocks of ``_PAIR_BUDGET // (weights dim)`` rows (one
+row at the least), so its temporaries stay at one fixed block whatever
+the sample count.  Every oracle evaluates each row on its own, so the
+blocks give the margins, counts and witnesses of one whole-sample pass.
 """
 
 from __future__ import annotations
@@ -34,6 +40,12 @@ INEQ_TOL_COEFF = 1e-9
 MAX_WITNESSES = 25
 
 _FIXED_LAMBDAS = np.array([0.0, 0.5, 1.0])
+
+# Float64 elements per temporary of a blocked evaluation: 256 KiB, which
+# fits in L2.  Both modules read it: a check here evaluates blocks of
+# _PAIR_BUDGET // (weights * dim) rows, and estimate's Lipschitz scan
+# compares blocks of at most _PAIR_BUDGET pairs.
+_PAIR_BUDGET = 1 << 15
 
 
 def ineq_tol(lhs, rhs):
@@ -269,21 +281,30 @@ PROPERTIES = {name: prop for prop in _TABLE
               for name in (prop.name, prop.weak_name) if name}
 
 
-def _draw(prop: Property, oracle: FunctionOracle, budget: SampleBudget) -> _Batch:
+def _draw(prop: Property, oracle: FunctionOracle, budget: SampleBudget):
+    """Draw the property's whole sample, then yield it as batches of at most
+    ``_PAIR_BUDGET // (weights * dim)`` rows (one at the least): every
+    (x, y) block and then, for ordered pairs, every (y, x) block."""
     sampler = NestedSampler(budget.seed)
+    lam = None
     if prop.sample == "points":
-        return _Batch(oracle, sample_points(oracle.domain, oracle.dim,
-                                            budget.pairs, sampler))
-    X, Y, LAM = sample_pairs(oracle.domain, oracle.dim, budget.pairs,
-                             budget.lambdas_per_pair if prop.lambdas else 1,
-                             sampler)
-    if prop.sample == "ordered pairs":
-        X, Y, LAM = (np.concatenate([X, Y]), np.concatenate([Y, X]),
-                     np.concatenate([LAM, LAM]))
-    if not prop.lambdas:
-        return _Batch(oracle, X, Y)
-    fixed = np.broadcast_to(_FIXED_LAMBDAS, (LAM.shape[0], 3))
-    return _Batch(oracle, X, Y, np.concatenate([LAM, fixed], axis=1))
+        orders = [(sample_points(oracle.domain, oracle.dim, budget.pairs,
+                                 sampler), None)]
+    else:
+        X, Y, LAM = sample_pairs(oracle.domain, oracle.dim, budget.pairs,
+                                 budget.lambdas_per_pair if prop.lambdas else 1,
+                                 sampler)
+        orders = [(X, Y), (Y, X)] if prop.sample == "ordered pairs" else [(X, Y)]
+        if prop.lambdas:
+            fixed = np.broadcast_to(_FIXED_LAMBDAS, (LAM.shape[0], 3))
+            lam = np.concatenate([LAM, fixed], axis=1)
+    rows = max(1, _PAIR_BUDGET // ((1 if lam is None else lam.shape[1])
+                                   * oracle.dim))
+    for x, y in orders:
+        for start in range(0, x.shape[0], rows):
+            block = slice(start, start + rows)
+            yield _Batch(oracle, x[block], None if y is None else y[block],
+                         None if lam is None else lam[block])
 
 
 def _witness(s: _Batch, lhs, rhs, flat_index: int, note: str) -> Witness:
@@ -306,21 +327,25 @@ def _check(name: str, oracle: FunctionOracle, modulus: float,
             raise MissingMinimizer(f"{prop.checker} needs a known minimizer")
     elif not 0.0 <= modulus < math.inf:
         raise InvalidParameter(f"{prop.param} must be nonnegative")
-    s = _draw(prop, oracle, budget)
-    lhs, rhs = prop.inequality(s, modulus)
-    violated = lhs - rhs < -ineq_tol(lhs, rhs)
-    premises = {"": True} if prop.premise is None else prop.premise(s, modulus)
-    witnesses, tested, count = [], 0, 0
-    for note, mask in premises.items():
-        active = np.broadcast_to(mask, violated.shape)
-        flat = np.flatnonzero(active & violated)
-        tested += int(np.count_nonzero(active))
-        count += flat.size
-        witnesses += [_witness(s, lhs, rhs, i, note) for i in flat[:MAX_WITNESSES]]
+    # each premise note keeps its first witnesses in sample order
+    witnesses, tested, count = {}, 0, 0
+    for s in _draw(prop, oracle, budget):
+        lhs, rhs = prop.inequality(s, modulus)
+        violated = lhs - rhs < -ineq_tol(lhs, rhs)
+        premises = {"": True} if prop.premise is None else prop.premise(s, modulus)
+        for note, mask in premises.items():
+            active = np.broadcast_to(mask, violated.shape)
+            flat = np.flatnonzero(active & violated)
+            tested += int(np.count_nonzero(active))
+            count += flat.size
+            kept = witnesses.setdefault(note, [])
+            kept += [_witness(s, lhs, rhs, i, note)
+                     for i in flat[:MAX_WITNESSES - len(kept)]]
     weak = modulus == 0 and prop.weak_name is not None
     return ClassReport(property_name=prop.weak_name if weak else prop.name,
                        holds_on_samples=count == 0,
-                       violations=witnesses[:MAX_WITNESSES],
+                       violations=[w for kept in witnesses.values()
+                                   for w in kept][:MAX_WITNESSES],
                        samples_tested=tested, violations_count=count,
                        params={prop.param: modulus})
 

@@ -445,6 +445,31 @@ class TestTraceWriter:
         assert hashlib.sha256(data).hexdigest() == sha
 
 
+class TestLadderPins:
+    # SHA-256 of certificate.json from the ladder at the benchmark's 10000
+    # pairs, for the benchmark's four entries and sin_quadratic, which
+    # fails with witnesses capped at 25; taken before checks were
+    # evaluated in blocks
+    GOLDEN = {
+        "quadratic_fraction":
+            (0, "122cb457bfaf835c9a945006dd028cf101efc9870ceeb31f8ac3742d5ac9b303"),
+        "sqrt_norm_2d":
+            (0, "896d9aab543c7f6f4658348b9a5091107ccef9b5af2c966365381282e0ee7563"),
+        "max_two_quadratics":
+            (0, "d8db039c1325cb53f90550982844c0abb536da03dcf44ae4c573681e2fee02d4"),
+        "quadratic_3d":
+            (0, "07ebec31ae61daa00165d7fa1c1d834e7419122661606c8e1ccf89e2d843a061"),
+        "sin_quadratic":
+            (1, "4168e66ec1c5944fc5929d9762de55f19324f0c75b223dc3e4a7c0fcc669e2a3"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_ladder_certificates_are_pinned(self, tmp_path, capsys, name):
+        code = run(["verify", "--function", name, "--property", "ladder",
+                    "--pairs", "10000", "--output-dir", str(tmp_path)])
+        assert (code, _sha256(tmp_path / "certificate.json")) == self.GOLDEN[name]
+
+
 class TestBenchCommand:
     def test_ladder_suite(self, tmp_path, capsys):
         code = run(["bench", "--suite", "ladder", "--output-dir",
@@ -453,6 +478,9 @@ class TestBenchCommand:
         summary = (tmp_path / "ladder" / "summary.csv").read_text()
         assert "strong_monotonicity" in summary
         assert "sqrt_norm_2d" in summary
+        # taken before checks were evaluated in blocks
+        assert _sha256(tmp_path / "ladder" / "summary.csv") == \
+            "9bf8d72a569a49dc655f2e82e1bd176311b879d265cbb074860d3edbecd36dd1"
 
     def test_unknown_suite_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -626,11 +654,12 @@ class TestResolutionBranches:
     # and one writer; the two gd pins were retaken when the gd value
     # envelopes began to follow the step (gd_estimated then passes); the
     # gd_stagnated note changed when runs stopped searching for a minimizer
-    # the catalog lacks (its certificate.json did not)
+    # the catalog lacks (its certificate.json did not); the three gd cases
+    # gained the step in constants_used when gd began to record it there
     PINNED = {
         "config_override": (
             0, "7fba9c7135804802229494b2ad98ece2bc1bf1c86ba59404ae4ad0eecf7176e8",
-            {"L0": 4.0, "gamma": 1.0}, [],
+            {"L0": 4.0, "beta": 0.04, "gamma": 1.0}, [],
             {"function": "quadratic_2d", "seed": 3, "task": "gd",
              "task_params": {"beta": 0.04, "max_iters": 40, "stop_grad_tol": 0,
                              "x0": [1.0, -0.5]}}),
@@ -653,14 +682,16 @@ class TestResolutionBranches:
                              "x0": [2.0]}}),
         "gd_estimated": (
             0, "4fd1efd60a0863669a5beb2af4a030d4c56bf71020b58bbf907f89efc714b476",
-            {"L0": 8.799880525789774, "gamma": 0.7008359240138836},
+            {"L0": 8.799880525789774, "beta": 0.004525148207387582,
+             "gamma": 0.7008359240138836},
             ["gamma estimated empirically (safety-adjusted)",
              "L estimated on the initial sublevel set (safety-adjusted)"],
             {"function": "sin_quadratic", "seed": 0, "task": "gd",
              "task_params": {"max_iters": 200, "optimal": True, "x0": [2.0]}}),
         "gd_stagnated": (
             0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
-            {"L0": 99.25370854859926, "gamma": 1.0},
+            {"L0": 99.25370854859926, "beta": 5.0754729627392584e-05,
+             "gamma": 1.0},
             ["L estimated on the initial sublevel set (safety-adjusted)",
              "no known minimizer; minimizer-dependent certificates skipped"],
             {"function": "max_two_quadratics", "seed": 0, "task": "gd",

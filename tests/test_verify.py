@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sqcflow import catalog, estimate, verify
+from sqcflow import catalog, estimate, sampling, verify
 from sqcflow.core import (DomainSamplingFailure, DomainSpec, FunctionOracle,
                           InvalidParameter, MissingMinimizer)
+from sqcflow.sampling import NestedSampler, sample_pairs, sample_points
 from sqcflow.verify import (SampleBudget, check_convexity,
                             check_gradient_characterization,
                             check_implication_ladder, check_monotone_operator,
@@ -338,6 +341,129 @@ class TestBudgets:
         report = check_strong_quasiconvexity(CAT["quadratic_1d"].oracle, 1.0,
                                              budget)
         assert report.samples_tested == 100 * (3 + 3)
+
+
+def ladder_dicts(name, gamma, budget, monkeypatch, pair_budget):
+    monkeypatch.setattr(verify, "_PAIR_BUDGET", pair_budget)
+    return [r.to_dict() for r in
+            check_implication_ladder(CAT[name].oracle, gamma, budget)]
+
+
+class TestBlockedEvaluation:
+    """A check evaluated in blocks reports what one whole-sample pass does."""
+
+    BUDGET = SampleBudget(pairs=200, lambdas_per_pair=2, seed=0)
+    # quadratic_2d above its modulus: witnesses capped at 25, offset
+    # monotonicity failing under both notes and from both orders of a
+    # pair; quadratic_fraction above its modulus: the points-only PL check
+    # failing on every point
+    CASES = [("quadratic_2d", 1.2), ("quadratic_fraction", 1.5)]
+    # one row; a budget that is no multiple of any row's width (dim 2 and
+    # 1 or 5 weights), so blocks end inside the 200 pairs; the default;
+    # more than the whole sample
+    PAIR_BUDGETS = {"one_row": 1, "split": 37, "default": verify._PAIR_BUDGET}
+    WHOLE = 10 ** 9
+
+    @pytest.mark.parametrize("pair_budget", sorted(PAIR_BUDGETS))
+    @pytest.mark.parametrize("name,gamma", CASES)
+    def test_reports_do_not_depend_on_the_budget(self, monkeypatch, name,
+                                                 gamma, pair_budget):
+        whole = ladder_dicts(name, gamma, self.BUDGET, monkeypatch, self.WHOLE)
+        assert ladder_dicts(name, gamma, self.BUDGET, monkeypatch,
+                            self.PAIR_BUDGETS[pair_budget]) == whole
+
+    @pytest.mark.parametrize("name", sorted(CAT))
+    def test_oracles_evaluate_each_row_on_their_own(self, name):
+        # the premise of blocking: a row's value and gradient do not depend
+        # on the rows evaluated with it
+        o = CAT[name].oracle
+        X = sample_points(o.domain, o.dim, 600, NestedSampler(1))
+        for pts in (X, X.reshape(120, 5, o.dim)):
+            for f in (o.value, o.grad):
+                whole = np.asarray(f(pts))
+                for rows in (1, 7, 64):
+                    blocks = [np.asarray(f(pts[a:a + rows]))
+                              for a in range(0, len(pts), rows)]
+                    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    def test_cases_reach_across_block_edges(self, monkeypatch):
+        reports = {name: {r["property"]: r for r in ladder_dicts(
+            name, gamma, self.BUDGET, monkeypatch, self.WHOLE)}
+            for name, gamma in self.CASES}
+        q2, frac = reports["quadratic_2d"], reports["quadratic_fraction"]
+        # the cap is reached on pairs with weights and on points
+        assert q2["strong_convexity"]["violations_count"] > verify.MAX_WITNESSES
+        assert frac["pl"]["violations_count"] > verify.MAX_WITNESSES
+        assert len(frac["pl"]["violations"]) == verify.MAX_WITNESSES
+        # fewer strict witnesses than the cap, so non_strict ones follow
+        offset = q2["offset_monotonicity"]["violations"]
+        assert {w["note"] for w in offset} == {"strict", "non_strict"}
+        # witnesses from the (x, y) and the (y, x) order of a pair
+        o = CAT["quadratic_2d"].oracle
+        X, _, _ = sample_pairs(o.domain, o.dim, self.BUDGET.pairs, 1,
+                               NestedSampler(self.BUDGET.seed))
+        first = {tuple(x) for x in X}
+        assert {tuple(w["x"]) in first for w in offset} == {True, False}
+
+    @pytest.mark.parametrize("pair_budget", [1, 2, 9, 10, 37, 1000, 1 << 15])
+    # points; pairs with and without weights; ordered pairs with and without
+    @pytest.mark.parametrize("name", ["pl", "strong_convexity",
+                                      "strong_monotonicity",
+                                      "sharp_quasiconvexity",
+                                      "offset_monotonicity"])
+    def test_blocks_tile_the_rows_within_the_budget(self, monkeypatch, name,
+                                                    pair_budget):
+        prop = verify.PROPERTIES[name]
+        o, budget = CAT["quadratic_2d"].oracle, SampleBudget(pairs=201, seed=4)
+        monkeypatch.setattr(verify, "_PAIR_BUDGET", pair_budget)
+        blocks = list(verify._draw(prop, o, budget))
+        sampler = NestedSampler(budget.seed)
+        if prop.sample == "points":
+            X, Y = sample_points(o.domain, o.dim, budget.pairs, sampler), None
+        else:
+            X, Y, LAM = sample_pairs(
+                o.domain, o.dim, budget.pairs,
+                budget.lambdas_per_pair if prop.lambdas else 1, sampler)
+            if prop.sample == "ordered pairs":
+                X, Y, LAM = np.concatenate([X, Y]), np.concatenate([Y, X]), \
+                    np.concatenate([LAM, LAM])
+        # every row once, in order: the (x, y) blocks, then the (y, x) ones
+        assert np.array_equal(np.concatenate([b.x for b in blocks]), X)
+        if Y is None:
+            assert all(b.y is None and b.lam is None for b in blocks)
+        else:
+            assert np.array_equal(np.concatenate([b.y for b in blocks]), Y)
+        if prop.lambdas:
+            lam = np.concatenate([b.lam for b in blocks])
+            assert np.array_equal(lam[:, :2], LAM)
+            assert (lam[:, 2:] == [0.0, 0.5, 1.0]).all()
+        for b in blocks:
+            rows, per_row = b.x.shape[0], o.dim * (1 if b.lam is None
+                                                   else b.lam.shape[1])
+            assert rows == 1 or rows * per_row <= pair_budget
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        # the heaviest check: ordered pairs with 5 weights each
+        o = catalog.strongly_convex_quadratic(6, 1.0, 4.0).oracle
+        pairs, weights, dim = 20000, 2 + 3, o.dim
+        budget = SampleBudget(pairs=pairs, lambdas_per_pair=2)
+        # a handful of float64 temporaries of one block: the interpolation
+        # points, the weighted differences, the values and the masks
+        block = 4 * 8 * verify._PAIR_BUDGET
+        # two copies of the sample (the sampler's parts and their
+        # concatenation), and two sampler chunks of rows
+        sample = 2 * 8 * pairs * (2 * dim + weights) \
+            + 2 * 8 * sampling._CHUNK * (2 * dim + 2)
+        check_sharp_quasiconvexity(o, 1.0, SampleBudget(pairs=10))
+        tracemalloc.start()
+        try:
+            check_sharp_quasiconvexity(o, 1.0, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 4.7 MiB, where whole-sample evaluation peaked at 27.5 MiB;
+        # a full (2 * pairs, 5, dim) interpolation array alone takes 9.2 MiB
+        assert peak <= block + sample < 8 * 2 * pairs * weights * dim
 
 
 # Hand-derived (lhs, rhs) of every property at x = (1, 1/2), y = (-1, 1),
