@@ -120,15 +120,19 @@ def _accepted(n: int, width: int, sampler: NestedSampler, draw) -> list:
 
     ``draw(rows)`` maps a chunk of rows, one candidate each, to a tuple of
     arrays aligned with the rows and the candidates' accept mask.  Returns
-    those arrays, each cut to its accepted rows and concatenated.
+    those arrays' accepted rows, each written into an array of ``n`` rows
+    allocated once, so the sample never exists twice.
     """
-    parts, got, run = [], 0, 0
+    out, got, run = None, 0, 0
     while got < n:
         arrays, keep = draw(sampler.rows(min(_CHUNK, max(n - got, 64)), width))
         idx, run = _first_accepted(keep, n - got, run)
-        parts.append([a[idx] for a in arrays])
+        if out is None:
+            out = [np.empty((n,) + a.shape[1:], a.dtype) for a in arrays]
+        for full, a in zip(out, arrays):
+            full[got:got + idx.size] = a[idx]
         got += idx.size
-    return [np.concatenate(p) for p in zip(*parts)]
+    return out
 
 
 def sample_points(domain: DomainSpec, dim: int, n: int,

@@ -102,7 +102,7 @@ def _trajectory(oracle, rows, params) -> Trajectory:
 
 
 def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
-    """Run the gradient method; the trace records the step used at each k."""
+    """Run the gradient method; the trajectory records its step in ``params``."""
     x = as_point(config.x0, oracle.dim)
     d, beta, tol = oracle.dim, config.beta, config.stop_grad_tol
 
@@ -113,17 +113,14 @@ def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
         x, g = rows[k, :d], rows[k, d:2 * d]
         if math.sqrt(g.dot(g)) <= tol:
             return None
-        rows[k, -1] = beta
         x_next = x - beta * g
         # x_next equal to x_k is an exact fixed point: beta grad h(x_k) = 0,
         # so x_k is stationary and the run stops there
         return None if x_next.tolist() == x.tolist() else x_next
 
     rows = step_rows(x, config.max_iters, 1, advance, oracle.domain.contains,
-                     width=2 * d + 1, fill=fill)
-    traj = _trajectory(oracle, rows, {"beta": float(beta)})
-    traj.diagnostics["beta"] = np.append(rows[:-1, -1], np.nan)
-    return traj
+                     width=2 * d, fill=fill)
+    return _trajectory(oracle, rows, {"beta": float(beta)})
 
 
 def heavy_ball(oracle: FunctionOracle, config: HBConfig) -> Trajectory:

@@ -22,6 +22,10 @@ then evaluates it in blocks of ``_PAIR_BUDGET // (weights dim)`` rows (one
 row at the least), so its temporaries stay at one fixed block whatever
 the sample count.  Every oracle evaluates each row on its own, so the
 blocks give the margins, counts and witnesses of one whole-sample pass.
+The implication ladder's checks read only three samples: points, pairs
+with weights and pairs without.  It draws each once, and one pass over
+its blocks feeds every check that reads them, so its memory is still one
+sample plus one block.
 """
 
 from __future__ import annotations
@@ -281,10 +285,13 @@ PROPERTIES = {name: prop for prop in _TABLE
               for name in (prop.name, prop.weak_name) if name}
 
 
-def _draw(prop: Property, oracle: FunctionOracle, budget: SampleBudget):
-    """Draw the property's whole sample, then yield it as batches of at most
-    ``_PAIR_BUDGET // (weights * dim)`` rows (one at the least): every
-    (x, y) block and then, for ordered pairs, every (y, x) block."""
+def _draw(props: list[Property], oracle: FunctionOracle, budget: SampleBudget):
+    """Draw the one sample the properties share (all points, or all pairs
+    with or all without weights), then yield it as (batch, swapped) with
+    batches of at most ``_PAIR_BUDGET // (weights * dim)`` rows (one at the
+    least): every (x, y) block and then, when a property takes ordered
+    pairs, every (y, x) block."""
+    prop = props[0]
     sampler = NestedSampler(budget.seed)
     lam = None
     if prop.sample == "points":
@@ -294,17 +301,19 @@ def _draw(prop: Property, oracle: FunctionOracle, budget: SampleBudget):
         X, Y, LAM = sample_pairs(oracle.domain, oracle.dim, budget.pairs,
                                  budget.lambdas_per_pair if prop.lambdas else 1,
                                  sampler)
-        orders = [(X, Y), (Y, X)] if prop.sample == "ordered pairs" else [(X, Y)]
+        ordered = any(p.sample == "ordered pairs" for p in props)
+        orders = [(X, Y), (Y, X)][:1 + ordered]
         if prop.lambdas:
             fixed = np.broadcast_to(_FIXED_LAMBDAS, (LAM.shape[0], 3))
             lam = np.concatenate([LAM, fixed], axis=1)
+        del LAM
     rows = max(1, _PAIR_BUDGET // ((1 if lam is None else lam.shape[1])
                                    * oracle.dim))
-    for x, y in orders:
+    for swapped, (x, y) in enumerate(orders):
         for start in range(0, x.shape[0], rows):
             block = slice(start, start + rows)
             yield _Batch(oracle, x[block], None if y is None else y[block],
-                         None if lam is None else lam[block])
+                         None if lam is None else lam[block]), bool(swapped)
 
 
 def _witness(s: _Batch, lhs, rhs, flat_index: int, note: str) -> Witness:
@@ -316,45 +325,54 @@ def _witness(s: _Batch, lhs, rhs, flat_index: int, note: str) -> Witness:
                    margin=float(lhs[at] - rhs[at]), note=note)
 
 
-def _check(name: str, oracle: FunctionOracle, modulus: float,
-           budget: SampleBudget) -> ClassReport:
-    """Sample the named property at the modulus and report every violation."""
-    prop = PROPERTIES[name]
-    if prop.param == "mu":
-        if not positive(modulus):
-            raise InvalidParameter("mu must be positive")
-        if oracle.known_minimizer is None:
-            raise MissingMinimizer(f"{prop.checker} needs a known minimizer")
-    elif not 0.0 <= modulus < math.inf:
-        raise InvalidParameter(f"{prop.param} must be nonnegative")
-    # each premise note keeps its first witnesses in sample order
-    witnesses, tested, count = {}, 0, 0
-    for s in _draw(prop, oracle, budget):
-        lhs, rhs = prop.inequality(s, modulus)
-        violated = lhs - rhs < -ineq_tol(lhs, rhs)
-        premises = {"": True} if prop.premise is None else prop.premise(s, modulus)
-        for note, mask in premises.items():
-            active = np.broadcast_to(mask, violated.shape)
-            flat = np.flatnonzero(active & violated)
-            tested += int(np.count_nonzero(active))
-            count += flat.size
-            kept = witnesses.setdefault(note, [])
-            kept += [_witness(s, lhs, rhs, i, note)
-                     for i in flat[:MAX_WITNESSES - len(kept)]]
-    weak = modulus == 0 and prop.weak_name is not None
-    return ClassReport(property_name=prop.weak_name if weak else prop.name,
-                       holds_on_samples=count == 0,
-                       violations=[w for kept in witnesses.values()
-                                   for w in kept][:MAX_WITNESSES],
-                       samples_tested=tested, violations_count=count,
-                       params={prop.param: modulus})
+def _check(runs: list[tuple[Property, float]], oracle: FunctionOracle,
+           budget: SampleBudget) -> list[ClassReport]:
+    """Sample each (property, modulus) run and report every violation.
+
+    The runs share one sample (see ``_draw``): it is drawn once, and every
+    run reads the oracle values each block caches.
+    """
+    for prop, modulus in runs:
+        if prop.param == "mu":
+            if not positive(modulus):
+                raise InvalidParameter("mu must be positive")
+            if oracle.known_minimizer is None:
+                raise MissingMinimizer(f"{prop.checker} needs a known minimizer")
+        elif not 0.0 <= modulus < math.inf:
+            raise InvalidParameter(f"{prop.param} must be nonnegative")
+    # per run, each premise note keeps its first witnesses in sample order
+    witnesses = [{} for _ in runs]
+    tested, count = [0] * len(runs), [0] * len(runs)
+    for s, swapped in _draw([prop for prop, _ in runs], oracle, budget):
+        for r, (prop, modulus) in enumerate(runs):
+            if swapped and prop.sample != "ordered pairs":
+                continue
+            lhs, rhs = prop.inequality(s, modulus)
+            violated = lhs - rhs < -ineq_tol(lhs, rhs)
+            premises = {"": True} if prop.premise is None \
+                else prop.premise(s, modulus)
+            for note, mask in premises.items():
+                active = np.broadcast_to(mask, violated.shape)
+                flat = np.flatnonzero(active & violated)
+                tested[r] += int(np.count_nonzero(active))
+                count[r] += flat.size
+                kept = witnesses[r].setdefault(note, [])
+                kept += [_witness(s, lhs, rhs, i, note)
+                         for i in flat[:MAX_WITNESSES - len(kept)]]
+    return [ClassReport(
+        property_name=prop.weak_name if modulus == 0 and prop.weak_name
+        else prop.name,
+        holds_on_samples=count[r] == 0,
+        violations=[w for kept in witnesses[r].values()
+                    for w in kept][:MAX_WITNESSES],
+        samples_tested=tested[r], violations_count=count[r],
+        params={prop.param: modulus})
+        for r, (prop, modulus) in enumerate(runs)]
 
 
-def _run(prop: Property, oracle: FunctionOracle, modulus: float,
-         budget: SampleBudget) -> ClassReport:
-    # through the module attribute, so a wrapper installed on the public
-    # name (e.g. by a profiler) sees every call
-    return globals()[prop.checker](oracle, modulus, budget)
+def _check_one(name: str, oracle: FunctionOracle, modulus: float,
+               budget: SampleBudget) -> ClassReport:
+    return _check([(PROPERTIES[name], modulus)], oracle, budget)[0]
 
 
 def check_strong_quasiconvexity(oracle: FunctionOracle, gamma: float,
@@ -363,14 +381,14 @@ def check_strong_quasiconvexity(oracle: FunctionOracle, gamma: float,
 
     gamma = 0 degenerates to the plain quasiconvexity test.
     """
-    return _check("strong_quasiconvexity", oracle, gamma, budget)
+    return _check_one("strong_quasiconvexity", oracle, gamma, budget)
 
 
 def check_convexity(oracle: FunctionOracle, gamma: float,
                     budget: SampleBudget) -> ClassReport:
     """Chord inequality with quadratic penalty: strong convexity (gamma > 0)
     or plain convexity (gamma = 0)."""
-    return _check("strong_convexity", oracle, gamma, budget)
+    return _check_one("strong_convexity", oracle, gamma, budget)
 
 
 def check_gradient_characterization(oracle: FunctionOracle, gamma: float,
@@ -382,7 +400,7 @@ def check_gradient_characterization(oracle: FunctionOracle, gamma: float,
     quasiconvexity characterization.  The witness stores the sublevel
     point in ``x`` and the point where the gradient was taken in ``y``.
     """
-    return _check("gradient_characterization", oracle, gamma, budget)
+    return _check_one("gradient_characterization", oracle, gamma, budget)
 
 
 def check_offset_monotonicity(oracle: FunctionOracle, gamma: float,
@@ -395,13 +413,13 @@ def check_offset_monotonicity(oracle: FunctionOracle, gamma: float,
     >=) are evaluated; witnesses are tagged "strict" / "non_strict".
     gamma = 0 reduces to quasimonotonicity of the gradient.
     """
-    return _check("offset_monotonicity", oracle, gamma, budget)
+    return _check_one("offset_monotonicity", oracle, gamma, budget)
 
 
 def check_strong_pseudomonotonicity(oracle: FunctionOracle, gamma_half: float,
                                     budget: SampleBudget) -> ClassReport:
     """<g(y), x-y> >= 0 implies <g(x), y-x> <= -gamma_half |y-x|^2."""
-    return _check("strong_pseudomonotonicity", oracle, gamma_half, budget)
+    return _check_one("strong_pseudomonotonicity", oracle, gamma_half, budget)
 
 
 def check_strong_quasimonotonicity(oracle: FunctionOracle, gamma: float,
@@ -411,32 +429,32 @@ def check_strong_quasimonotonicity(oracle: FunctionOracle, gamma: float,
     gamma = 0 is plain quasimonotonicity of the gradient.  The strict
     premise carries a +tol guard so roundoff cannot activate it.
     """
-    return _check("strong_quasimonotonicity", oracle, gamma, budget)
+    return _check_one("strong_quasimonotonicity", oracle, gamma, budget)
 
 
 def check_monotone_operator(oracle: FunctionOracle, gamma: float,
                             budget: SampleBudget) -> ClassReport:
     """<g(y) - g(x), y - x> >= gamma |y - x|^2 (monotone when gamma = 0)."""
-    return _check("strong_monotonicity", oracle, gamma, budget)
+    return _check_one("strong_monotonicity", oracle, gamma, budget)
 
 
 def check_pl(oracle: FunctionOracle, mu: float,
              budget: SampleBudget) -> ClassReport:
     """|grad h(x)|^2 >= mu (h(x) - h(x_bar)) on sampled points."""
-    return _check("pl", oracle, mu, budget)
+    return _check_one("pl", oracle, mu, budget)
 
 
 def check_quasi_strong_convexity(oracle: FunctionOracle, mu: float,
                                  budget: SampleBudget) -> ClassReport:
     """<grad h(x), x - x_bar> >= h(x) - h(x_bar) + (mu/2)|x - x_bar|^2."""
-    return _check("quasi_strong_convexity", oracle, mu, budget)
+    return _check_one("quasi_strong_convexity", oracle, mu, budget)
 
 
 def check_sharp_quasiconvexity(oracle: FunctionOracle, gamma: float,
                                budget: SampleBudget) -> ClassReport:
     """Strong-quasiconvexity inequality required only under the premise
     <grad h(y), x - y> >= 0."""
-    return _check("sharp_quasiconvexity", oracle, gamma, budget)
+    return _check_one("sharp_quasiconvexity", oracle, gamma, budget)
 
 
 def check_property(name: str, oracle: FunctionOracle, modulus: float,
@@ -447,7 +465,10 @@ def check_property(name: str, oracle: FunctionOracle, modulus: float,
     weak names run at modulus 0 whatever is passed.
     """
     prop = PROPERTIES[name]
-    return _run(prop, oracle, 0.0 if name == prop.weak_name else modulus, budget)
+    # through the module attribute, so a wrapper installed on the public
+    # name (e.g. by a profiler) sees every call
+    return globals()[prop.checker](
+        oracle, 0.0 if name == prop.weak_name else modulus, budget)
 
 
 # Forward implications asserted on samples: (upper property, lower property).
@@ -476,10 +497,15 @@ def check_implication_ladder(oracle: FunctionOracle, gamma: float,
     gradient inequalities (monotonicity family), all at the given gamma
     (the pseudo- and quasimonotonicity checks run at gamma/2, the PL check
     at gamma^2 / 2L when the oracle knows L and a minimizer).
+
+    The checks read only three samples: points, pairs with the budget's
+    weights and pairs without.  Each is drawn once, and one pass over its
+    blocks feeds every check that reads it; the reports are those of the
+    checks run one by one.
     """
     if not 0.0 <= gamma < math.inf:
         raise InvalidParameter("gamma must be nonnegative")
-    reports = []
+    runs = []
     for prop in _TABLE:
         # at gamma = 0 a property runs once, under its weak name if any
         for modulus in dict.fromkeys(f * gamma for f in prop.ladder):
@@ -488,8 +514,16 @@ def check_implication_ladder(oracle: FunctionOracle, gamma: float,
                 if modulus == 0 or L is None or oracle.known_minimizer is None:
                     continue
                 modulus = derive_pl_modulus(modulus, L)
-            reports.append(_run(prop, oracle, modulus, budget))
-    return reports
+            runs.append((prop, modulus))
+    # the runs of each sample, in the order the table first needs it
+    groups: dict = {}
+    for i, (prop, _) in enumerate(runs):
+        groups.setdefault((prop.sample == "points", prop.lambdas), []).append(i)
+    reports = {}
+    for group in groups.values():
+        reports.update(zip(group, _check([runs[i] for i in group], oracle,
+                                         budget)))
+    return [reports[i] for i in range(len(runs))]
 
 
 def ladder_soundness(reports: list[ClassReport]) -> list[str]:

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,38 @@ class TestSampling:
         if not raises:
             for a, b in zip(*outcomes):
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("chunk", [64, 4096])
+    def test_smaller_samples_are_prefixes(self, monkeypatch, chunk):
+        # the predicate rejects about half the candidates, so accepted rows
+        # and stream rows part ways within the first chunk
+        monkeypatch.setattr(sampling, "_CHUNK", chunk)
+        dom = DomainSpec.all_space(predicate=lambda x: x[..., 0] > 0.0)
+        big = sample_pairs(dom, 2, 5000, 3, NestedSampler(9))
+        for n in (1, 63, 64, 65, 4097):
+            for a, b in zip(sample_pairs(dom, 2, n, 3, NestedSampler(9)), big):
+                np.testing.assert_array_equal(a, b[:n])
+        points = sample_points(dom, 2, 5000, NestedSampler(9))
+        np.testing.assert_array_equal(
+            sample_points(dom, 2, 4097, NestedSampler(9)), points[:4097])
+
+    def test_sample_exists_once(self):
+        dom, dim, pairs, weights = DomainSpec.all_space(), 6, 20000, 2
+        width = 2 * dim + weights
+        sample_pairs(dom, dim, 10, weights, NestedSampler(0))
+        tracemalloc.start()
+        try:
+            sample_pairs(dom, dim, pairs, weights, NestedSampler(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the returned X, Y and LAM, plus a few float64 arrays of one chunk
+        # of rows (the uniforms, their clipped copy, the points mapped from
+        # them and the accepted rows); about 3.6 MiB, where keeping each
+        # chunk's accepted rows and then concatenating them peaked at 4.7 MiB
+        sample = 8 * pairs * width
+        chunk = 4 * 8 * sampling._CHUNK * width
+        assert peak <= sample + chunk < 2 * sample
 
 
 def _interior_points(entry, n=100):

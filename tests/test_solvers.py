@@ -26,7 +26,7 @@ class TestGradientDescent:
                        stop_grad_tol=0.0)
         traj = gradient_descent(CAT["quadratic_1d"].oracle, cfg)
         np.testing.assert_allclose(traj.states[:, 0], [1.0, 0.5, 0.25, 0.125])
-        assert traj.diagnostic("beta")[0] == pytest.approx(0.5)
+        assert traj.param("beta") == pytest.approx(0.5)
 
     def test_gradient_tolerance_stop(self):
         cfg = GDConfig(x0=[1.0], beta=0.5, max_iters=10_000,
@@ -143,20 +143,17 @@ class TestStepLoopSemantics:
             GDConfig(x0=[1.0], beta=0.125, max_iters=100, stop_grad_tol=0.0))
         np.testing.assert_array_equal(traj.states[:, 0], [1.0, 0.875, 0.75])
         np.testing.assert_array_equal(traj.grad_norms, [1.0, 1.0, 1e-20])
-        beta = traj.diagnostic("beta")
-        np.testing.assert_array_equal(beta[:-1], [0.125, 0.125])
-        assert np.isnan(beta[-1])
+        assert traj.param("beta") == 0.125
 
     @pytest.mark.parametrize("kw,rows", [
         ({"max_iters": 3, "stop_grad_tol": 0.0}, 4),       # iteration cap
         ({"max_iters": 100, "stop_grad_tol": 0.3}, 3)])    # |x_2| = 0.25
-    def test_beta_column_ends_in_nan(self, kw, rows):
+    def test_step_is_a_parameter_not_a_column(self, kw, rows):
         traj = gradient_descent(CAT["quadratic_1d"].oracle,
                                 GDConfig(x0=[1.0], beta=0.5, **kw))
-        beta = traj.diagnostic("beta")
         assert len(traj) == rows
-        np.testing.assert_array_equal(beta[:-1], 0.5)
-        assert np.isnan(beta[-1])
+        assert traj.param("beta") == 0.5
+        assert "beta" not in traj.diagnostics
 
     def test_hb_zero_gradient_with_live_momentum_continues(self):
         # grad h(x0) = 0 at the minimizer, but |x0 - x_prev| = 1

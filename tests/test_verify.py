@@ -1,9 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sqcflow import catalog, estimate, sampling, verify
+from sqcflow import catalog, cli, estimate, sampling, verify
 from sqcflow.core import (DomainSamplingFailure, DomainSpec, FunctionOracle,
                           InvalidParameter, MissingMinimizer)
 from sqcflow.sampling import NestedSampler, sample_pairs, sample_points
@@ -11,6 +12,7 @@ from sqcflow.verify import (SampleBudget, check_convexity,
                             check_gradient_characterization,
                             check_implication_ladder, check_monotone_operator,
                             check_offset_monotonicity, check_pl,
+                            check_property,
                             check_quasi_strong_convexity,
                             check_sharp_quasiconvexity,
                             check_strong_pseudomonotonicity,
@@ -416,7 +418,8 @@ class TestBlockedEvaluation:
         prop = verify.PROPERTIES[name]
         o, budget = CAT["quadratic_2d"].oracle, SampleBudget(pairs=201, seed=4)
         monkeypatch.setattr(verify, "_PAIR_BUDGET", pair_budget)
-        blocks = list(verify._draw(prop, o, budget))
+        drawn = list(verify._draw([prop], o, budget))
+        blocks = [b for b, _ in drawn]
         sampler = NestedSampler(budget.seed)
         if prop.sample == "points":
             X, Y = sample_points(o.domain, o.dim, budget.pairs, sampler), None
@@ -427,8 +430,12 @@ class TestBlockedEvaluation:
             if prop.sample == "ordered pairs":
                 X, Y, LAM = np.concatenate([X, Y]), np.concatenate([Y, X]), \
                     np.concatenate([LAM, LAM])
-        # every row once, in order: the (x, y) blocks, then the (y, x) ones
+        # every row once, in order: the (x, y) blocks, then the (y, x) ones,
+        # which alone are flagged as swapped
         assert np.array_equal(np.concatenate([b.x for b in blocks]), X)
+        swapped = np.concatenate([np.full(b.x.shape[0], flag)
+                                  for b, flag in drawn])
+        assert np.array_equal(swapped, np.arange(X.shape[0]) >= budget.pairs)
         if Y is None:
             assert all(b.y is None and b.lam is None for b in blocks)
         else:
@@ -443,27 +450,135 @@ class TestBlockedEvaluation:
             assert rows == 1 or rows * per_row <= pair_budget
 
     def test_memory_does_not_grow_with_the_sample_count(self):
-        # the heaviest check: ordered pairs with 5 weights each
+        # the heaviest check: ordered pairs with 5 weights each; the ladder
+        # runs it with the checks that share its sample
         o = catalog.strongly_convex_quadratic(6, 1.0, 4.0).oracle
         pairs, weights, dim = 20000, 2 + 3, o.dim
         budget = SampleBudget(pairs=pairs, lambdas_per_pair=2)
         # a handful of float64 temporaries of one block: the interpolation
         # points, the weighted differences, the values and the masks
         block = 4 * 8 * verify._PAIR_BUDGET
-        # two copies of the sample (the sampler's parts and their
-        # concatenation), and two sampler chunks of rows
-        sample = 2 * 8 * pairs * (2 * dim + weights) \
+        # one copy of the sample, and two sampler chunks of rows
+        sample = 8 * pairs * (2 * dim + weights) \
             + 2 * 8 * sampling._CHUNK * (2 * dim + 2)
         check_sharp_quasiconvexity(o, 1.0, SampleBudget(pairs=10))
-        tracemalloc.start()
-        try:
-            check_sharp_quasiconvexity(o, 1.0, budget)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # about 4.7 MiB, where whole-sample evaluation peaked at 27.5 MiB;
-        # a full (2 * pairs, 5, dim) interpolation array alone takes 9.2 MiB
-        assert peak <= block + sample < 8 * 2 * pairs * weights * dim
+        for run in (check_sharp_quasiconvexity, check_implication_ladder):
+            tracemalloc.start()
+            try:
+                run(o, 1.0, budget)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # about 3.6 MiB, where whole-sample evaluation peaked at 27.5 MiB
+            # and a sampler that held the sample twice at 4.7 MiB; a full
+            # (2 * pairs, 5, dim) interpolation array alone takes 9.2 MiB
+            assert peak <= block + sample < 8 * 2 * pairs * weights * dim
+
+
+def ladder_runs(oracle, gamma):
+    """The ladder's (name, modulus) runs, written out in its order."""
+    runs = [("strong_convexity", gamma), ("convexity", 0.0),
+            ("strong_quasiconvexity", gamma), ("quasiconvexity", 0.0),
+            ("gradient_characterization", gamma),
+            ("sharp_quasiconvexity", gamma), ("strong_monotonicity", gamma),
+            ("monotonicity", 0.0), ("offset_monotonicity", gamma),
+            ("strong_pseudomonotonicity", 0.5 * gamma),
+            ("strong_quasimonotonicity", 0.5 * gamma),
+            ("quasimonotonicity", 0.0)]
+    if gamma == 0:
+        # a strong property at modulus 0 is its weak one, run once
+        return [(n, m) for n, m in runs if verify.PROPERTIES[n].weak_name
+                in (None, n)]
+    L = oracle.known_lipschitz
+    if L is not None and oracle.known_minimizer is not None:
+        runs.append(("pl", gamma * gamma / (2.0 * L)))
+    return runs
+
+
+def _shared_sample_cases():
+    # every entry at the modulus the CLI resolves (seed 0) and at 0, and
+    # quadratic_2d above its modulus, where offset monotonicity fails under
+    # both notes
+    cases = []
+    for name, entry in sorted(CAT.items()):
+        gamma = cli._resolve_gamma(entry, {}, 0, [])
+        cases += [(name, g) for g in dict.fromkeys((gamma, 0.0))]
+    return cases + [("quadratic_2d", 1.2)]
+
+
+class TestSharedSamples:
+    """The ladder draws each of its samples once and evaluates each block
+    once for every check that reads it, with the reports of the checks run
+    one by one."""
+
+    BUDGET = SampleBudget(pairs=200, lambdas_per_pair=2, seed=0)
+    CASES = _shared_sample_cases()
+
+    @pytest.mark.parametrize("pair_budget", [1, 37, verify._PAIR_BUDGET])
+    @pytest.mark.parametrize("name,gamma", CASES)
+    def test_ladder_equals_its_checks_run_one_by_one(self, monkeypatch, name,
+                                                     gamma, pair_budget):
+        monkeypatch.setattr(verify, "_PAIR_BUDGET", pair_budget)
+        o = CAT[name].oracle
+        one_by_one = [check_property(n, o, m, self.BUDGET).to_dict()
+                      for n, m in ladder_runs(o, gamma)]
+        assert [r.to_dict() for r in
+                check_implication_ladder(o, gamma, self.BUDGET)] == one_by_one
+
+    def test_cases_reach_the_cap_skip_pl_and_note_both_premises(self):
+        reports = {(name, gamma): {r.property_name: r for r in
+                                   check_implication_ladder(
+                                       CAT[name].oracle, gamma, self.BUDGET)}
+                   for name, gamma in self.CASES}
+        sin = reports["sin_quadratic", cli._resolve_gamma(
+            CAT["sin_quadratic"], {}, 0, [])]
+        assert sin["convexity"].violations_count > verify.MAX_WITNESSES
+        assert len(sin["convexity"].violations) == verify.MAX_WITNESSES
+        # no L, no minimizer
+        assert "pl" not in reports["max_two_quadratics", 1.0]
+        assert "pl" in reports["quadratic_2d", 1.0]
+        offset = reports["quadratic_2d", 1.2]["offset_monotonicity"]
+        assert {w.note for w in offset.violations} == {"strict", "non_strict"}
+
+    def test_each_sample_is_drawn_and_evaluated_once(self, monkeypatch):
+        entry, n = CAT["quadratic_2d"], self.BUDGET.pairs
+        rows = {"value": 0, "grad": 0}
+
+        def counted(kind, f):
+            def g(x):
+                rows[kind] += int(np.prod(np.shape(x)[:-1]))
+                return f(x)
+            return g
+        o = dataclasses.replace(entry.oracle,
+                                value=counted("value", entry.oracle.value),
+                                grad=counted("grad", entry.oracle.grad))
+        draws = []
+
+        def drawn(kind, f):
+            def g(domain, dim, n, *args):
+                draws.append((kind, args[0] if kind == "pairs" else None))
+                return f(domain, dim, n, *args)
+            return g
+        monkeypatch.setattr(verify, "sample_pairs",
+                            drawn("pairs", verify.sample_pairs))
+        monkeypatch.setattr(verify, "sample_points",
+                            drawn("points", verify.sample_points))
+        reports = check_implication_ladder(o, 1.0, self.BUDGET)
+        assert len(reports) == 13
+        # pairs with the budget's 2 weights, pairs with 1, points: in the
+        # order the ladder first needs them
+        assert draws == [("pairs", 2), ("pairs", 1), ("points", None)]
+        # n = 200 rows per sample and order, one block each.  Pairs with
+        # weights: the convexity and quasiconvexity checks read h(x), h(y)
+        # and h(x + lam (y - x)) at 2 + 3 weights, sharp quasiconvexity also
+        # grad h(y), and it alone reads the (y, x) order too: values
+        # 2 (2 + 5) n, gradients 2 n.  Pairs without weights: its four
+        # ordered-pair checks read both orders of h(x), h(y) (gradient
+        # characterization's premise), grad h(x) and grad h(y): values 4 n,
+        # gradients 4 n.  Points: PL reads h(x), grad h(x) and h at the
+        # minimizer once: values n + 1, gradients n.  Drawn once per check,
+        # the 13 checks would evaluate 47 n + 1 value and 25 n gradient rows.
+        assert rows == {"value": 19 * n + 1, "grad": 7 * n}
 
 
 # Hand-derived (lhs, rhs) of every property at x = (1, 1/2), y = (-1, 1),
