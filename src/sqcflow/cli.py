@@ -68,18 +68,9 @@ class ExperimentConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        params = {}
-        for key, val in sorted(self.task_params.items()):
-            if isinstance(val, np.ndarray):
-                val = [float(v) for v in val]
-            params[key] = val
-        return {
-            "function": self.function,
-            "task": self.task,
-            "task_params": params,
-            "output_dir": self.output_dir,
-            "seed": int(self.seed),
-        }
+        params = {k: v.tolist() if isinstance(v, np.ndarray) else v
+                  for k, v in self.task_params.items()}
+        return {**vars(self), "task_params": params}
 
 
 def write_trace_csv(path: Path, traj: Trajectory, index_name: str) -> None:
@@ -107,7 +98,7 @@ def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(v) for v in text.split(",")], dtype=np.float64)
     except ValueError as exc:
-        raise InvalidParameter(f"cannot parse vector {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse vector {text!r}") from exc
 
 
 def _start(entry: CatalogEntry, params: dict) -> np.ndarray:
@@ -166,8 +157,8 @@ def _minimizer(entry: CatalogEntry, notes: list):
 def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
     name = params.get("property")
-    budget = SampleBudget(pairs=int(params.get("pairs", 2000)),
-                          lambdas_per_pair=int(params.get("lambdas", 2)),
+    budget = SampleBudget(pairs=params.get("pairs", 2000),
+                          lambdas_per_pair=params.get("lambdas", 2),
                           seed=config.seed)
     # only the ladder estimates an unknown modulus
     notes: list[str] = []
@@ -204,7 +195,7 @@ def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Pat
 
 def _default_dt(entry: CatalogEntry, params: dict) -> float:
     if params.get("dt") is not None:
-        return float(params["dt"])
+        return params["dt"]
     L = entry.oracle.known_lipschitz
     return 1e-3 * min(1.0, 1.0 / L) if L else 1e-3
 
@@ -212,7 +203,7 @@ def _default_dt(entry: CatalogEntry, params: dict) -> float:
 def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
     cfg = FlowConfig(x0=_start(entry, params),
-                     t_end=float(params.get("t_end", 10.0)),
+                     t_end=params.get("t_end", 10.0),
                      dt=_default_dt(entry, params),
                      integrator=params.get("integrator", "rk4"),
                      alpha=params.get("alpha", 3.0), v0=params.get("v0"),
@@ -224,7 +215,7 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
     L = params.get("L")
     if L is None:
         L = oracle.known_lipschitz
-    if int(params.get("order", 1)) == 1:
+    if params.get("order", 1) == 1:
         # the first-order flow certifies only what is given or catalogued
         gamma = _resolve_gamma(entry, params, config.seed, notes, estimate=False)
         x_bar = None if gamma is None else _minimizer(entry, notes)
@@ -237,7 +228,7 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
                 certs.append(certify_first_order_values(
                     traj, float(gamma), float(L)))
     else:
-        alpha = float(cfg.alpha)
+        alpha = cfg.alpha
         gamma = _resolve_gamma(entry, params, config.seed, notes)
         x_bar = _minimizer(entry, notes)
         kappa = params.get("kappa")
@@ -278,47 +269,45 @@ def _run_gd(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     if beta is None:
         raise InvalidParameter("gd needs --beta or --optimal")
     # certification is always attempted, so enforce its window up front
-    gd_window(gamma, L0, float(beta))
-    cfg = GDConfig(x0=x0, beta=float(beta),
-                   max_iters=int(params.get("max_iters", 1000)),
-                   stop_grad_tol=float(params.get("stop_grad_tol", 1e-10)))
+    gd_window(gamma, L0, beta)
+    cfg = GDConfig(x0=x0, beta=beta, max_iters=params.get("max_iters", 1000),
+                   stop_grad_tol=params.get("stop_grad_tol", 1e-10))
     traj = gradient_descent(entry.oracle, cfg)
     certs = []
     if _minimizer(entry, notes) is not None:
         certs = [certify_gd_contraction(traj, gamma, L0),
                  certify_gd_values(traj, gamma, L0)]
     return _emit_run(config, out, traj, "k", certs,
-                     {"gamma": gamma, "L0": L0, "beta": float(beta)}, notes)
+                     {"gamma": gamma, "L0": L0, "beta": beta}, notes)
 
 
 def _run_hb(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
     x0 = _start(entry, params)
-    theta = float(params.get("theta", 0.5))
+    theta = params.get("theta", 0.5)
     beta = params.get("beta")
     gamma, L, notes = _resolve_constants(entry, params, x0, config.seed, "L")
     if beta is None:
         beta = 0.5 * (1.0 - theta ** 2) / L
         notes.append("beta = (1 - theta^2) / 2L")
     # certification is always attempted, so enforce its window up front
-    hb_window(theta, float(beta), L)
-    cfg = HBConfig(x0=x0, theta=theta, beta=float(beta),
-                   x_prev=params.get("x_prev"),
-                   max_iters=int(params.get("max_iters", 1000)),
-                   stop_grad_tol=float(params.get("stop_grad_tol", 1e-10)))
+    hb_window(theta, beta, L)
+    cfg = HBConfig(x0=x0, theta=theta, beta=beta, x_prev=params.get("x_prev"),
+                   max_iters=params.get("max_iters", 1000),
+                   stop_grad_tol=params.get("stop_grad_tol", 1e-10))
     traj = heavy_ball(entry.oracle, cfg)
     certs = []
     if _minimizer(entry, notes) is not None:
         certs = [certify_hb_energy(traj, gamma, L)]
     return _emit_run(config, out, traj, "k", certs,
-                     {"gamma": gamma, "L": L, "theta": theta,
-                      "beta": float(beta)}, notes)
+                     {"gamma": gamma, "L": L, "theta": theta, "beta": beta},
+                     notes)
 
 
 def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
     which = params.get("constant")
-    samples = int(params.get("samples", 2000))
+    samples = params.get("samples", 2000)
     x0 = _start(entry, params)
     if which == "L0":
         adjusted = estimate_lipschitz_sublevel(entry.oracle, x0,
@@ -424,8 +413,15 @@ def _add_common(p):
                    help="JSON ExperimentConfig; explicit flags override it")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refusals raise InvalidParameter, which main reports as usage errors."""
+
+    def error(self, message):
+        raise InvalidParameter(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sqcflow",
         description="Verify, integrate, and certify strongly quasiconvex "
                     "minimization dynamics.")
@@ -449,12 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(f)
     f.add_argument("--order", type=int, choices=(1, 2), default=None)
     f.add_argument("--alpha", type=float, default=None)
-    f.add_argument("--x0", type=str, default=None)
-    f.add_argument("--v0", type=str, default=None)
+    f.add_argument("--x0", type=_parse_vector, default=None)
+    f.add_argument("--v0", type=_parse_vector, default=None)
     f.add_argument("--t-end", type=float, default=None)
     f.add_argument("--dt", type=float, default=None)
-    f.add_argument("--integrator", choices=("rk4", "explicit_euler"),
-                   default=None)
+    f.add_argument("--integrator", choices=("rk4", "explicit_euler"))
     f.add_argument("--gamma", type=float, default=None)
     f.add_argument("--kappa", type=float, default=None)
     f.add_argument("--L", type=float, default=None)
@@ -464,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(g)
     g.add_argument("--beta", type=float, default=None)
     g.add_argument("--optimal", action="store_true", default=None)
-    g.add_argument("--x0", type=str, default=None)
+    g.add_argument("--x0", type=_parse_vector, default=None)
     g.add_argument("--max-iters", type=int, default=None)
     g.add_argument("--stop-grad-tol", type=float, default=None)
     g.add_argument("--gamma", type=float, default=None)
@@ -474,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(hb)
     hb.add_argument("--theta", type=float, default=None)
     hb.add_argument("--beta", type=float, default=None)
-    hb.add_argument("--x0", type=str, default=None)
-    hb.add_argument("--x-prev", type=str, default=None)
+    hb.add_argument("--x0", type=_parse_vector, default=None)
+    hb.add_argument("--x-prev", type=_parse_vector, default=None)
     hb.add_argument("--max-iters", type=int, default=None)
     hb.add_argument("--stop-grad-tol", type=float, default=None)
     hb.add_argument("--gamma", type=float, default=None)
@@ -483,10 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("estimate", help="estimate a constant")
     _add_common(e)
-    e.add_argument("--constant", choices=("L0", "gamma", "kappa", "minimizer"),
-                   default=None)
+    e.add_argument("--constant", choices=("L0", "gamma", "kappa", "minimizer"))
     e.add_argument("--samples", type=int, default=None)
-    e.add_argument("--x0", type=str, default=None)
+    e.add_argument("--x0", type=_parse_vector, default=None)
 
     b = sub.add_parser("bench", help="run a fixed suite")
     _add_common(b)
@@ -495,67 +489,73 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# parsed flags that configure the run rather than the task
-_RUN_DESTS = ("command", "function", "seed", "output_dir", "config")
+# the ExperimentConfig fields that a flag of every task sets
+_RUN_KEYS = ("function", "output_dir", "seed")
 
-_VECTOR_KEYS = ("x0", "v0", "x_prev")
+
+def _config_flags(args) -> list[str]:
+    """The flags a --config file names for ``args.command``: a key is its
+    flag's dest, a list joins with commas, true is a bare flag, and false
+    and null set nothing."""
+    with open(args.config) as fh:
+        loaded = json.load(fh)
+    params = loaded.get("task_params", {}) if isinstance(loaded, dict) else None
+    if not isinstance(params, dict):
+        raise InvalidParameter("a config file holds one JSON object, and its "
+                               "task_params another")
+    run = {k: v for k, v in loaded.items() if k not in ("task", "task_params")}
+    unknown = sorted(set(run) - set(_RUN_KEYS)) + sorted(
+        set(params) - set(vars(args)) - {"command", "config", *_RUN_KEYS})
+    if unknown or loaded.get("task", args.command) != args.command:
+        raise InvalidParameter(
+            f"config does not fit {args.command}: task "
+            f"{loaded.get('task', args.command)!r}, keys with no flag: "
+            f"{', '.join(unknown) or 'none'}")
+    flags = []
+    for key, val in [*run.items(), *params.items()]:
+        if isinstance(val, list):
+            val = ",".join(map(str, val))
+        if val is not None and val is not False:
+            flags.append("--" + key.replace("_", "-")
+                         + ("" if val is True else f"={val}"))
+    return flags
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """The subcommand decides the task; a --config file may set only what
-    the subcommand has flags for, and its flags override the file."""
-    run = {"function": None, "output_dir": None, "seed": None}
-    params = {}
-    if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise InvalidParameter("a config file holds one JSON object")
-        given = loaded.get("task_params", {})
-        unknown = sorted(set(loaded) - set(run) - {"task", "task_params"}) \
-            + sorted(set(given) - set(vars(args)) - set(_RUN_DESTS))
-        if unknown or loaded.get("task", args.command) != args.command:
-            raise InvalidParameter(
-                f"config does not fit {args.command}: task "
-                f"{loaded.get('task', args.command)!r}, keys with no flag: "
-                f"{', '.join(unknown) or 'none'}")
-        run.update((k, loaded[k]) for k in run if k in loaded)
-        params.update(given)
-    for key, val in vars(args).items():
-        if val is not None:
-            if key in run:
-                run[key] = val
-            elif key not in _RUN_DESTS:
-                params[key] = val
+    """The subcommand is the task, and every flag given other than
+    --function, --seed, --output-dir and --config is a task parameter."""
+    params = {k: v for k, v in vars(args).items()
+              if v is not None and k != "config"}
+    run, task = {k: params.pop(k, None) for k in _RUN_KEYS}, params.pop("command")
     bad = sorted(k for k, v in {**run, **params}.items()
                  if isinstance(v, float) and not math.isfinite(v))
     if bad:
         raise InvalidParameter(f"non-finite value for {', '.join(bad)}")
     if run["seed"] is None:
         run["seed"] = int(os.environ.get("SQCFLOW_SEED", "0"))
-    for key in _VECTOR_KEYS:
-        if isinstance(params.get(key), str):
-            params[key] = _parse_vector(params[key])
-        elif isinstance(params.get(key), list):
-            params[key] = np.asarray(params[key], dtype=np.float64)
-    if args.command != "bench" and not run["function"]:
+    if task != "bench" and not run["function"]:
         raise InvalidParameter("--function is required")
-    return ExperimentConfig(task=args.command, task_params=params, **run)
+    return ExperimentConfig(task=task, task_params=params, **run)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "list-functions":
-        cat = default_catalog()
-        metas = [cat[k].to_metadata() for k in sorted(cat)]
-        _print(json.dumps(metas, sort_keys=True, indent=2) if args.json else
-               "\n".join(f"{m['name']:24s} dim={m['dim']}  " + " ".join(
-                   f"{k}={v:.6g}" for k, v in m["constants"].items())
-                   for m in metas))
-        return EXIT_OK
+    """Run ``argv`` (default sys.argv[1:]); its flags win over --config's."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        config = _config_from_args(args)
-        return run_experiment(config)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "list-functions":
+            cat = default_catalog()
+            metas = [cat[k].to_metadata() for k in sorted(cat)]
+            _print(json.dumps(metas, sort_keys=True, indent=2) if args.json
+                   else "\n".join(f"{m['name']:24s} dim={m['dim']}  " + " ".join(
+                       f"{k}={v:.6g}" for k, v in m["constants"].items())
+                       for m in metas))
+            return EXIT_OK
+        if args.config:
+            args = parser.parse_args([args.command, *_config_flags(args),
+                                      *argv[1:]])
+        return run_experiment(_config_from_args(args))
     except (InvalidParameter, ParameterWindowViolation, FileNotFoundError,
             FileExistsError, NotADirectoryError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc), "kind": "usage"}), file=sys.stderr)

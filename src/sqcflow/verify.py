@@ -23,9 +23,10 @@ row at the least), so its temporaries stay at one fixed block whatever
 the sample count.  Every oracle evaluates each row on its own, so the
 blocks give the margins, counts and witnesses of one whole-sample pass.
 The implication ladder's checks read only three samples: points, pairs
-with weights and pairs without.  It draws each once, and one pass over
-its blocks feeds every check that reads them, so its memory is still one
-sample plus one block.
+with the budget's weights and pairs with one weight (the same sample at a
+budget of one weight).  It draws each once, and one pass over its blocks
+feeds every check that reads them, so its memory is still one sample plus
+one block.
 """
 
 from __future__ import annotations
@@ -285,12 +286,18 @@ PROPERTIES = {name: prop for prop in _TABLE
               for name in (prop.name, prop.weak_name) if name}
 
 
+def _weight_count(prop: Property, budget: SampleBudget) -> int:
+    """The random weights per pair that ``prop``'s sample is drawn with."""
+    return budget.lambdas_per_pair if prop.lambdas else 1
+
+
 def _draw(props: list[Property], oracle: FunctionOracle, budget: SampleBudget):
     """Draw the one sample the properties share (all points, or all pairs
-    with or all without weights), then yield it as (batch, swapped) with
+    drawn with one weight count), then yield it as (batch, swapped) with
     batches of at most ``_PAIR_BUDGET // (weights * dim)`` rows (one at the
     least): every (x, y) block and then, when a property takes ordered
-    pairs, every (y, x) block."""
+    pairs, every (y, x) block.  The batches carry weights when any
+    property reads them."""
     prop = props[0]
     sampler = NestedSampler(budget.seed)
     lam = None
@@ -299,11 +306,10 @@ def _draw(props: list[Property], oracle: FunctionOracle, budget: SampleBudget):
                                  sampler), None)]
     else:
         X, Y, LAM = sample_pairs(oracle.domain, oracle.dim, budget.pairs,
-                                 budget.lambdas_per_pair if prop.lambdas else 1,
-                                 sampler)
+                                 _weight_count(prop, budget), sampler)
         ordered = any(p.sample == "ordered pairs" for p in props)
         orders = [(X, Y), (Y, X)][:1 + ordered]
-        if prop.lambdas:
+        if any(p.lambdas for p in props):
             fixed = np.broadcast_to(_FIXED_LAMBDAS, (LAM.shape[0], 3))
             lam = np.concatenate([LAM, fixed], axis=1)
         del LAM
@@ -319,8 +325,9 @@ def _draw(props: list[Property], oracle: FunctionOracle, budget: SampleBudget):
 def _witness(s: _Batch, lhs, rhs, flat_index: int, note: str) -> Witness:
     at = np.unravel_index(flat_index, lhs.shape)
     i = at[0]
+    # a margin per pair has no weight, even on a batch that carries them
     return Witness(x=s.x[i].copy(), y=None if s.y is None else s.y[i].copy(),
-                   lam=None if s.lam is None else float(s.lam[at]),
+                   lam=float(s.lam[at]) if lhs.ndim == 2 else None,
                    lhs=float(lhs[at]), rhs=float(rhs[at]),
                    margin=float(lhs[at] - rhs[at]), note=note)
 
@@ -499,9 +506,10 @@ def check_implication_ladder(oracle: FunctionOracle, gamma: float,
     at gamma^2 / 2L when the oracle knows L and a minimizer).
 
     The checks read only three samples: points, pairs with the budget's
-    weights and pairs without.  Each is drawn once, and one pass over its
-    blocks feeds every check that reads it; the reports are those of the
-    checks run one by one.
+    weights and pairs with one weight (one sample when the budget has one
+    weight).  Each is drawn once, and one pass over its blocks feeds every
+    check that reads it; the reports are those of the checks run one by
+    one.
     """
     if not 0.0 <= gamma < math.inf:
         raise InvalidParameter("gamma must be nonnegative")
@@ -518,7 +526,8 @@ def check_implication_ladder(oracle: FunctionOracle, gamma: float,
     # the runs of each sample, in the order the table first needs it
     groups: dict = {}
     for i, (prop, _) in enumerate(runs):
-        groups.setdefault((prop.sample == "points", prop.lambdas), []).append(i)
+        groups.setdefault((prop.sample == "points", _weight_count(prop, budget)),
+                          []).append(i)
     reports = {}
     for group in groups.values():
         reports.update(zip(group, _check([runs[i] for i in group], oracle,

@@ -188,11 +188,11 @@ class TestFlowCommand:
 
     def test_euler_alias(self, capsys):
         # the one spelling of the Euler step is FlowConfig's explicit_euler
-        with pytest.raises(SystemExit) as exc:
-            run(["flow", "--function", "quadratic_1d", "--order", "1",
-                 "--x0", "1", "--t-end", "1", "--dt", "0.001",
-                 "--integrator", "euler"])
-        assert exc.value.code == 2
+        assert run(["flow", "--function", "quadratic_1d", "--order", "1",
+                    "--x0", "1", "--t-end", "1", "--dt", "0.001",
+                    "--integrator", "euler"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(err)["kind"] == "usage"
 
     def test_second_order_sigma_column(self, tmp_path):
         out = tmp_path / "flow2"
@@ -349,6 +349,57 @@ class TestConfigAndSeeds:
         payload = json.loads(capsys.readouterr().out)
         assert payload["samples_tested"] == 300 * 5  # flag overrode the file
 
+    # a run's meta.json config, passed back, reproduces the run
+    @pytest.mark.parametrize("command", [
+        "gd --function quadratic_3d --optimal --x0 1,0.3,-0.7 --max-iters 50",
+        "hb --function quadratic_2d --theta 0.45 --x0 1,0.3 --x-prev 0.9,0.1 "
+        "--max-iters 60",
+        "flow --function quadratic_2d --order 1 --x0 0.7,-0.1 --t-end 1 "
+        "--dt 0.01",
+        "flow --function quadratic_2d --order 2 --alpha 2.5 --x0 1,0.3 "
+        "--v0 0.1,-0.7 --t-end 1 --dt 0.01",
+        "verify --function sqrt_norm_2d --property strong_quasiconvexity "
+        "--pairs 300 --seed 3",
+        "estimate --function sin_quadratic --constant L0 --samples 300 "
+        "--seed 4 --x0 2.1",
+    ], ids=["gd", "hb", "flow1", "flow2", "verify", "estimate"])
+    def test_meta_config_replays_the_run(self, tmp_path, capsys, command):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run(command.split() + ["--output-dir", str(first)]) == 0
+        meta = json.loads((first / "meta.json").read_text())
+        (tmp_path / "cfg.json").write_text(json.dumps(meta["config"]))
+        # the command line's --output-dir wins over the config's
+        assert run([command.split()[0], "--config", str(tmp_path / "cfg.json"),
+                    "--output-dir", str(again)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        for name in set(names) - {"meta.json"}:
+            assert (first / name).read_bytes() == (again / name).read_bytes()
+        replayed = json.loads((again / "meta.json").read_text())
+        assert replayed["config"].pop("output_dir") == str(again)
+        meta["config"].pop("output_dir")
+        assert replayed == meta
+
+    def test_config_null_is_not_set(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"task_params": {"t_end": None,
+                                                    "dt": 0.5}}))
+        out = tmp_path / "out"
+        assert run(["flow", "--function", "quadratic_1d", "--x0", "1",
+                    "--config", str(path), "--output-dir", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["config"]["task_params"] == {"dt": 0.5, "x0": [1.0]}
+        # the default t_end of 10 at dt 0.5
+        assert len((out / "trace.csv").read_text().splitlines()) == 1 + 21
+
+    def test_bench_reads_its_suite_from_a_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"task_params": {"suite": "ladder"}}))
+        assert run(["bench", "--config", str(path), "--output-dir",
+                    str(tmp_path)]) == 0
+        header = (tmp_path / "summary.csv").read_text().splitlines()[0]
+        assert header.startswith("entry,gamma,property,")
+
     def test_env_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SQCFLOW_SEED", "99")
         out = tmp_path / "seeded"
@@ -484,10 +535,12 @@ class TestBenchCommand:
         assert _sha256(tmp_path / "ladder" / "summary.csv") == \
             "9bf8d72a569a49dc655f2e82e1bd176311b879d265cbb074860d3edbecd36dd1"
 
-    def test_unknown_suite_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run(["bench", "--suite", "nope", "--output-dir", str(tmp_path)])
-        assert exc.value.code == 2
+    def test_unknown_suite_rejected_by_parser(self, tmp_path, capsys):
+        assert run(["bench", "--suite", "nope", "--output-dir",
+                    str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(err)["kind"] == "usage"
+        assert not any(tmp_path.iterdir())
 
     def test_bench_suite_function_rejects_unknown(self, tmp_path):
         from sqcflow.bench import bench_suite
@@ -871,6 +924,34 @@ class TestErrorPaths:
         "config_inf_seed": (
             "gd --function quadratic_2d --x0 1,1 --beta 0.01 "
             "--config {config}", 2, "usage", {"seed": float("inf")}),
+        # a config key is parsed as the flag it names, so the flag's type
+        # and choices refuse what they would refuse on the command line
+        "config_order_outside_choices": (
+            "flow --function quadratic_2d --x0 1,1 --t-end 1 --config {config}",
+            2, "usage", {"task_params": {"order": 3}}),
+        "config_optimal_string": (
+            "gd --function quadratic_2d --x0 1,1 --config {config}", 2, "usage",
+            {"task_params": {"optimal": "no"}}),
+        "config_fractional_max_iters": (
+            "gd --function quadratic_2d --x0 1,1 --beta 0.01 --config {config}",
+            2, "usage", {"task_params": {"max_iters": 10.7}}),
+        "config_list_pairs": (
+            "verify --function quadratic_1d --property pl --mu 0.5 "
+            "--config {config}", 2, "usage", {"task_params": {"pairs": [1, 2]}}),
+        "config_string_seed": (
+            "gd --function quadratic_2d --x0 1,1 --beta 0.01 --config {config}",
+            2, "usage", {"seed": "x"}),
+        "config_string_in_x0": (
+            "gd --function quadratic_2d --beta 0.01 --config {config}", 2,
+            "usage", {"task_params": {"x0": [1, "a"]}}),
+        "config_task_params_list": (
+            "gd --function quadratic_2d --x0 1,1 --beta 0.01 --config {config}",
+            2, "usage", {"task_params": ["x0"]}),
+        "config_not_an_object": (
+            "gd --function quadratic_2d --x0 1,1 --beta 0.01 --config {config}",
+            2, "usage", [1]),
+        "x0_not_a_vector": ("gd --function quadratic_2d --x0 1,a --beta 0.01",
+                            2, "usage"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqcflow import catalog, estimate, flows, solvers
+from sqcflow import catalog, cli, estimate, flows, solvers
 from sqcflow.core import (DomainExit, DomainSpec, FunctionOracle,
                           InvalidParameter, MissingMinimizer, NumericalBlowup,
                           ParameterWindowViolation)
@@ -271,6 +271,33 @@ class TestGDCertificates:
         assert cert.empirical_rate == pytest.approx(0.5625, rel=1e-6)
 
 
+def _gd_from_default_start(name):
+    """300 gd steps of 0.01 from the start the CLI takes by default."""
+    entry = CAT[name]
+    return gradient_descent(entry.oracle, GDConfig(
+        x0=cli._start(entry, {}), beta=0.01, max_iters=300, stop_grad_tol=0.0))
+
+
+# The abstract's discretization of the first-order flow: a gd step of beta
+# is an explicit-Euler step of dt = beta, bit for bit, because
+# x + dt (-g) and x - beta g round alike.
+@pytest.mark.parametrize("name", sorted(CAT))
+def test_gd_is_the_explicit_euler_flow(name):
+    gd = _gd_from_default_start(name)
+    flow = flows.integrate_first_order(CAT[name].oracle, FlowConfig(
+        x0=gd.states[0], t_end=3.0, dt=0.01, integrator="explicit_euler"))
+    assert np.array_equal(gd.states, flow.states)
+    assert np.array_equal(gd.h_values, flow.h_values)
+    if name.startswith("sqrt_norm"):
+        # the flow evaluates its gradients as one batch after the run, gd
+        # point by point during it; on sqrt(|x|) the two round apart, and
+        # the norms differ by up to 2 ulp on a few rows
+        assert not np.array_equal(gd.grad_norms, flow.grad_norms)
+        np.testing.assert_array_max_ulp(gd.grad_norms, flow.grad_norms, 2)
+    else:
+        assert np.array_equal(gd.grad_norms, flow.grad_norms)
+
+
 class TestHeavyBall:
     def test_hand_recursion(self):
         cfg = HBConfig(x0=[1.0], theta=0.5, beta=0.5, max_iters=2,
@@ -278,15 +305,17 @@ class TestHeavyBall:
         traj = heavy_ball(CAT["quadratic_1d"].oracle, cfg)
         np.testing.assert_allclose(traj.states[:, 0], [1.0, 0.5, 0.0])
 
-    def test_degenerate_momentum_matches_gd_bitwise(self):
-        gd = gradient_descent(CAT["quadratic_2d"].oracle,
-                              GDConfig(x0=[1.0, -0.5],
-                                       beta=0.05,
-                                       max_iters=60, stop_grad_tol=0.0))
-        hb = heavy_ball(CAT["quadratic_2d"].oracle,
-                        HBConfig(x0=[1.0, -0.5], theta=0.0, beta=0.05,
-                                 max_iters=60, stop_grad_tol=0.0))
-        assert np.array_equal(gd.states, hb.states)
+    @pytest.mark.parametrize("name", sorted(CAT))
+    def test_degenerate_momentum_matches_gd_bitwise(self, name):
+        gd = _gd_from_default_start(name)
+        hb = heavy_ball(CAT[name].oracle,
+                        HBConfig(x0=gd.states[0], theta=0.0, beta=0.01,
+                                 max_iters=300, stop_grad_tol=0.0))
+        for series in ("states", "h_values", "grad_norms"):
+            assert np.array_equal(getattr(gd, series), getattr(hb, series))
+        assert set(gd.diagnostics) <= set(hb.diagnostics)
+        for key, series in gd.diagnostics.items():
+            assert np.array_equal(series, hb.diagnostics[key])
 
     def test_tiny_momentum_close_to_gd(self):
         gd = gradient_descent(CAT["quadratic_1d"].oracle,

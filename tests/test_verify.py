@@ -514,16 +514,21 @@ class TestSharedSamples:
     BUDGET = SampleBudget(pairs=200, lambdas_per_pair=2, seed=0)
     CASES = _shared_sample_cases()
 
+    # at one weight per pair the weighted and the unweighted checks share
+    # one pairs sample
+    @pytest.mark.parametrize("lambdas", [1, 2])
     @pytest.mark.parametrize("pair_budget", [1, 37, verify._PAIR_BUDGET])
     @pytest.mark.parametrize("name,gamma", CASES)
     def test_ladder_equals_its_checks_run_one_by_one(self, monkeypatch, name,
-                                                     gamma, pair_budget):
+                                                     gamma, pair_budget,
+                                                     lambdas):
         monkeypatch.setattr(verify, "_PAIR_BUDGET", pair_budget)
+        budget = dataclasses.replace(self.BUDGET, lambdas_per_pair=lambdas)
         o = CAT[name].oracle
-        one_by_one = [check_property(n, o, m, self.BUDGET).to_dict()
+        one_by_one = [check_property(n, o, m, budget).to_dict()
                       for n, m in ladder_runs(o, gamma)]
         assert [r.to_dict() for r in
-                check_implication_ladder(o, gamma, self.BUDGET)] == one_by_one
+                check_implication_ladder(o, gamma, budget)] == one_by_one
 
     def test_cases_reach_the_cap_skip_pl_and_note_both_premises(self):
         reports = {(name, gamma): {r.property_name: r for r in
@@ -579,6 +584,19 @@ class TestSharedSamples:
         # minimizer once: values n + 1, gradients n.  Drawn once per check,
         # the 13 checks would evaluate 47 n + 1 value and 25 n gradient rows.
         assert rows == {"value": 19 * n + 1, "grad": 7 * n}
+
+    def test_one_weight_draws_one_pairs_sample(self, monkeypatch):
+        draws = []
+
+        def drawn(*args):
+            draws.append(args[3])
+            return sample_pairs(*args)
+        monkeypatch.setattr(verify, "sample_pairs", drawn)
+        budget = dataclasses.replace(self.BUDGET, lambdas_per_pair=1)
+        reports = check_implication_ladder(CAT["quadratic_2d"].oracle, 1.0,
+                                           budget)
+        assert len(reports) == 13
+        assert draws == [1]
 
 
 # Hand-derived (lhs, rhs) of every property at x = (1, 1/2), y = (-1, 1),
