@@ -414,7 +414,15 @@ def _add_common(p):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refusals raise InvalidParameter, which main reports as usage errors."""
+    """Refusals raise InvalidParameter, which main reports as usage errors.
+
+    Flags must be spelled out, as a config file's keys always are: an
+    abbreviation would read hb's and flow's ``--L`` as gd's ``--L0``.
+    Subparsers are built with this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise InvalidParameter(message)

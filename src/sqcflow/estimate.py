@@ -125,19 +125,28 @@ def empirical_modulus(oracle: FunctionOracle, samples: int = 20000,
     and is zero at its value for gamma = 0 over the penalty per unit of
     gamma.  The estimate is the minimum of that gamma over the sample,
     clamped at zero.  It can only overestimate the true modulus; multiply
-    by 0.95 (SAFETY_MODULUS) before certification use.
+    by 0.95 (SAFETY_MODULUS) before certification use.  The sample is
+    evaluated in blocks of ``_PAIR_BUDGET // dim`` pairs, as a check of
+    ``verify`` is, so the temporaries do not grow with ``samples``.
     """
     if samples < 1:
         raise InvalidParameter("need at least 1 sample")
     X, Y, LAM = sample_pairs(oracle.domain, oracle.dim, samples, 1,
                              NestedSampler(seed), lam_range=_LAMBDA_RANGE)
-    s = _Batch(oracle, X, Y, LAM)
-    valid = s.d2 >= 1e-12
-    if np.count_nonzero(valid) < 10:
+    rows, valid, best = max(1, _PAIR_BUDGET // oracle.dim), 0, np.inf
+    for start in range(0, samples, rows):
+        block = slice(start, start + rows)
+        s = _Batch(oracle, X[block], Y[block], LAM[block])
+        keep = s.d2 >= 1e-12
+        if keep.any():
+            valid += int(np.count_nonzero(keep))
+            lhs, rhs = PROPERTIES["strong_quasiconvexity"].inequality(s, 0.0)
+            ratio = ((lhs - rhs) / _penalty(s, 1.0))[:, 0]
+            # np.minimum, unlike min(), keeps a NaN ratio
+            best = np.minimum(best, ratio[keep].min())
+    if valid < 10:
         raise InsufficientSamples("fewer than 10 distinct sampled pairs")
-    lhs, rhs = PROPERTIES["strong_quasiconvexity"].inequality(s, 0.0)
-    ratio = ((lhs - rhs) / _penalty(s, 1.0))[:, 0]
-    return max(float(ratio[valid].min()), 0.0)
+    return max(float(best), 0.0)
 
 
 def estimate_kappa(oracle: FunctionOracle, traj) -> float:

@@ -48,6 +48,8 @@ class FlowConfig:
             raise InvalidParameter(f"unknown integrator {self.integrator!r}")
         if not (positive(self.dt, self.t_end) and self.dt <= self.t_end):
             raise InvalidParameter("need 0 < dt <= t_end")
+        if self.stop_dist is not None and not 0.0 <= self.stop_dist < math.inf:
+            raise InvalidParameter("stop_dist must be a nonnegative distance")
 
 
 @dataclass(frozen=True)

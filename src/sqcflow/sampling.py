@@ -1,11 +1,20 @@
 """Seeded, nested sample streams over domains.
 
-All randomness is drawn as one sequential stream of uniforms from a
-counter-based generator (Philox), one fixed-width row per sample.  The
-stream position after n rows does not depend on chunking, so a run with a
-larger budget reproduces the smaller run's samples as a prefix.  That
-makes refinement monotone (min/max estimates only improve) and keeps every
-report reproducible from its seed.
+All randomness is drawn as one sequential stream of uniforms, one
+fixed-width row per sample.  The stream position after n rows does not
+depend on chunking, so a run with a larger budget reproduces the smaller
+run's samples as a prefix.  That makes refinement monotone (min/max
+estimates only improve) and keeps every report reproducible from its seed.
+
+The generator is Philox4x64-10 (Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC 2011), computed here in vectorised ``np.uint64``
+arithmetic; its words are those of ``numpy.random.Philox(key=seed mod
+2**64)``, which this module does not import.  The key is ``(seed mod
+2**64, 0)``.  Block b of the stream is the 10-round encryption of the
+counter ``(b + 1, 0, 0, 0)`` and holds words 4b to 4b + 3, so word j is
+computed directly from the key and j.  Word w gives the uniform
+``(w >> 11) * 2**-53``, as ``numpy.random.Generator.random`` does, and
+rows take consecutive uniforms in row-major order.
 
 Rows map onto the domain's base region by construction; only the
 domain's vectorized predicate (and an optional ``accept`` mask) can
@@ -25,6 +34,19 @@ DEFAULT_HALFWIDTH = 3.0
 
 _CHUNK = 4096
 _MAX_CONSECUTIVE_REJECTS = 1000
+
+# Philox4x64-10: the two round multipliers, the Weyl constants that bump
+# the key between rounds, and the words generated per pass, which bounds
+# the generator's temporaries at about 512 KiB.
+_MASK64 = (1 << 64) - 1
+_MULT = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
+_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_ROUNDS = 10
+_WORDS = 1 << 14
+# uint64 operands only: numpy 1.x would promote uint64 with a Python int
+# to float64
+_LO32, _32, _11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
+_MULT_LO, _MULT_HI = _MULT & _LO32, _MULT >> _32
 
 # Acklam's rational approximation of the standard normal quantile: central
 # region |p - 1/2| <= 1/2 - _P_LOW, tails beyond it.
@@ -54,16 +76,71 @@ def inverse_normal_cdf(p) -> np.ndarray:
     return out
 
 
+def _round_keys(key: int) -> np.ndarray:
+    """The key of each round, shape (rounds, 2, 1): round r adds r times
+    the Weyl constants to ``(key, 0)``, modulo 2**64."""
+    return np.array([[[(key + r * _WEYL[0]) & _MASK64],
+                      [r * _WEYL[1] & _MASK64]] for r in range(_ROUNDS)],
+                    np.uint64)
+
+
+def _philox_words(key: int, first: int, count: int) -> np.ndarray:
+    """Words ``first`` to ``first + count - 1`` of the Philox4x64-10 stream.
+
+    A round multiplies counter words 0 and 2 into 128-bit products, whose
+    high words are built from 32-bit halves (the low words wrap in
+    uint64), and gives ``(hi2 ^ c1 ^ k0, lo2, hi0 ^ c3 ^ k1, lo0)``.  The
+    counter is held as words (0, 2) and (1, 3) of every block, and each
+    round works in place on four more arrays of that shape.
+    """
+    block = first // 4
+    blocks = (first + count + 3) // 4 - block
+    x, y = np.zeros((2, 2, blocks), np.uint64)
+    x[0] = np.arange(block + 1, block + 1 + blocks, dtype=np.uint64)
+    lo, hi, t, u = np.empty((4, 2, blocks), np.uint64)
+    for k in _round_keys(key):
+        np.bitwise_and(x, _LO32, out=lo)
+        np.right_shift(x, _32, out=hi)
+        np.multiply(_MULT_LO, lo, out=t)
+        t >>= _32
+        t += np.multiply(_MULT_LO, hi, out=u)   # < 2**64: no carry is lost
+        np.bitwise_and(t, _LO32, out=u)
+        lo *= _MULT_HI
+        u += lo
+        hi *= _MULT_HI
+        t >>= _32
+        hi += t
+        u >>= _32
+        hi += u
+        np.multiply(_MULT, x, out=lo)
+        np.bitwise_xor(hi[::-1], y, out=x)
+        x ^= k
+        y, lo = lo[::-1], y
+    words = np.empty((blocks, 4), np.uint64)
+    words[:, 0::2], words[:, 1::2] = x.T, y.T
+    skip = first - 4 * block
+    return words.reshape(-1)[skip:skip + count]
+
+
 class NestedSampler:
-    """Sequential uniform row source with a reproducible prefix property."""
+    """Sequential uniform row source with a reproducible prefix property.
+
+    Its whole state is the Philox key and the position of the next word.
+    """
 
     def __init__(self, seed: int):
-        self._gen = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
+        self._key, self._position = int(seed) & _MASK64, 0
 
     def rows(self, n: int, width: int) -> np.ndarray:
-        u = self._gen.random((n, width))
+        u = np.empty(n * width)
+        for start in range(0, u.size, _WORDS):
+            part = u[start:start + _WORDS]
+            words = _philox_words(self._key, self._position + start, part.size)
+            words >>= _11
+            np.multiply(words, 2.0 ** -53, out=part)
+        self._position += u.size
         # the normal quantile is infinite at 0; keep uniforms strictly inside (0, 1)
-        return np.clip(u, 1e-15, 1.0 - 1e-15)
+        return np.clip(u, 1e-15, 1.0 - 1e-15, out=u).reshape(n, width)
 
 
 def point_width(domain: DomainSpec, dim: int) -> int:

@@ -572,6 +572,22 @@ def test_import_sqcflow_does_not_load_numpy():
                    timeout=120)
 
 
+@pytest.mark.parametrize("command", [
+    "verify --function quadratic_fraction --property ladder --pairs 2000",
+    "estimate --function sin_quadratic --constant gamma --samples 2000",
+    # L0 is estimated on the sublevel set of x0
+    "gd --function sin_quadratic --optimal --x0 2 --max-iters 50",
+], ids=["verify", "estimate", "gd"])
+def test_sampled_runs_do_not_load_numpy_random(command):
+    # the sampler computes its Philox stream itself
+    code = ("import sys; from sqcflow.cli import main; rc = main(sys.argv[1:]);"
+            " print(rc, 'numpy.random' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, *command.split()],
+                          env=_env(), check=True, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stderr.split()[-2:] == ["0", "False"]
+
+
 @pytest.mark.parametrize("threads, expected", [
     ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}),
     ({"OPENBLAS_NUM_THREADS": "2"},
@@ -918,6 +934,15 @@ class TestErrorPaths:
         "hb_negative_stop_grad_tol": (
             "hb --function quadratic_2d --theta 0.5 --x0 1,1 "
             "--stop-grad-tol -1", 2, "usage"),
+        # a negative distance can never be met
+        "flow_negative_stop_dist": (
+            "flow --function quadratic_2d --x0 1,1 --stop-dist -1 --t-end 1",
+            2, "usage"),
+        # flags are spelled out: gd has --L0 and --beta, not --L or --bet
+        "gd_abbreviated_L0": (
+            "gd --function quadratic_2d --x0 1,1 --beta 0.01 --L 5", 2, "usage"),
+        "gd_abbreviated_beta": (
+            "gd --function quadratic_2d --x0 1,1 --bet 0.01", 2, "usage"),
         "config_nan": (
             "gd --function quadratic_2d --x0 1,1 --config {config}",
             2, "usage", {"task_params": {"beta": float("nan")}}),

@@ -274,6 +274,41 @@ class TestVectorizedDomains:
             assert not loop.all()
 
 
+STREAM_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1, -3]
+
+
+class TestPhiloxStream:
+    """The sampler's Philox4x64-10 words and uniforms against numpy's."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_words_match_numpy(self, seed):
+        key = seed % 2 ** 64
+        # past one generator pass, so the second pass starts mid-stream
+        n = sampling._WORDS + 123
+        ref = np.random.Philox(key=key).random_raw(n)
+        np.testing.assert_array_equal(sampling._philox_words(key, 0, n), ref)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("first, count", [
+        (1, 1), (2, 3), (3, 2), (5, 4), (6, 11), (4095, 9),
+        (sampling._WORDS - 3, 7)])
+    def test_words_from_any_start(self, seed, first, count):
+        key = seed % 2 ** 64
+        ref = np.random.Philox(key=key).random_raw(first + count)[first:]
+        np.testing.assert_array_equal(
+            sampling._philox_words(key, first, count), ref)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_rows_match_numpy_uniforms(self, seed):
+        # row widths that leave the stream between 4-word blocks, and one
+        # draw that crosses a generator pass
+        gen = np.random.Generator(np.random.Philox(key=seed % 2 ** 64))
+        sampler = NestedSampler(seed)
+        for shape in [(1, 1), (1, 3), (2, 5), (3, 7), (1300, 13), (1, 2)]:
+            ref = np.clip(gen.random(shape), 1e-15, 1.0 - 1e-15)
+            np.testing.assert_array_equal(sampler.rows(*shape), ref)
+
+
 class TestSampling:
     def test_inverse_normal_cdf_matches_stdlib(self):
         p = np.concatenate([[1e-15, 1e-10, 0.02425, 0.5, 1 - 0.02425, 1 - 1e-15],

@@ -222,6 +222,38 @@ class TestEmpiricalModulus:
             estimate.empirical_modulus(CAT["quadratic_1d"].oracle, samples=2,
                                        seed=0)
 
+    @pytest.mark.parametrize("name", ["sin_quadratic", "quadratic_fraction",
+                                      "sqrt_norm_2d"])
+    def test_blocks_give_the_whole_sample_estimate(self, monkeypatch, name):
+        # blocks of one pair, of a count that divides no sample size, and
+        # one block holding the whole sample
+        oracle, samples = CAT[name].oracle, 1500
+        estimates = []
+        for budget in (oracle.dim, 37 * oracle.dim, samples * oracle.dim):
+            monkeypatch.setattr(estimate, "_PAIR_BUDGET", budget)
+            estimates.append(estimate.empirical_modulus(oracle, samples, 5))
+        assert estimates[0] == estimates[1] == estimates[2] > 0
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        oracle = CAT["sin_quadratic"].oracle
+        # in dim 1 a block's temporaries are about ten float64 arrays of
+        # _PAIR_BUDGET rows: h at both points and at the interpolation
+        # points, the penalty, both sides, the margin, the ratio and masks
+        block = 12 * 8 * estimate._PAIR_BUDGET
+        estimate.empirical_modulus(oracle, samples=20)
+        for samples in (20_000, 100_000):
+            # X, Y and the weights, and two sampler chunks of rows
+            sample = 8 * samples * 3 + 2 * 8 * sampling._CHUNK * 3
+            tracemalloc.start()
+            try:
+                estimate.empirical_modulus(oracle, samples=samples)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # about 4.8 MiB at 100000 samples, where one batch peaked at
+            # 8.5 MiB
+            assert peak <= sample + block
+
 
 class TestKappa:
     def traj(self, entry, x0, t_end=3.0):
