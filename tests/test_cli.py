@@ -579,13 +579,19 @@ def test_import_sqcflow_does_not_load_numpy():
     "gd --function sin_quadratic --optimal --x0 2 --max-iters 50",
 ], ids=["verify", "estimate", "gd"])
 def test_sampled_runs_do_not_load_numpy_random(command):
-    # the sampler computes its Philox stream itself
-    code = ("import sys; from sqcflow.cli import main; rc = main(sys.argv[1:]);"
-            " print(rc, 'numpy.random' in sys.modules, file=sys.stderr)")
+    # the sampler computes its Philox stream itself; numpy 1.x imports
+    # numpy.random with numpy itself, so there is nothing to check
+    code = ("import sys, numpy; eager = 'numpy.random' in sys.modules;"
+            " from sqcflow.cli import main; rc = main(sys.argv[1:]);"
+            " print(eager, rc, 'numpy.random' in sys.modules, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code, *command.split()],
                           env=_env(), check=True, capture_output=True,
                           text=True, timeout=120)
-    assert proc.stderr.split()[-2:] == ["0", "False"]
+    eager, rc, loaded = proc.stderr.split()[-3:]
+    assert rc == "0"
+    if eager == "True":
+        pytest.skip("import numpy loads numpy.random (numpy < 2)")
+    assert loaded == "False"
 
 
 @pytest.mark.parametrize("threads, expected", [

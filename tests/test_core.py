@@ -277,6 +277,7 @@ class TestVectorizedDomains:
 STREAM_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1, -3]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPhiloxStream:
     """The sampler's Philox4x64-10 words and uniforms against numpy's."""
 
@@ -309,6 +310,7 @@ class TestPhiloxStream:
             np.testing.assert_array_equal(sampler.rows(*shape), ref)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSampling:
     def test_inverse_normal_cdf_matches_stdlib(self):
         p = np.concatenate([[1e-15, 1e-10, 0.02425, 0.5, 1 - 0.02425, 1 - 1e-15],
