@@ -19,6 +19,7 @@ import numpy as np
 from . import catalog, cli, estimate, flows, solvers, verify
 from .core import InvalidParameter
 from .flows import FlowConfig, LyapunovParams
+from .sampling import NestedSampler, inverse_normal_cdf
 from .solvers import GDConfig, HBConfig
 
 SEED = 42
@@ -330,8 +331,8 @@ def rates_entries() -> list:
 
 
 def rates_starts(dim: int) -> np.ndarray:
-    """12 seeded starts in random directions, at scales 1e-3 to 1e3."""
-    dirs = np.random.default_rng(SEED).standard_normal((12, dim))
+    """12 starts at scales 1e-3 to 1e3, directions from the stream at SEED."""
+    dirs = inverse_normal_cdf(NestedSampler(SEED).rows(12, dim))
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True) \
         * np.logspace(-3.0, 3.0, 12)[:, None]
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (DomainSpec, DomainViolation, FunctionOracle,
                    InvalidParameter, as_point)
-from .sampling import NestedSampler, sample_points
+from .sampling import sample_points
 
 _ORIGIN_EXCLUSION = 1e-12
 _TIE_TOL = 1e-12
@@ -158,7 +158,7 @@ def quadratic_fraction(A, a, alpha: float, B, b, beta: float,
     domain = _bounding_domain(B, b, beta, m, M, dim, member)
     if np.any(B):
         eigs_B = np.linalg.eigvalsh(B)
-        pts = sample_points(domain, dim, 512, NestedSampler(0))
+        pts = sample_points(domain, dim, 512, seed=0)
         fvals = f(pts)
         nsd, psd = eigs_B.max() <= 1e-12, eigs_B.min() >= -1e-12
         if not ((nsd and np.all(fvals >= -1e-12)) or

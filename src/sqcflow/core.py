@@ -36,6 +36,9 @@ RATE_SLACK = 0.05
 # Samples at or below this size are roundoff, not evidence against a bound.
 NOISE_FLOOR = 1e-12
 
+# Roundoff may break an inequality lhs >= rhs by up to ineq_tol(lhs, rhs).
+INEQ_TOL_COEFF = 1e-9
+
 # kinds whose theoretical rate is a decay exponent; the others are factors
 _DECAY_KINDS = ("flow_first", "flow_second")
 
@@ -258,8 +261,9 @@ class Trajectory:
         return self.params[name]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step_rows(first, n_max: int, unit, advance, inside, *, width=None,
-              fill=None, done=None) -> np.ndarray:
+              fill=None) -> np.ndarray:
     """Rows 0..n of a fixed-step recursion making at most ``n_max`` steps.
 
     Rows live in one buffer that doubles when full, so memory follows the
@@ -267,12 +271,12 @@ def step_rows(first, n_max: int, unit, advance, inside, *, width=None,
     raises DomainExit at 0.  Row 0 begins with ``first``; ``width``
     (default ``first.size``) leaves room for the columns ``fill`` writes.
     Step k, in order: ``advance(rows, k)`` returns the next state, or None
-    to stop before stepping; a non-finite state raises NumericalBlowup and
-    one not ``inside`` the domain DomainExit, both at ``(k + 1) * unit``;
-    the state starts row k + 1 and ``fill(rows, k + 1)`` ends it
-    (``fill(rows, 0)`` runs first); ``done(state)`` true stops the run
-    after that row.  The buffer is replaced when it grows, so ``advance``
-    and ``fill`` must keep no reference to it between calls.
+    to stop before stepping; a non-finite state (numpy does not warn of
+    it) raises NumericalBlowup and one not ``inside`` the domain
+    DomainExit, both at ``(k + 1) * unit``; the state starts row k + 1 and
+    ``fill(rows, k + 1)`` ends it (``fill(rows, 0)`` runs first).  The
+    buffer is replaced when it grows, so ``advance`` and ``fill`` must
+    keep no reference to it between calls.
     """
     if not inside(first):
         raise DomainExit(0, "x0 outside the domain")
@@ -298,8 +302,6 @@ def step_rows(first, n_max: int, unit, advance, inside, *, width=None,
         rows[k, :n] = state
         if fill is not None:
             fill(rows, k)
-        if done is not None and done(state):
-            break
     return rows[:k + 1]
 
 
@@ -333,6 +335,10 @@ class RateCertificate:
             else float(self.first_violation),
             "notes": self.notes,
         }
+
+
+def ineq_tol(lhs, rhs):
+    return INEQ_TOL_COEFF * (1.0 + np.abs(lhs) + np.abs(rhs))
 
 
 def envelope_violations(values, envelope, floor=NOISE_FLOOR) -> np.ndarray:

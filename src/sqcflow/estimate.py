@@ -13,7 +13,9 @@ the least), so the scan's memory does not grow with the sample count.
 Squares are summed in ascending coordinate order, as ``np.linalg.norm``
 sums fewer than 8 terms: dims 1 and 2 make at most one addition, dims 3
 to 6 matched it on 2M vectors under numpy 2.4.6, and only CI's job on the
-numpy 1.24 floor checks that version.
+numpy 1.24 floor checks that version.  The modulus estimate cuts its
+sample with ``verify._blocks``, the one block rule of sampled checks, so
+its temporaries do not grow with the sample count either.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 from .core import (DomainExit, DomainSamplingFailure, DomainSpec,
                    FunctionOracle, InsufficientSamples, InvalidParameter,
                    NumericalBlowup, StagnationFailure, as_point)
-from .sampling import NestedSampler, sample_pairs, sample_points
-from .verify import _PAIR_BUDGET, PROPERTIES, _Batch, _penalty
+from .sampling import sample_pairs, sample_points
+from .verify import _PAIR_BUDGET, PROPERTIES, _blocks, _penalty
 
 SAFETY_LIPSCHITZ = 1.1
 SAFETY_MODULUS = 0.95
@@ -82,7 +84,7 @@ def estimate_lipschitz_sublevel(oracle: FunctionOracle, x0,
         raise DomainExit(0, "x0 outside the domain")
     level = float(oracle.value(x0))
     region = _sublevel_region(oracle, x0, level)
-    pts = sample_points(region, oracle.dim, samples, NestedSampler(seed),
+    pts = sample_points(region, oracle.dim, samples, seed,
                         accept=lambda X: np.asarray(oracle.value(X)) <= level)
     pts = np.concatenate([x0[None, :], pts])
     grads = np.asarray(oracle.grad(pts))
@@ -125,18 +127,15 @@ def empirical_modulus(oracle: FunctionOracle, samples: int = 20000,
     and is zero at its value for gamma = 0 over the penalty per unit of
     gamma.  The estimate is the minimum of that gamma over the sample,
     clamped at zero.  It can only overestimate the true modulus; multiply
-    by 0.95 (SAFETY_MODULUS) before certification use.  The sample is
-    evaluated in blocks of ``_PAIR_BUDGET // dim`` pairs, as a check of
-    ``verify`` is, so the temporaries do not grow with ``samples``.
+    by 0.95 (SAFETY_MODULUS) before certification use.
     """
     if samples < 1:
         raise InvalidParameter("need at least 1 sample")
-    X, Y, LAM = sample_pairs(oracle.domain, oracle.dim, samples, 1,
-                             NestedSampler(seed), lam_range=_LAMBDA_RANGE)
-    rows, valid, best = max(1, _PAIR_BUDGET // oracle.dim), 0, np.inf
-    for start in range(0, samples, rows):
-        block = slice(start, start + rows)
-        s = _Batch(oracle, X[block], Y[block], LAM[block])
+    X, Y, LAM = sample_pairs(oracle.domain, oracle.dim, samples, 1, seed)
+    LAM *= _LAMBDA_RANGE[1] - _LAMBDA_RANGE[0]
+    LAM += _LAMBDA_RANGE[0]
+    valid, best = 0, np.inf
+    for s in _blocks(oracle, X, Y, LAM):
         keep = s.d2 >= 1e-12
         if keep.any():
             valid += int(np.count_nonzero(keep))

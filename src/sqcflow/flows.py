@@ -103,14 +103,18 @@ def _flow_rows(oracle: FunctionOracle, config: FlowConfig, z0, f):
     """Times and states of z' = f(z), whose first oracle.dim entries are x."""
     d, dt, x_bar = oracle.dim, config.dt, oracle.known_minimizer
     step = _step_fn(config.integrator)
-    done = None
+
+    def advance(rows, k):
+        return step(f, rows[k], dt)
     if config.stop_dist is not None and x_bar is not None:
-        def done(z):
-            r = z[:d] - x_bar
-            return math.sqrt(r.dot(r)) <= config.stop_dist
-    rows = step_rows(z0, max(1, int(round(config.t_end / dt))), dt,
-                     lambda rows, k: step(f, rows[k], dt),
-                     lambda z: oracle.domain.contains(z[:d]), done=done)
+        # a run stops at the first row after row 0 within stop_dist
+        def advance(rows, k):
+            r = rows[k, :d] - x_bar
+            if k and math.sqrt(r.dot(r)) <= config.stop_dist:
+                return None
+            return step(f, rows[k], dt)
+    rows = step_rows(z0, max(1, int(round(config.t_end / dt))), dt, advance,
+                     lambda z: oracle.domain.contains(z[:d]))
     return np.arange(rows.shape[0]) * dt, rows
 
 

@@ -1,10 +1,11 @@
 """Seeded, nested sample streams over domains.
 
-All randomness is drawn as one sequential stream of uniforms, one
-fixed-width row per sample.  The stream position after n rows does not
-depend on chunking, so a run with a larger budget reproduces the smaller
-run's samples as a prefix.  That makes refinement monotone (min/max
-estimates only improve) and keeps every report reproducible from its seed.
+Every seeded draw in the package comes from this module: one sequential
+stream of uniforms keyed by a seed, one fixed-width row per sample.  The
+stream position after n rows does not depend on chunking, so a run with
+a larger budget reproduces the smaller run's samples as a prefix.  That
+makes refinement monotone (min/max estimates only improve) and keeps
+every report reproducible from its seed.
 
 The generator is Philox4x64-10 (Salmon et al., "Parallel random numbers:
 as easy as 1, 2, 3", SC 2011), computed here in vectorised ``np.uint64``
@@ -192,15 +193,15 @@ def _first_accepted(keep: np.ndarray, need: int, run: int) -> tuple[np.ndarray, 
     return idx, int(runs[-1]) if open_end else 0
 
 
-def _accepted(n: int, width: int, sampler: NestedSampler, draw) -> list:
-    """The first ``n`` accepted candidates of the row stream.
+def _accepted(n: int, width: int, seed: int, draw) -> list:
+    """The first ``n`` accepted candidates of the row stream of ``seed``.
 
     ``draw(rows)`` maps a chunk of rows, one candidate each, to a tuple of
     arrays aligned with the rows and the candidates' accept mask.  Returns
     those arrays' accepted rows, each written into an array of ``n`` rows
     allocated once, so the sample never exists twice.
     """
-    out, got, run = None, 0, 0
+    sampler, out, got, run = NestedSampler(seed), None, 0, 0
     while got < n:
         arrays, keep = draw(sampler.rows(min(_CHUNK, max(n - got, 64)), width))
         idx, run = _first_accepted(keep, n - got, run)
@@ -212,8 +213,7 @@ def _accepted(n: int, width: int, sampler: NestedSampler, draw) -> list:
     return out
 
 
-def sample_points(domain: DomainSpec, dim: int, n: int,
-                  sampler: NestedSampler,
+def sample_points(domain: DomainSpec, dim: int, n: int, seed: int,
                   accept=None) -> np.ndarray:
     """Draw n points from the domain, rejecting on predicate and ``accept``.
 
@@ -228,25 +228,24 @@ def sample_points(domain: DomainSpec, dim: int, n: int,
             keep = keep & np.asarray(accept(X), dtype=bool)
         return (X,), keep
 
-    return _accepted(n, point_width(domain, dim), sampler, draw)[0]
+    return _accepted(n, point_width(domain, dim), seed, draw)[0]
 
 
 def sample_pairs(domain: DomainSpec, dim: int, pairs: int, n_lambdas: int,
-                 sampler: NestedSampler,
-                 lam_range: tuple[float, float] = (0.0, 1.0)):
+                 seed: int):
     """Draw (x, y, lambda...) triples; both points must lie in the domain.
 
-    Returns arrays X (pairs, dim), Y (pairs, dim), LAM (pairs, n_lambdas).
-    One row of the stream covers one candidate triple, so rejection keeps
-    the nested-prefix property.
+    Returns arrays X (pairs, dim), Y (pairs, dim), LAM (pairs, n_lambdas),
+    the weights uniform on ]0, 1[.  One row of the stream covers one
+    candidate triple, so rejection keeps the nested-prefix property.
     """
     w = point_width(domain, dim)
-    lo, span = lam_range[0], lam_range[1] - lam_range[0]
 
     def draw(rows):
         X = points_from_rows(domain, dim, rows[:, :w])
         Y = points_from_rows(domain, dim, rows[:, w:2 * w])
         keep = domain.predicate_mask(X) & domain.predicate_mask(Y)
-        return (X, Y, lo + span * rows[:, 2 * w:]), keep
+        # a copy: a view would keep this chunk of rows alive into the next
+        return (X, Y, rows[:, 2 * w:].copy()), keep
 
-    return tuple(_accepted(pairs, 2 * w + n_lambdas, sampler, draw))
+    return tuple(_accepted(pairs, 2 * w + n_lambdas, seed, draw))

@@ -25,8 +25,8 @@ import numpy as np
 
 from .core import (NOISE_FLOOR, RATE_SLACK, DomainExit, FunctionOracle,
                    InvalidParameter, ParameterWindowViolation, RateCertificate,
-                   Trajectory, as_point, envelope_violations, positive,
-                   rate_certificate, step_rows)
+                   Trajectory, as_point, envelope_violations, ineq_tol,
+                   positive, rate_certificate, step_rows)
 
 
 def step_window(gamma: float, L0: float) -> float:
@@ -272,7 +272,7 @@ def certify_hb_energy(traj: Trajectory, gamma: float, L: float) -> RateCertifica
     step1 = steps[1] if len(traj) > 1 else 0.0
     E1 = float(gaps[0] + (theta ** 2 / (2.0 * beta)) * step1 ** 2)
 
-    tol = 1e-9 * (1.0 + np.abs(E[:-1]) + np.abs(E[1:]))
+    tol = ineq_tol(E[:-1], E[1:])
     bad = ~(E[1:] <= factor * E[:-1] + tol)  # NaN is a violation
 
     k = np.arange(1, len(traj), dtype=np.float64)

@@ -9,17 +9,17 @@ and sampling can only refute them.
 Margins follow one convention throughout: an inequality is stored as
 ``lhs >= rhs`` and its margin is ``lhs - rhs``; a sample is a violation
 exactly when ``margin < -tol`` with the one-sided relative tolerance
-``tol = 1e-9 (1 + |lhs| + |rhs|)``.  The tolerance is applied so that
-roundoff can never manufacture a violation.
+``core.ineq_tol``: ``tol = 1e-9 (1 + |lhs| + |rhs|)``.  The tolerance is
+applied so that roundoff can never manufacture a violation.
 
 Every inequality is written once, as an entry of the property table
 ``PROPERTIES``.  The ``check_*`` functions, ``witness_margin``,
 ``check_property`` (the command line's dispatch) and
 ``check_implication_ladder`` all evaluate those entries.
 
-A check draws its whole sample first, O(pairs (2 dim + weights)) floats,
-then evaluates it in blocks of ``_PAIR_BUDGET // (weights dim)`` rows (one
-row at the least), so its temporaries stay at one fixed block whatever
+A check draws its whole sample, O(pairs (2 dim + weights)) floats, then
+``_blocks`` (the one block rule) cuts it into ``_PAIR_BUDGET // (weights
+dim)`` rows (one at the least): the temporaries stay at one block whatever
 the sample count.  Every oracle evaluates each row on its own, so the
 blocks give the margins, counts and witnesses of one whole-sample pass.
 The implication ladder's checks read only three samples: points, pairs
@@ -38,23 +38,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FunctionOracle, InvalidParameter, MissingMinimizer, positive
-from .sampling import NestedSampler, sample_pairs, sample_points
+from .core import (FunctionOracle, InvalidParameter, MissingMinimizer,
+                   ineq_tol, positive)
+from .sampling import sample_pairs, sample_points
 
-INEQ_TOL_COEFF = 1e-9
 MAX_WITNESSES = 25
 
 _FIXED_LAMBDAS = np.array([0.0, 0.5, 1.0])
 
 # Float64 elements per temporary of a blocked evaluation: 256 KiB, which
-# fits in L2.  Both modules read it: a check here evaluates blocks of
+# fits in L2.  Both modules read it: ``_blocks`` cuts samples into
 # _PAIR_BUDGET // (weights * dim) rows, and estimate's Lipschitz scan
 # compares blocks of at most _PAIR_BUDGET pairs.
 _PAIR_BUDGET = 1 << 15
-
-
-def ineq_tol(lhs, rhs):
-    return INEQ_TOL_COEFF * (1.0 + np.abs(lhs) + np.abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -291,35 +287,37 @@ def _weight_count(prop: Property, budget: SampleBudget) -> int:
     return budget.lambdas_per_pair if prop.lambdas else 1
 
 
+def _blocks(oracle: FunctionOracle, x, y=None, lam=None):
+    """``_Batch`` views of the sample's rows, in order, at most
+    ``_PAIR_BUDGET // (weights * dim)`` rows each (one at the least)."""
+    rows = max(1, _PAIR_BUDGET // ((1 if lam is None else lam.shape[1])
+                                   * oracle.dim))
+    for start in range(0, x.shape[0], rows):
+        yield _Batch(oracle, *(None if a is None else a[start:start + rows]
+                               for a in (x, y, lam)))
+
+
 def _draw(props: list[Property], oracle: FunctionOracle, budget: SampleBudget):
-    """Draw the one sample the properties share (all points, or all pairs
-    drawn with one weight count), then yield it as (batch, swapped) with
-    batches of at most ``_PAIR_BUDGET // (weights * dim)`` rows (one at the
-    least): every (x, y) block and then, when a property takes ordered
-    pairs, every (y, x) block.  The batches carry weights when any
-    property reads them."""
+    """Draw the properties' shared sample (points, or pairs with one weight
+    count) and yield (batch, swapped): its (x, y) blocks, then its (y, x)
+    blocks if a property takes ordered pairs; weights if one reads them."""
     prop = props[0]
-    sampler = NestedSampler(budget.seed)
     lam = None
     if prop.sample == "points":
         orders = [(sample_points(oracle.domain, oracle.dim, budget.pairs,
-                                 sampler), None)]
+                                 budget.seed), None)]
     else:
         X, Y, LAM = sample_pairs(oracle.domain, oracle.dim, budget.pairs,
-                                 _weight_count(prop, budget), sampler)
+                                 _weight_count(prop, budget), budget.seed)
         ordered = any(p.sample == "ordered pairs" for p in props)
         orders = [(X, Y), (Y, X)][:1 + ordered]
         if any(p.lambdas for p in props):
             fixed = np.broadcast_to(_FIXED_LAMBDAS, (LAM.shape[0], 3))
             lam = np.concatenate([LAM, fixed], axis=1)
         del LAM
-    rows = max(1, _PAIR_BUDGET // ((1 if lam is None else lam.shape[1])
-                                   * oracle.dim))
     for swapped, (x, y) in enumerate(orders):
-        for start in range(0, x.shape[0], rows):
-            block = slice(start, start + rows)
-            yield _Batch(oracle, x[block], None if y is None else y[block],
-                         None if lam is None else lam[block]), bool(swapped)
+        for s in _blocks(oracle, x, y, lam):
+            yield s, bool(swapped)
 
 
 def _witness(s: _Batch, lhs, rhs, flat_index: int, note: str) -> Witness:

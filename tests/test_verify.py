@@ -7,7 +7,7 @@ import pytest
 from sqcflow import catalog, cli, estimate, sampling, verify
 from sqcflow.core import (DomainSamplingFailure, DomainSpec, FunctionOracle,
                           InvalidParameter, MissingMinimizer)
-from sqcflow.sampling import NestedSampler, sample_pairs, sample_points
+from sqcflow.sampling import sample_pairs, sample_points
 from sqcflow.verify import (SampleBudget, check_convexity,
                             check_gradient_characterization,
                             check_implication_ladder, check_monotone_operator,
@@ -379,7 +379,7 @@ class TestBlockedEvaluation:
         # the premise of blocking: a row's value and gradient do not depend
         # on the rows evaluated with it
         o = CAT[name].oracle
-        X = sample_points(o.domain, o.dim, 600, NestedSampler(1))
+        X = sample_points(o.domain, o.dim, 600, 1)
         for pts in (X, X.reshape(120, 5, o.dim)):
             for f in (o.value, o.grad):
                 whole = np.asarray(f(pts))
@@ -403,7 +403,7 @@ class TestBlockedEvaluation:
         # witnesses from the (x, y) and the (y, x) order of a pair
         o = CAT["quadratic_2d"].oracle
         X, _, _ = sample_pairs(o.domain, o.dim, self.BUDGET.pairs, 1,
-                               NestedSampler(self.BUDGET.seed))
+                               self.BUDGET.seed)
         first = {tuple(x) for x in X}
         assert {tuple(w["x"]) in first for w in offset} == {True, False}
 
@@ -420,13 +420,13 @@ class TestBlockedEvaluation:
         monkeypatch.setattr(verify, "_PAIR_BUDGET", pair_budget)
         drawn = list(verify._draw([prop], o, budget))
         blocks = [b for b, _ in drawn]
-        sampler = NestedSampler(budget.seed)
         if prop.sample == "points":
-            X, Y = sample_points(o.domain, o.dim, budget.pairs, sampler), None
+            X, Y = sample_points(o.domain, o.dim, budget.pairs,
+                                 budget.seed), None
         else:
             X, Y, LAM = sample_pairs(
                 o.domain, o.dim, budget.pairs,
-                budget.lambdas_per_pair if prop.lambdas else 1, sampler)
+                budget.lambdas_per_pair if prop.lambdas else 1, budget.seed)
             if prop.sample == "ordered pairs":
                 X, Y, LAM = np.concatenate([X, Y]), np.concatenate([Y, X]), \
                     np.concatenate([LAM, LAM])
