@@ -8,9 +8,9 @@ and writes deterministic artifacts into --output-dir:
     certificate.json  RateCertificate(s) or ClassReport
     meta.json         resolved config + constants actually used
 
-Exit codes: 0 pass, 1 certificate failure, 2 usage/config error,
-3 numerical failure; a reader that closes stdout early does not change
-the code of a task run.  SQCFLOW_SEED overrides the default seed.
+Exit codes: 0 pass, 1 only a failed certificate or check, 2 a usage error
+and 3 a numerical failure, each ending stderr with one JSON line that names
+its kind (SqcflowError).  Closing stdout early does not change the code.
 
 numpy's BLAS runs on one thread unless OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS picks another count.  States have dimension <= 3 and
@@ -39,9 +39,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import CatalogEntry, default_catalog, get_entry
-from .core import (DomainExit, DomainSamplingFailure, InvalidParameter,
-                   NumericalBlowup, ParameterWindowViolation, SqcflowError,
-                   StagnationFailure, Trajectory, positive)
+from .core import InvalidParameter, SqcflowError, Trajectory, positive
 from .estimate import (REFERENCE_SAMPLES, SAFETY_KAPPA, SAFETY_LIPSCHITZ,
                        SAFETY_MODULUS, empirical_modulus, estimate_kappa,
                        estimate_lipschitz_sublevel, reference_minimizer)
@@ -407,7 +405,7 @@ def run_experiment(config: ExperimentConfig) -> int:
 
 def _add_common(p):
     p.add_argument("--function", required=False)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=None)
     p.add_argument("--config", default=None,
                    help="JSON ExperimentConfig; explicit flags override it")
@@ -505,8 +503,10 @@ def _config_flags(args) -> list[str]:
     """The flags a --config file names for ``args.command``: a key is its
     flag's dest, a list joins with commas, true is a bare flag, and false
     and null set nothing."""
-    with open(args.config) as fh:
-        loaded = json.load(fh)
+    try:
+        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise InvalidParameter(str(exc)) from exc
     params = loaded.get("task_params", {}) if isinstance(loaded, dict) else None
     if not isinstance(params, dict):
         raise InvalidParameter("a config file holds one JSON object, and its "
@@ -539,8 +539,6 @@ def _config_from_args(args) -> ExperimentConfig:
                  if isinstance(v, float) and not math.isfinite(v))
     if bad:
         raise InvalidParameter(f"non-finite value for {', '.join(bad)}")
-    if run["seed"] is None:
-        run["seed"] = int(os.environ.get("SQCFLOW_SEED", "0"))
     if task != "bench" and not run["function"]:
         raise InvalidParameter("--function is required")
     return ExperimentConfig(task=task, task_params=params, **run)
@@ -564,18 +562,10 @@ def main(argv=None) -> int:
             args = parser.parse_args([args.command, *_config_flags(args),
                                       *argv[1:]])
         return run_experiment(_config_from_args(args))
-    except (InvalidParameter, ParameterWindowViolation, FileNotFoundError,
-            FileExistsError, NotADirectoryError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "usage"}), file=sys.stderr)
-        return EXIT_USAGE
-    except (NumericalBlowup, DomainExit, DomainSamplingFailure,
-            StagnationFailure) as exc:
-        print(json.dumps({"error": str(exc), "kind": "numerical"}),
-              file=sys.stderr)
-        return EXIT_NUMERICAL
-    except SqcflowError as exc:
-        print(json.dumps({"error": str(exc), "kind": "error"}), file=sys.stderr)
-        return EXIT_USAGE
+    except (SqcflowError, OSError) as exc:
+        kind = getattr(exc, "kind", "usage")
+        print(json.dumps({"error": str(exc), "kind": kind}), file=sys.stderr)
+        return EXIT_NUMERICAL if kind == "numerical" else EXIT_USAGE
 
 
 if __name__ == "__main__":

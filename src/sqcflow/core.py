@@ -44,10 +44,21 @@ _DECAY_KINDS = ("flow_first", "flow_second")
 
 
 class SqcflowError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.  ``kind`` is what the command
+    line reports: ``usage`` (exit 2: flags, config, output directory, an
+    input that breaks a premise) or ``numerical`` (exit 3).  Exit 1 only
+    ever means that a certificate or check failed."""
+
+    kind = "usage"
 
 
-class DomainViolation(SqcflowError):
+class NumericalFailure(SqcflowError):
+    """A run inside its premises failed numerically."""
+
+    kind = "numerical"
+
+
+class DomainViolation(NumericalFailure):
     """A point (or a perturbation of one) left the oracle's domain."""
 
 
@@ -55,7 +66,7 @@ class InvalidParameter(SqcflowError):
     """A constructor or operation received an out-of-range parameter."""
 
 
-class DomainSamplingFailure(SqcflowError):
+class DomainSamplingFailure(NumericalFailure):
     """Rejection sampling could not hit the domain (1000 consecutive misses)."""
 
 
@@ -71,11 +82,11 @@ class InsufficientSamples(SqcflowError):
     """Too few valid samples survived filtering to form an estimate."""
 
 
-class StagnationFailure(SqcflowError):
+class StagnationFailure(NumericalFailure):
     """The reference-minimizer search stopped making progress."""
 
 
-class NumericalBlowup(SqcflowError):
+class NumericalBlowup(NumericalFailure):
     """An iteration or flow produced a non-finite state."""
 
     def __init__(self, where: float, message: str = ""):
@@ -83,7 +94,7 @@ class NumericalBlowup(SqcflowError):
         super().__init__(message or f"non-finite state at {where!r}")
 
 
-class DomainExit(SqcflowError):
+class DomainExit(NumericalFailure):
     """An iteration or flow left the oracle's domain."""
 
     def __init__(self, where: float, message: str = ""):

@@ -46,8 +46,8 @@ class FlowConfig:
         object.__setattr__(self, "x0", as_point(self.x0))
         if self.integrator not in ("rk4", "explicit_euler"):
             raise InvalidParameter(f"unknown integrator {self.integrator!r}")
-        if not (positive(self.dt, self.t_end) and self.dt <= self.t_end):
-            raise InvalidParameter("need 0 < dt <= t_end")
+        if not (0.0 < self.dt <= self.t_end and self.t_end / self.dt < math.inf):
+            raise InvalidParameter("need 0 < dt <= t_end and a finite t_end / dt")
         if self.stop_dist is not None and not 0.0 <= self.stop_dist < math.inf:
             raise InvalidParameter("stop_dist must be a nonnegative distance")
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import sqcflow
-from sqcflow import cli, estimate
+from sqcflow import cli, core, estimate
 from sqcflow.catalog import CatalogEntry
-from sqcflow.core import FunctionOracle, Trajectory
+from sqcflow.core import FunctionOracle, StagnationFailure, Trajectory
 
 
 def run(argv):
@@ -335,7 +335,7 @@ class TestEstimateCommand:
 
         def spy(oracle, x0, samples=2000, seed=0):
             seeds.append(seed)
-            raise cli.StagnationFailure("stopped by the spy")
+            raise StagnationFailure("stopped by the spy")
         monkeypatch.setattr(estimate, "estimate_lipschitz_sublevel", spy)
         # max_two_quadratics has no catalog minimizer, so kappa searches too
         assert run(["estimate", "--function", "max_two_quadratics",
@@ -428,16 +428,6 @@ class TestConfigAndSeeds:
                     str(tmp_path)]) == 0
         header = (tmp_path / "summary.csv").read_text().splitlines()[0]
         assert header.startswith("entry,gamma,property,")
-
-    def test_env_seed(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SQCFLOW_SEED", "99")
-        out = tmp_path / "seeded"
-        code = run(["gd", "--function", "quadratic_1d", "--beta", "0.5",
-                    "--x0", "1", "--max-iters", "5", "--stop-grad-tol", "0",
-                    "--output-dir", str(out)])
-        assert code == 0
-        meta = json.loads((out / "meta.json").read_text())
-        assert meta["config"]["seed"] == 99
 
     def test_determinism_byte_identical(self, tmp_path):
         outs = []
@@ -914,11 +904,13 @@ class TestFailingCertificates:
 
 
 class TestErrorPaths:
-    """Exit code and stderr kind of each error branch of ``cli.main``.
+    """Exit code and stderr kind of each error path of ``cli.main``.
 
     ``{file}`` names an existing file, ``{missing}`` a path that does not
-    exist, ``{bad_json}`` a file that is not JSON and ``{config}`` a file
-    holding the case's config.  The JSON line is the last one on stderr.
+    exist, ``{dir}`` a directory, ``{long}`` a path whose last part is 300
+    characters long, ``{bad_json}`` a file that is not JSON, ``{not_utf8}``
+    a file that is not UTF-8 and ``{config}`` a file holding the case's
+    config.  The JSON line is the last one on stderr.
     """
 
     CASES = {
@@ -954,7 +946,29 @@ class TestErrorPaths:
             "--samples 100", 3, "numerical"),
         "insufficient_samples": (
             "estimate --function quadratic_2d --constant kappa --x0 0,0",
-            2, "error"),
+            2, "usage"),
+        # an RK4 stage lands on the origin, where grad sqrt(|x|) is undefined
+        "flow_stage_at_kink": (
+            "flow --function sqrt_norm_1d --x0 0.25 --dt 0.5 --t-end 1",
+            3, "numerical"),
+        "flow_order_2_stage_at_kink": (
+            "flow --function sqrt_norm_1d --order 2 --x0 0.25 --dt 0.5 "
+            "--t-end 1", 3, "numerical"),
+        "verify_pl_without_minimizer": (
+            "verify --function max_two_quadratics --property pl --mu 1",
+            2, "usage"),
+        "estimate_gamma_too_few_pairs": (
+            "estimate --function quadratic_2d --constant gamma --samples 5",
+            2, "usage"),
+        "output_dir_name_too_long": (
+            "gd --function quadratic_2d --beta 0.01 --x0 1,1 --max-iters 5 "
+            "--output-dir {long}", 2, "usage"),
+        "config_is_a_directory": ("gd --config {dir}", 2, "usage"),
+        "config_not_utf8": ("gd --config {not_utf8}", 2, "usage"),
+        # t_end / dt overflows to an infinite step count
+        "flow_step_count_overflow": (
+            "flow --function quadratic_2d --x0 1,1 --t-end 1e300 --dt 1e-10",
+            2, "usage"),
         # the subcommand decides the task
         "config_other_task": (
             "gd --function quadratic_2d --x0 1,1 --beta 0.01 --config {config}",
@@ -1058,15 +1072,34 @@ class TestErrorPaths:
         command, code, kind, *config = self.CASES[case]
         (tmp_path / "file").write_text("")
         (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe\x00")
         (tmp_path / "config.json").write_text(json.dumps(config[0] if config
                                                          else {}))
         argv = command.format(file=tmp_path / "file",
                               missing=tmp_path / "missing.json",
+                              dir=tmp_path, long=tmp_path / ("a" * 300),
                               bad_json=tmp_path / "bad.json",
+                              not_utf8=tmp_path / "not_utf8.json",
                               config=tmp_path / "config.json").split()
         assert run(argv) == code
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["kind"] == kind
+
+    @pytest.mark.parametrize("cls", [
+        c for c in vars(core).values() if isinstance(c, type)
+        and issubclass(c, core.SqcflowError) and c.__module__ == core.__name__],
+        ids=lambda c: c.__name__)
+    def test_kind_decides_the_exit_code(self, monkeypatch, capsys, cls):
+        exc = cls("raised by the test")
+
+        def raise_it(config):
+            raise exc
+        monkeypatch.setattr(cli, "run_experiment", raise_it)
+        code = run(["gd", "--function", "quadratic_2d"])
+        assert cls.kind in ("usage", "numerical")
+        assert code == (3 if cls.kind == "numerical" else 2)
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(err) == {"error": str(exc), "kind": cls.kind}
 
 
 class TestRunPremises:
@@ -1078,7 +1111,7 @@ class TestRunPremises:
     @pytest.fixture(autouse=True)
     def no_search(self, monkeypatch):
         def search(*args, **kwargs):
-            raise cli.StagnationFailure("minimizer search reached")
+            raise StagnationFailure("minimizer search reached")
         monkeypatch.setattr(cli, "reference_minimizer", search)
 
     @pytest.mark.parametrize("command", [

@@ -89,6 +89,9 @@ class TestFirstOrderIntegration:
     def test_config_validation(self):
         with pytest.raises(InvalidParameter):
             FlowConfig(x0=[1.0], t_end=1.0, dt=0.0)
+        # t_end / dt overflows: the step count would be infinite
+        with pytest.raises(InvalidParameter, match="finite t_end / dt"):
+            FlowConfig(x0=[1.0], t_end=1e300, dt=1e-10)
         with pytest.raises(InvalidParameter):
             FlowConfig(x0=[1.0], t_end=1.0, dt=0.1, integrator="rk3")
         oracle = CAT["quadratic_1d"].oracle
