@@ -23,7 +23,6 @@ the program that imports it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -39,7 +38,8 @@ import numpy as np
 
 from . import __version__
 from .catalog import CatalogEntry, default_catalog, get_entry
-from .core import InvalidParameter, SqcflowError, Trajectory, positive
+from .core import (InvalidParameter, MissingMinimizer, SqcflowError,
+                   Trajectory, positive)
 from .estimate import (REFERENCE_SAMPLES, SAFETY_KAPPA, SAFETY_LIPSCHITZ,
                        SAFETY_MODULUS, empirical_modulus, estimate_kappa,
                        estimate_lipschitz_sublevel, reference_minimizer)
@@ -110,37 +110,45 @@ def _start(entry: CatalogEntry, params: dict) -> np.ndarray:
     return np.full(entry.oracle.dim, 1.0)
 
 
-def _resolve_gamma(entry: CatalogEntry, params: dict, seed: int, notes: list,
-                   estimate=True):
-    """--gamma, else the catalog modulus, else (if ``estimate``) an estimate
-    from 20000 pairs, noted in ``notes``; else None."""
-    gamma = params.get("gamma")
-    if gamma is None:
-        gamma = entry.oracle.known_modulus
-    if gamma is None and estimate:
-        gamma = empirical_modulus(entry.oracle, samples=20000,
-                                  seed=seed) * SAFETY_MODULUS
-        notes.append("gamma estimated empirically (safety-adjusted)")
-    return gamma
+def _constant(entry: CatalogEntry, params: dict, key: str, notes: list,
+              derive=None, checked: bool = True) -> Optional[float]:
+    """The run's constant ``key`` (gamma, L, L0 or kappa): its flag, else the
+    catalog's, else, where the task may derive or estimate it, ``derive``:
+    a pair (note, function), noted in ``notes``; else None.  Only a positive
+    value passes.  verify passes ``checked=False``: its checks refuse a
+    negative modulus themselves and run the weak properties at 0."""
+    value = params.get(key)
+    if value is None and key != "kappa":  # the catalog has no kappa
+        value = entry.oracle.known_modulus if key == "gamma" \
+            else entry.oracle.known_lipschitz
+    if value is None and derive is not None:
+        note, compute = derive
+        value = compute()
+        notes.append(note)
+    if value is not None and checked and not positive(value):
+        raise InvalidParameter(f"{key} must be positive")
+    return None if value is None else float(value)
 
 
-def _resolve_constants(entry: CatalogEntry, params: dict, x0, seed: int,
-                       L_key: str):
-    """(gamma, L, notes) of gd (``L_key`` "L0") and hb ("L"), each from its
-    flag, else the catalog, else an estimate (L from 2000 points); both
-    must be positive before a run starts."""
-    notes = []
-    gamma = _resolve_gamma(entry, params, seed, notes)
-    L = params.get(L_key)
-    if L is None:
-        L = entry.oracle.known_lipschitz
-    if L is None:
-        L = estimate_lipschitz_sublevel(entry.oracle, x0, samples=2000,
-                                        seed=seed)
-        notes.append("L estimated on the initial sublevel set (safety-adjusted)")
-    if not positive(gamma, L):
-        raise InvalidParameter(f"gamma and {L_key} must be positive")
-    return float(gamma), float(L), notes
+def _estimate(entry: CatalogEntry, key: str, seed: int, x0=None):
+    """How a task estimates gamma (20000 pairs) or L (2000 points below
+    h(x0)): the (note, function) pair that ``_constant`` takes."""
+    if key == "gamma":
+        return ("gamma estimated empirically (safety-adjusted)",
+                lambda: empirical_modulus(entry.oracle, samples=20000,
+                                          seed=seed) * SAFETY_MODULUS)
+    return ("L estimated on the initial sublevel set (safety-adjusted)",
+            lambda: estimate_lipschitz_sublevel(entry.oracle, x0,
+                                                samples=2000, seed=seed))
+
+
+def _probe_kappa(oracle, x0, t_end: float, dt: float):
+    """kappa (safety-adjusted) along a first-order RK4 flow from ``x0`` to
+    ``t_end`` in steps ``dt``, and the number of samples it read."""
+    if oracle.known_minimizer is None:
+        raise MissingMinimizer("the kappa probe needs a known minimizer")
+    traj = integrate_first_order(oracle, FlowConfig(x0=x0, t_end=t_end, dt=dt))
+    return estimate_kappa(oracle, traj), len(traj)
 
 
 def _minimizer(entry: CatalogEntry, notes: list):
@@ -160,8 +168,9 @@ def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Pat
                           seed=config.seed)
     # only the ladder estimates an unknown modulus
     notes: list[str] = []
-    gamma = _resolve_gamma(entry, params, config.seed, notes,
-                           estimate=name == "ladder")
+    gamma = _constant(entry, params, "gamma", notes,
+                      _estimate(entry, "gamma", config.seed)
+                      if name == "ladder" else None, checked=False)
     mu = params.get("mu")
     if name == "ladder":
         reports = check_implication_ladder(entry.oracle, gamma, budget)
@@ -200,6 +209,10 @@ def _default_dt(entry: CatalogEntry, params: dict) -> float:
 
 def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
+    order = params.get("order", 1)
+    unread = [k for k in ("alpha", "v0", "kappa") if params.get(k) is not None]
+    if order == 1 and unread:
+        raise InvalidParameter(f"flow --order 1 reads no --{', --'.join(unread)}")
     cfg = FlowConfig(x0=_start(entry, params),
                      t_end=params.get("t_end", 10.0),
                      dt=_default_dt(entry, params),
@@ -210,47 +223,33 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
     constants: dict = {}
     certs = []
     oracle = entry.oracle
-    L = params.get("L")
-    if L is None:
-        L = oracle.known_lipschitz
-    if params.get("order", 1) == 1:
-        # the first-order flow certifies only what is given or catalogued
-        gamma = _resolve_gamma(entry, params, config.seed, notes, estimate=False)
-        x_bar = None if gamma is None else _minimizer(entry, notes)
+    # only the second-order flow estimates gamma, and neither estimates L
+    gamma = _constant(entry, params, "gamma", notes,
+                      _estimate(entry, "gamma", config.seed) if order == 2 else None)
+    L = _constant(entry, params, "L", notes)
+    x_bar = None if gamma is None else _minimizer(entry, notes)
+    if order == 1:
         traj = integrate_first_order(oracle, cfg)
         if x_bar is not None:
-            constants["gamma"] = float(gamma)
-            certs.append(certify_first_order(traj, float(gamma)))
+            constants["gamma"] = gamma
+            certs.append(certify_first_order(traj, gamma))
             if L is not None:
-                constants["L"] = float(L)
-                certs.append(certify_first_order_values(
-                    traj, float(gamma), float(L)))
+                constants["L"] = L
+                certs.append(certify_first_order_values(traj, gamma, L))
     else:
-        alpha = cfg.alpha
-        gamma = _resolve_gamma(entry, params, config.seed, notes)
-        x_bar = _minimizer(entry, notes)
-        kappa = params.get("kappa")
-        if kappa is None:
-            if L is not None:
-                # a negative L gives a negative kappa, which
-                # LyapunovParams rejects
-                if L == 0:
-                    raise InvalidParameter("kappa = gamma / L needs L != 0")
-                kappa = gamma / L
-                notes.append("kappa = gamma / L")
-            elif x_bar is not None:
-                probe = integrate_first_order(oracle, dataclasses.replace(
-                    cfg, integrator="rk4", stop_dist=None))
-                kappa = estimate_kappa(oracle, probe)
-                notes.append("kappa estimated along a probe trajectory "
-                             "(safety-adjusted)")
+        derive = None
+        if L is not None:
+            derive = ("kappa = gamma / L", lambda: gamma / L)
+        elif x_bar is not None:
+            derive = ("kappa estimated along a probe trajectory "
+                      "(safety-adjusted)",
+                      lambda: _probe_kappa(oracle, cfg.x0, cfg.t_end, cfg.dt)[0])
+        kappa = _constant(entry, params, "kappa", notes, derive)
         lyap = None
         if kappa is not None:
-            lyap = LyapunovParams.from_constants(float(gamma), float(kappa),
-                                                 alpha)
-            constants.update({"kappa": float(kappa), "lam": lyap.lam,
-                              "xi": lyap.xi})
-        constants.update({"gamma": float(gamma), "alpha": alpha})
+            lyap = LyapunovParams.from_constants(gamma, kappa, cfg.alpha)
+            constants.update({"kappa": kappa, "lam": lyap.lam, "xi": lyap.xi})
+        constants.update({"gamma": gamma, "alpha": cfg.alpha})
         traj = integrate_second_order(oracle, cfg, lyap)
         if lyap is not None and x_bar is not None:
             certs.append(certify_second_order(traj))
@@ -261,7 +260,11 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
 def _run_gd(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
     x0 = _start(entry, params)
-    gamma, L0, notes = _resolve_constants(entry, params, x0, config.seed, "L0")
+    notes: list[str] = []
+    gamma = _constant(entry, params, "gamma", notes,
+                      _estimate(entry, "gamma", config.seed))
+    L0 = _constant(entry, params, "L0", notes,
+                   _estimate(entry, "L", config.seed, x0))
     beta = optimal_step(gamma, L0) if params.get("optimal") \
         else params.get("beta")
     if beta is None:
@@ -284,7 +287,11 @@ def _run_hb(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     x0 = _start(entry, params)
     theta = params.get("theta", 0.5)
     beta = params.get("beta")
-    gamma, L, notes = _resolve_constants(entry, params, x0, config.seed, "L")
+    notes: list[str] = []
+    gamma = _constant(entry, params, "gamma", notes,
+                      _estimate(entry, "gamma", config.seed))
+    L = _constant(entry, params, "L", notes,
+                  _estimate(entry, "L", config.seed, x0))
     if beta is None:
         beta = 0.5 * (1.0 - theta ** 2) / L
         notes.append("beta = (1 - theta^2) / 2L")
@@ -319,16 +326,9 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
                    "safety_adjusted_value": raw * SAFETY_MODULUS,
                    "samples": samples}
     elif which == "kappa":
-        oracle = entry.oracle
-        if oracle.known_minimizer is None:
-            # a stagnated search fails the run, as --constant minimizer does
-            x_bar = reference_minimizer(oracle, x0, config.seed)
-            oracle = dataclasses.replace(oracle, known_minimizer=x_bar)
-        cfg = FlowConfig(x0=x0, t_end=5.0, dt=1e-3)
-        traj = integrate_first_order(oracle, cfg)
-        adjusted = estimate_kappa(oracle, traj)
+        adjusted, read = _probe_kappa(entry.oracle, x0, 5.0, 1e-3)
         payload = {"constant": "kappa", "value": adjusted / SAFETY_KAPPA,
-                   "safety_adjusted_value": adjusted, "samples": len(traj)}
+                   "safety_adjusted_value": adjusted, "samples": read}
     elif which == "minimizer":
         x_bar = reference_minimizer(entry.oracle, x0, config.seed)
         payload = {"constant": "minimizer",

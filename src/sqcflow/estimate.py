@@ -1,10 +1,10 @@
 """Empirical estimation of the constants the theory takes as given.
 
-Sampled extrema are biased optimistically, so every estimator applies a
-one-sided safety factor before the value feeds a certificate: Lipschitz
-constants are inflated by 1.1, moduli and curvature ratios deflated by
-0.95.  Streams are nested (same seed, prefix property), so doubling the
-sample count can only tighten an estimate in the safe direction.
+Sampled extrema are biased optimistically.  The L and kappa estimates are
+safety-adjusted (L inflated by 1.1, kappa deflated by 0.95); the modulus
+estimate is raw, and its callers deflate it by 0.95 before it feeds a
+certificate.  Streams are nested (same seed, prefix property), so doubling
+the sample count can only tighten an estimate in the safe direction.
 
 The Lipschitz estimate compares every pair of its samples in blocks.  A
 block of budget // (start + side) samples, side > sqrt(budget), meets

@@ -90,6 +90,17 @@ class TestVerifyCommand:
         assert payload["implications_broken"] == []
         assert len(payload["reports"]) >= 10
 
+    def test_ladder_at_gamma_zero_runs_the_weak_checks(self, capsys):
+        # verify's modulus only has to be >= 0; at 0 each strong property
+        # with a weak one reports under the weak name
+        assert run(["verify", "--function", "quadratic_2d", "--property",
+                    "ladder", "--gamma", "0", "--pairs", "200"]) == 0
+        names = [r["property"] for r in
+                 json.loads(capsys.readouterr().out)["reports"]]
+        assert len(names) == 8
+        assert {"convexity", "quasiconvexity", "monotonicity",
+                "quasimonotonicity"} <= set(names)
+
 
 class TestGDCommand:
     def test_trace_rows_and_geometric_values(self, tmp_path, capsys):
@@ -328,7 +339,7 @@ class TestEstimateCommand:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["kind"] == "numerical"
 
-    @pytest.mark.parametrize("constant", ["minimizer", "kappa"])
+    @pytest.mark.parametrize("constant", ["minimizer"])
     def test_minimizer_search_uses_the_run_seed(self, monkeypatch, capsys,
                                                 constant):
         seeds = []
@@ -337,20 +348,23 @@ class TestEstimateCommand:
             seeds.append(seed)
             raise StagnationFailure("stopped by the spy")
         monkeypatch.setattr(estimate, "estimate_lipschitz_sublevel", spy)
-        # max_two_quadratics has no catalog minimizer, so kappa searches too
         assert run(["estimate", "--function", "max_two_quadratics",
                     "--constant", constant, "--x0", "0.6,0.1",
                     "--seed", "7"]) == 3
         assert seeds == [7]
 
-    def test_kappa_with_stagnated_minimizer_search(self, capsys):
-        argv = ["estimate", "--function", "max_two_quadratics", "--x0",
-                "0.6,0.1", "--samples", "500", "--seed", "5", "--constant"]
-        assert run(argv + ["minimizer"]) == 3
-        expected = capsys.readouterr().err
-        assert run(argv + ["kappa"]) == 3
-        assert capsys.readouterr().err == expected
-        assert json.loads(expected)["kind"] == "numerical"
+    def test_kappa_without_catalog_minimizer_is_refused(self, monkeypatch,
+                                                        capsys):
+        # kappa is measured against the catalog minimizer: none is searched
+        # for, and nothing is integrated
+        def never(*args, **kwargs):
+            raise AssertionError("searched or integrated")
+        monkeypatch.setattr(cli, "reference_minimizer", never)
+        monkeypatch.setattr(cli, "integrate_first_order", never)
+        assert run(["estimate", "--function", "max_two_quadratics", "--x0",
+                    "0.6,0.1", "--constant", "kappa"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["kind"] == "usage"
 
     def test_kappa_with_catalog_minimizer(self, capsys):
         assert run(["estimate", "--function", "quadratic_2d", "--constant",
@@ -391,7 +405,12 @@ class TestConfigAndSeeds:
         "--pairs 300 --seed 3",
         "estimate --function sin_quadratic --constant L0 --samples 300 "
         "--seed 4 --x0 2.1",
-    ], ids=["gd", "hb", "flow1", "flow2", "verify", "estimate"])
+        # gamma and L0 estimated
+        "gd --function sin_quadratic --optimal --x0 2 --max-iters 100",
+        # gamma estimated, kappa from a probe flow
+        "flow --function sin_quadratic --order 2 --x0 2 --t-end 2 --dt 0.01",
+    ], ids=["gd", "hb", "flow1", "flow2", "verify", "estimate",
+            "gd_estimated", "flow2_probe"])
     def test_meta_config_replays_the_run(self, tmp_path, capsys, command):
         first, again = tmp_path / "first", tmp_path / "again"
         assert run(command.split() + ["--output-dir", str(first)]) == 0
@@ -929,6 +948,20 @@ class TestErrorPaths:
             "hb --function quadratic_2d --theta 0.5 --L 0 --x0 1,1", 2, "usage"),
         "flow_zero_L_for_kappa": (
             "flow --function quadratic_2d --order 2 --x0 1,1 --L 0", 2, "usage"),
+        # every constant a run resolves must be positive, used or not
+        "flow_negative_gamma_without_minimizer": (
+            "flow --function max_two_quadratics --order 2 --x0 1,1 "
+            "--gamma -1 --t-end 1", 2, "usage"),
+        "flow_negative_L_without_modulus": (
+            "flow --function sin_quadratic --order 1 --x0 1 --L -5 --t-end 1",
+            2, "usage"),
+        # the first-order flow reads none of the second-order flags
+        "flow_order_1_second_order_flags": (
+            "flow --function quadratic_2d --order 1 --x0 1,1 --t-end 1 "
+            "--alpha 7 --v0 5,5 --kappa 3", 2, "usage"),
+        "estimate_kappa_without_minimizer": (
+            "estimate --function max_two_quadratics --constant kappa",
+            2, "usage"),
         "estimate_zero_samples": (
             "estimate --function quadratic_2d --constant gamma --samples 0",
             2, "usage"),
@@ -1145,20 +1178,34 @@ class TestRunPremises:
         assert json.loads(err) == {"error": "x0 outside the domain",
                                    "kind": "numerical"}
 
-    # a non-positive gamma or L is refused before any step is taken
+    # a non-positive constant is refused as soon as it is resolved: before
+    # any estimate, kappa probe or step
     @pytest.mark.parametrize("command,message", [
-        ("hb --theta 0.5 --L -1 --beta 0.1", "gamma and L must be positive"),
-        ("hb --theta 0.5 --gamma -1 --beta 0.1", "gamma and L must be positive"),
-        ("gd --L0 -1 --beta 0.05", "gamma and L0 must be positive"),
-        ("gd --gamma -1 --beta 0.05", "gamma and L0 must be positive")])
+        ("hb --function quadratic_2d --x0 1,1 --theta 0.5 --L -1 --beta 0.1",
+         "L must be positive"),
+        ("hb --function quadratic_2d --x0 1,1 --theta 0.5 --gamma -1 "
+         "--beta 0.1", "gamma must be positive"),
+        ("gd --function quadratic_2d --x0 1,1 --L0 -1 --beta 0.05",
+         "L0 must be positive"),
+        ("gd --function quadratic_2d --x0 1,1 --gamma -1 --beta 0.05",
+         "gamma must be positive"),
+        ("gd --function sin_quadratic --gamma -1 --beta 0.01 --x0 2",
+         "gamma must be positive"),
+        ("flow --function quadratic_2d --order 1 --x0 1,1 --gamma -1 "
+         "--t-end 100", "gamma must be positive"),
+        ("flow --function quadratic_2d --order 1 --x0 1,1 --L -1 --t-end 100 "
+         "--dt 1e-3", "L must be positive"),
+        ("flow --function sin_quadratic --order 2 --x0 2 --gamma -1 "
+         "--t-end 100", "gamma must be positive")])
     def test_constants_are_checked_before_the_run(self, monkeypatch, capsys,
                                                   command, message):
         def never(*args, **kwargs):
             raise AssertionError("the run started")
-        monkeypatch.setattr(cli, "gradient_descent", never)
-        monkeypatch.setattr(cli, "heavy_ball", never)
-        assert run(command.split() + ["--function", "quadratic_2d",
-                                      "--x0", "1,1"]) == 2
+        for name in ("gradient_descent", "heavy_ball", "integrate_first_order",
+                     "integrate_second_order", "empirical_modulus",
+                     "estimate_lipschitz_sublevel", "estimate_kappa"):
+            monkeypatch.setattr(cli, name, never)
+        assert run(command.split()) == 2
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err) == {"error": message, "kind": "usage"}
 

@@ -495,13 +495,19 @@ def ladder_runs(oracle, gamma):
     return runs
 
 
+def _ladder_gamma(entry):
+    """The modulus that ``verify --property ladder`` resolves at seed 0."""
+    return cli._constant(entry, {}, "gamma", [],
+                         cli._estimate(entry, "gamma", 0), checked=False)
+
+
 def _shared_sample_cases():
     # every entry at the modulus the CLI resolves (seed 0) and at 0, and
     # quadratic_2d above its modulus, where offset monotonicity fails under
     # both notes
     cases = []
     for name, entry in sorted(CAT.items()):
-        gamma = cli._resolve_gamma(entry, {}, 0, [])
+        gamma = _ladder_gamma(entry)
         cases += [(name, g) for g in dict.fromkeys((gamma, 0.0))]
     return cases + [("quadratic_2d", 1.2)]
 
@@ -535,8 +541,7 @@ class TestSharedSamples:
                                    check_implication_ladder(
                                        CAT[name].oracle, gamma, self.BUDGET)}
                    for name, gamma in self.CASES}
-        sin = reports["sin_quadratic", cli._resolve_gamma(
-            CAT["sin_quadratic"], {}, 0, [])]
+        sin = reports["sin_quadratic", _ladder_gamma(CAT["sin_quadratic"])]
         assert sin["convexity"].violations_count > verify.MAX_WITNESSES
         assert len(sin["convexity"].violations) == verify.MAX_WITNESSES
         # no L, no minimizer
