@@ -31,9 +31,8 @@ def run_ladders():
     for name, entry in sorted(catalog.default_catalog().items()):
         gamma = entry.constants_known.get("gamma")
         if gamma is None:
-            gamma = max(estimate.empirical_modulus(entry.oracle, samples=20000,
-                                                   seed=7)
-                        * estimate.SAFETY_MODULUS, 0.0)
+            gamma = estimate.empirical_modulus(entry.oracle, samples=20000,
+                                               seed=7).safe
             origin = "empirical"
         else:
             origin = "known"

@@ -41,9 +41,9 @@ def main():
 
     sinq = catalog.default_catalog()["sin_quadratic"]
     gamma = estimate.empirical_modulus(sinq.oracle, samples=50_000,
-                                       seed=3) * estimate.SAFETY_MODULUS
+                                       seed=3).safe
     L = estimate.estimate_lipschitz_sublevel(sinq.oracle, [2.0], samples=2000,
-                                             seed=3)
+                                             seed=3).safe
     print(f"\n  (sin_quadratic constants are empirical: gamma={gamma:.4f}, "
           f"L={L:.4f})")
     certify("sin_quadratic", sinq.oracle, gamma, L, [2.0], 6.0)

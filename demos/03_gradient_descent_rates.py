@@ -43,9 +43,9 @@ def main():
     print("=" * 72)
     sinq = catalog.default_catalog()["sin_quadratic"]
     gamma = estimate.empirical_modulus(sinq.oracle, samples=50_000,
-                                       seed=3) * estimate.SAFETY_MODULUS
+                                       seed=3).safe
     L0 = estimate.estimate_lipschitz_sublevel(sinq.oracle, [2.0],
-                                              samples=2000, seed=3)
+                                              samples=2000, seed=3).safe
     print(f"  empirical gamma = {gamma:.4f}, sublevel L0 = {L0:.4f}, "
           f"window top = {solvers.step_window(gamma, L0):.6f}")
     sweep(sinq, gamma, L0, [2.0],

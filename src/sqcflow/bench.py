@@ -34,8 +34,7 @@ def criterion_equivalence(workdir: Path):
         ("quadratic_2d", 1.0),
         ("sqrt_norm_2d", cat["sqrt_norm_2d"].oracle.known_modulus),
         ("sin_quadratic", estimate.empirical_modulus(
-            cat["sin_quadratic"].oracle, samples=100_000, seed=SEED)
-         * estimate.SAFETY_MODULUS),
+            cat["sin_quadratic"].oracle, samples=100_000, seed=SEED).safe),
         ("quadratic_fraction", cat["quadratic_fraction"].oracle.known_modulus),
         ("max_two_quadratics", 1.0),
     ]
@@ -98,7 +97,7 @@ def _criterion4_runs():
     q3 = cat["quadratic_3d"]
     x0 = [1.0, 1.0, 0.5]
     L_hat = estimate.estimate_lipschitz_sublevel(q3.oracle, x0,
-                                                 samples=2000, seed=SEED)
+                                                 samples=2000, seed=SEED).safe
     beta_star = solvers.optimal_step(1.0, L_hat)
     traj3 = solvers.gradient_descent(
         q3.oracle, GDConfig(x0=x0, beta=beta_star, max_iters=300,
@@ -216,7 +215,7 @@ def ladder_rows():
         gamma = entry.oracle.known_modulus
         if gamma is None:
             gamma = estimate.empirical_modulus(entry.oracle, samples=20000,
-                                               seed=7) * estimate.SAFETY_MODULUS
+                                               seed=7).safe
         reports = verify.check_implication_ladder(entry.oracle, gamma, budget)
         broken = verify.ladder_soundness(reports)
         by_entry[name] = reports

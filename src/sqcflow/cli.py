@@ -40,8 +40,7 @@ from . import __version__
 from .catalog import CatalogEntry, default_catalog, get_entry
 from .core import (InvalidParameter, MissingMinimizer, SqcflowError,
                    Trajectory, positive)
-from .estimate import (REFERENCE_SAMPLES, SAFETY_KAPPA, SAFETY_LIPSCHITZ,
-                       SAFETY_MODULUS, empirical_modulus, estimate_kappa,
+from .estimate import (REFERENCE_SAMPLES, empirical_modulus, estimate_kappa,
                        estimate_lipschitz_sublevel, reference_minimizer)
 from .flows import (FlowConfig, LyapunovParams, certify_first_order,
                     certify_first_order_values, certify_second_order,
@@ -136,19 +135,19 @@ def _estimate(entry: CatalogEntry, key: str, seed: int, x0=None):
     if key == "gamma":
         return ("gamma estimated empirically (safety-adjusted)",
                 lambda: empirical_modulus(entry.oracle, samples=20000,
-                                          seed=seed) * SAFETY_MODULUS)
+                                          seed=seed).safe)
     return ("L estimated on the initial sublevel set (safety-adjusted)",
             lambda: estimate_lipschitz_sublevel(entry.oracle, x0,
-                                                samples=2000, seed=seed))
+                                                samples=2000, seed=seed).safe)
 
 
 def _probe_kappa(oracle, x0, t_end: float, dt: float):
-    """kappa (safety-adjusted) along a first-order RK4 flow from ``x0`` to
-    ``t_end`` in steps ``dt``, and the number of samples it read."""
+    """The kappa ``Estimate`` along a first-order RK4 flow from ``x0`` to
+    ``t_end`` in steps ``dt``."""
     if oracle.known_minimizer is None:
         raise MissingMinimizer("the kappa probe needs a known minimizer")
     traj = integrate_first_order(oracle, FlowConfig(x0=x0, t_end=t_end, dt=dt))
-    return estimate_kappa(oracle, traj), len(traj)
+    return estimate_kappa(oracle, traj)
 
 
 def _minimizer(entry: CatalogEntry, notes: list):
@@ -163,41 +162,47 @@ def _minimizer(entry: CatalogEntry, notes: list):
 def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
     name = params.get("property")
+    if name != "ladder" and name not in PROPERTIES:
+        raise InvalidParameter(f"unknown property {name!r}; available: "
+                               f"{', '.join(sorted(PROPERTIES))}, ladder")
+    prop = PROPERTIES.get(name)
+    # the one constant the check reads; only the ladder and the properties
+    # with interpolation weights read --lambdas
+    key = "mu" if prop is not None and prop.param == "mu" else "gamma"
+    unread = [k for k in ("gamma", "mu")
+              if k != key and params.get(k) is not None]
+    if prop is not None and not prop.lambdas \
+            and params.get("lambdas") is not None:
+        unread.append("lambdas")
+    if unread:
+        raise InvalidParameter(
+            f"verify --property {name} reads no --{', --'.join(unread)}")
     budget = SampleBudget(pairs=params.get("pairs", 2000),
                           lambdas_per_pair=params.get("lambdas", 2),
                           seed=config.seed)
-    # only the ladder estimates an unknown modulus
     notes: list[str] = []
-    gamma = _constant(entry, params, "gamma", notes,
-                      _estimate(entry, "gamma", config.seed)
-                      if name == "ladder" else None, checked=False)
-    mu = params.get("mu")
+    if key == "mu":
+        modulus = params.get("mu")
+    else:  # only the ladder estimates an unknown modulus
+        modulus = _constant(entry, params, "gamma", notes,
+                            _estimate(entry, "gamma", config.seed)
+                            if name == "ladder" else None, checked=False)
+    if modulus is None:
+        known = "" if key == "mu" else f" (none known for {entry.name!r})"
+        raise InvalidParameter(f"property {name!r} needs --{key}{known}")
     if name == "ladder":
-        reports = check_implication_ladder(entry.oracle, gamma, budget)
+        reports = check_implication_ladder(entry.oracle, modulus, budget)
         broken = ladder_soundness(reports)
         payload = {"reports": [r.to_dict() for r in reports],
                    "implications_broken": broken}
         ok = not broken
     else:
-        if name not in PROPERTIES:
-            raise InvalidParameter(
-                f"unknown property {name!r}; available: "
-                f"{', '.join(sorted(PROPERTIES))}, ladder")
-        param = PROPERTIES[name].param
-        if param == "mu" and mu is None:
-            raise InvalidParameter(f"property {name!r} needs --mu")
-        if param != "mu" and gamma is None:
-            raise InvalidParameter(
-                f"property {name!r} needs --gamma (none known for "
-                f"{entry.name!r})")
-        if param == "gamma_half":
-            gamma = 0.5 * gamma
-        report = check_property(name, entry.oracle,
-                                mu if param == "mu" else gamma, budget)
+        check_at = 0.5 * modulus if prop.param == "gamma_half" else modulus
+        report = check_property(name, entry.oracle, check_at, budget)
         payload = report.to_dict()
         ok = report.holds_on_samples
     return _emit(config, out, "certificate.json", payload, ok,
-                 {"gamma": gamma, "mu": mu}, notes)
+                 {key: modulus}, notes)
 
 
 def _default_dt(entry: CatalogEntry, params: dict) -> float:
@@ -243,7 +248,7 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
         elif x_bar is not None:
             derive = ("kappa estimated along a probe trajectory "
                       "(safety-adjusted)",
-                      lambda: _probe_kappa(oracle, cfg.x0, cfg.t_end, cfg.dt)[0])
+                      lambda: _probe_kappa(oracle, cfg.x0, cfg.t_end, cfg.dt).safe)
         kappa = _constant(entry, params, "kappa", notes, derive)
         lyap = None
         if kappa is not None:
@@ -259,6 +264,8 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
 
 def _run_gd(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
+    if params.get("optimal") and params.get("beta") is not None:
+        raise InvalidParameter("gd --optimal reads no --beta")
     x0 = _start(entry, params)
     notes: list[str] = []
     gamma = _constant(entry, params, "gamma", notes,
@@ -314,21 +321,15 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
     which = params.get("constant")
     samples = params.get("samples", 2000)
     x0 = _start(entry, params)
-    if which == "L0":
-        adjusted = estimate_lipschitz_sublevel(entry.oracle, x0,
-                                               samples=samples, seed=config.seed)
-        payload = {"constant": "L0", "value": adjusted / SAFETY_LIPSCHITZ,
-                   "safety_adjusted_value": adjusted, "samples": samples}
-    elif which == "gamma":
-        raw = empirical_modulus(entry.oracle, samples=samples,
-                                seed=config.seed)
-        payload = {"constant": "gamma", "value": raw,
-                   "safety_adjusted_value": raw * SAFETY_MODULUS,
-                   "samples": samples}
-    elif which == "kappa":
-        adjusted, read = _probe_kappa(entry.oracle, x0, 5.0, 1e-3)
-        payload = {"constant": "kappa", "value": adjusted / SAFETY_KAPPA,
-                   "safety_adjusted_value": adjusted, "samples": read}
+    estimators = {
+        "L0": lambda: estimate_lipschitz_sublevel(entry.oracle, x0, samples,
+                                                  config.seed),
+        "gamma": lambda: empirical_modulus(entry.oracle, samples, config.seed),
+        "kappa": lambda: _probe_kappa(entry.oracle, x0, 5.0, 1e-3)}
+    if which in estimators:
+        est = estimators[which]()
+        payload = {"constant": which, "value": est.value,
+                   "safety_adjusted_value": est.safe, "samples": est.samples}
     elif which == "minimizer":
         x_bar = reference_minimizer(entry.oracle, x0, config.seed)
         payload = {"constant": "minimizer",

@@ -1,10 +1,10 @@
 """Empirical estimation of the constants the theory takes as given.
 
-Sampled extrema are biased optimistically.  The L and kappa estimates are
-safety-adjusted (L inflated by 1.1, kappa deflated by 0.95); the modulus
-estimate is raw, and its callers deflate it by 0.95 before it feeds a
-certificate.  Streams are nested (same seed, prefix property), so doubling
-the sample count can only tighten an estimate in the safe direction.
+Sampled extrema are biased optimistically, so each estimator returns an
+``Estimate``: the sampled extremum as ``value`` and, as ``safe``, that value
+times its ``SAFETY_*`` factor (L 1.1x, the modulus and kappa 0.95x), which
+is what a certificate reads.  Streams are nested (same seed, prefix
+property), so doubling the sample count can only tighten an estimate.
 
 The Lipschitz estimate compares every pair of its samples in blocks.  A
 block of budget // (start + side) samples, side > sqrt(budget), meets
@@ -19,6 +19,8 @@ its temporaries do not grow with the sample count either.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +39,13 @@ SAFETY_KAPPA = 0.95
 _LAMBDA_RANGE = (0.05, 0.95)
 
 REFERENCE_SAMPLES = 512  # sublevel samples behind reference_minimizer's step
+
+
+class Estimate(NamedTuple):
+    """``samples`` is the sample budget; for kappa, the trajectory's length."""
+    value: float
+    safe: float
+    samples: int
 
 
 def _sublevel_region(oracle: FunctionOracle, x0, level: float) -> DomainSpec:
@@ -70,8 +79,8 @@ def _sublevel_region(oracle: FunctionOracle, x0, level: float) -> DomainSpec:
 
 
 def estimate_lipschitz_sublevel(oracle: FunctionOracle, x0,
-                                samples: int = 2000, seed: int = 0) -> float:
-    """Gradient Lipschitz constant on the sublevel set of h(x0), inflated by 1.1.
+                                samples: int = 2000, seed: int = 0) -> Estimate:
+    """Gradient Lipschitz constant on the sublevel set of h(x0); safe at 1.1x.
 
     Takes the largest difference quotient |g(x)-g(y)| / |x-y| over all
     pairs of sampled sublevel points (x0 included, so an x0 outside the
@@ -92,7 +101,8 @@ def estimate_lipschitz_sublevel(oracle: FunctionOracle, x0,
     if bad.size:
         raise NumericalBlowup(int(bad[0]), "non-finite gradient at sampled "
                               f"sublevel point {pts[bad[0]].tolist()}")
-    return _largest_ratio(np.stack([pts.T, grads.T])) * SAFETY_LIPSCHITZ
+    L = _largest_ratio(np.stack([pts.T, grads.T]))
+    return Estimate(L, L * SAFETY_LIPSCHITZ, samples)
 
 
 def _largest_ratio(XG) -> float:
@@ -119,15 +129,15 @@ def _block_ratio(XG, start, end) -> float:
 
 
 def empirical_modulus(oracle: FunctionOracle, samples: int = 20000,
-                      seed: int = 0) -> float:
+                      seed: int = 0) -> Estimate:
     """Largest gamma compatible with the sampled strong-quasiconvexity
     inequalities of ``verify.PROPERTIES``.
 
     At a sampled (x, y, lam) with x != y the margin falls linearly in gamma
     and is zero at its value for gamma = 0 over the penalty per unit of
     gamma.  The estimate is the minimum of that gamma over the sample,
-    clamped at zero.  It can only overestimate the true modulus; multiply
-    by 0.95 (SAFETY_MODULUS) before certification use.
+    clamped at zero.  It can only overestimate the true modulus; the safe
+    value is deflated 0.95x.
     """
     if samples < 1:
         raise InvalidParameter("need at least 1 sample")
@@ -145,15 +155,16 @@ def empirical_modulus(oracle: FunctionOracle, samples: int = 20000,
             best = np.minimum(best, ratio[keep].min())
     if valid < 10:
         raise InsufficientSamples("fewer than 10 distinct sampled pairs")
-    return max(float(best), 0.0)
+    gamma = max(float(best), 0.0)
+    return Estimate(gamma, gamma * SAFETY_MODULUS, samples)
 
 
-def estimate_kappa(oracle: FunctionOracle, traj) -> float:
+def estimate_kappa(oracle: FunctionOracle, traj) -> Estimate:
     """Smallest sampled ratio <grad h(x), x - x_bar> / (h(x) - h(x_bar)).
 
     Evaluated along a trajectory (x_bar the oracle's minimizer, the ratio's
-    denominator its ``h_gap`` column), times the 0.95 safety factor.
-    Samples closer than 1e-12 to the optimal value are skipped.
+    denominator its ``h_gap`` column); safe at 0.95x.  Samples closer than
+    1e-12 to the optimal value are skipped.
     """
     gaps = traj.diagnostic("h_gap")
     valid = gaps > 1e-12
@@ -162,7 +173,8 @@ def estimate_kappa(oracle: FunctionOracle, traj) -> float:
     X = traj.states[valid]
     grads = np.asarray(oracle.grad(X))
     inner = np.sum(grads * (X - oracle.known_minimizer), axis=-1)
-    return float((inner / gaps[valid]).min()) * SAFETY_KAPPA
+    kappa = float((inner / gaps[valid]).min())
+    return Estimate(kappa, kappa * SAFETY_KAPPA, len(traj))
 
 
 def reference_minimizer(oracle: FunctionOracle, x0, seed: int = 0) -> np.ndarray:
@@ -176,7 +188,7 @@ def reference_minimizer(oracle: FunctionOracle, x0, seed: int = 0) -> np.ndarray
     """
     x = as_point(x0, oracle.dim)
     L_hat = estimate_lipschitz_sublevel(oracle, x, REFERENCE_SAMPLES, seed=seed)
-    beta = 0.5 / L_hat
+    beta = 0.5 / L_hat.safe
     best_x, best_h = x.copy(), float(oracle.value(x))
     ref_h = best_h  # value at the last decrease visible above roundoff
     since_improvement = 0

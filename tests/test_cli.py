@@ -101,6 +101,23 @@ class TestVerifyCommand:
         assert {"convexity", "quasiconvexity", "monotonicity",
                 "quasimonotonicity"} <= set(names)
 
+    # meta.json records the one constant the check reads: the function's
+    # modulus for a gamma property, even one checked at half of it
+    @pytest.mark.parametrize("command,constants,params", [
+        ("--property strong_pseudomonotonicity", {"gamma": 1.0},
+         {"gamma_half": 0.5}),
+        ("--property strong_quasiconvexity --gamma 0.5", {"gamma": 0.5},
+         {"gamma": 0.5}),
+        ("--property pl --mu 0.5", {"mu": 0.5}, {"mu": 0.5})])
+    def test_constants_used(self, tmp_path, capsys, command, constants,
+                            params):
+        out = tmp_path / "out"
+        assert run(["verify", "--function", "quadratic_2d", "--pairs", "200",
+                    "--output-dir", str(out), *command.split()]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["constants_used"] == constants
+        assert json.loads(capsys.readouterr().out)["params"] == params
+
 
 class TestGDCommand:
     def test_trace_rows_and_geometric_values(self, tmp_path, capsys):
@@ -373,6 +390,20 @@ class TestEstimateCommand:
         assert payload["constant"] == "kappa"
         assert payload["value"] * estimate.SAFETY_KAPPA == \
             payload["safety_adjusted_value"]
+
+    # the extremum the estimator sampled, not the safe value divided back
+    # by its factor (which was an ulp off in each of these)
+    @pytest.mark.parametrize("command,value", [
+        ("--function quadratic_3d --constant L0 --samples 300 "
+         "--x0=1,-0.7,1.3 --seed 1", 3.999993854274418),
+        ("--function sin_quadratic --constant L0 --samples 2000 --seed 42 "
+         "--x0 2", 7.999991348831038),
+        ("--function sin_quadratic --constant kappa --x0 2",
+         0.5337865103712087)])
+    def test_value_is_the_sampled_extremum(self, capsys, command, value):
+        assert run(["estimate", *command.split()]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == value
 
     def test_unknown_constant(self):
         assert run(["estimate", "--function", "quadratic_1d", "--constant",
@@ -861,10 +892,11 @@ class TestResolutionBranches:
              "beta = (1 - theta^2) / 2L"],
             {"function": "sin_quadratic", "seed": 0, "task": "hb",
              "task_params": {"max_iters": 200, "theta": 0.5, "x0": [2.0]}}),
-        # the note was added on purpose; certificate.json is unchanged
+        # the note was added on purpose, and mu, which the ladder does not
+        # read, left constants_used; certificate.json is unchanged
         "ladder_estimated": (
             0, "cb2bc86cab93f04732c34f279257559a3ecb3dfe130e4727ac0c2ce9432f883c",
-            {"gamma": 0.7008359240138836, "mu": None},
+            {"gamma": 0.7008359240138836},
             ["gamma estimated empirically (safety-adjusted)"],
             {"function": "sin_quadratic", "seed": 0, "task": "verify",
              "task_params": {"pairs": 200, "property": "ladder"}}),
@@ -1098,6 +1130,22 @@ class TestErrorPaths:
             2, "usage", [1]),
         "x0_not_a_vector": ("gd --function quadratic_2d --x0 1,a --beta 0.01",
                             2, "usage"),
+        # verify and gd read only the flags of the check or step they run
+        "verify_ladder_mu": (
+            "verify --function quadratic_2d --property ladder --mu 3 "
+            "--pairs 200", 2, "usage"),
+        "verify_gamma_property_mu": (
+            "verify --function quadratic_2d --property strong_quasiconvexity "
+            "--mu 3 --pairs 200", 2, "usage"),
+        "verify_mu_property_gamma": (
+            "verify --function quadratic_1d --property quasi_strong_convexity "
+            "--mu 0.5 --gamma 1 --pairs 200", 2, "usage"),
+        "verify_lambdas_without_weights": (
+            "verify --function quadratic_2d --property gradient_characterization "
+            "--lambdas 3 --pairs 200", 2, "usage"),
+        "gd_optimal_beta": (
+            "gd --function quadratic_2d --optimal --beta 0.01 --x0 1,1",
+            2, "usage"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1178,8 +1226,9 @@ class TestRunPremises:
         assert json.loads(err) == {"error": "x0 outside the domain",
                                    "kind": "numerical"}
 
-    # a non-positive constant is refused as soon as it is resolved: before
-    # any estimate, kappa probe or step
+    # a non-positive constant is refused as soon as it is resolved, and a
+    # flag the run does not read at once: before any estimate, kappa probe,
+    # step or check
     @pytest.mark.parametrize("command,message", [
         ("hb --function quadratic_2d --x0 1,1 --theta 0.5 --L -1 --beta 0.1",
          "L must be positive"),
@@ -1196,14 +1245,26 @@ class TestRunPremises:
         ("flow --function quadratic_2d --order 1 --x0 1,1 --L -1 --t-end 100 "
          "--dt 1e-3", "L must be positive"),
         ("flow --function sin_quadratic --order 2 --x0 2 --gamma -1 "
-         "--t-end 100", "gamma must be positive")])
+         "--t-end 100", "gamma must be positive"),
+        ("gd --function sin_quadratic --optimal --beta 0.01 --x0 2",
+         "gd --optimal reads no --beta"),
+        ("verify --function sin_quadratic --property ladder --mu 3",
+         "verify --property ladder reads no --mu"),
+        ("verify --function quadratic_2d --property strong_monotonicity "
+         "--mu 1 --lambdas 3",
+         "verify --property strong_monotonicity reads no --mu, --lambdas"),
+        ("verify --function quadratic_2d --property pl --mu 0.5 --gamma 1",
+         "verify --property pl reads no --gamma"),
+        ("verify --function quadratic_2d --property pl --mu 0.5 --lambdas 2",
+         "verify --property pl reads no --lambdas")])
     def test_constants_are_checked_before_the_run(self, monkeypatch, capsys,
                                                   command, message):
         def never(*args, **kwargs):
             raise AssertionError("the run started")
         for name in ("gradient_descent", "heavy_ball", "integrate_first_order",
                      "integrate_second_order", "empirical_modulus",
-                     "estimate_lipschitz_sublevel", "estimate_kappa"):
+                     "estimate_lipschitz_sublevel", "estimate_kappa",
+                     "check_property", "check_implication_ladder"):
             monkeypatch.setattr(cli, name, never)
         assert run(command.split()) == 2
         err = capsys.readouterr().err.strip().splitlines()[-1]

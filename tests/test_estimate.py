@@ -20,18 +20,18 @@ class TestLipschitzEstimate:
     def test_anisotropic_quadratic(self):
         entry = CAT["quadratic_2d"]
         L = estimate.estimate_lipschitz_sublevel(entry.oracle, [1.0, 1.0],
-                                                 samples=2000, seed=0)
+                                                 samples=2000, seed=0).safe
         assert 4.0 <= L <= 4.4
 
     def test_half_square(self):
         L = estimate.estimate_lipschitz_sublevel(CAT["quadratic_1d"].oracle,
-                                                 [1.0], samples=1000, seed=0)
+                                                 [1.0], samples=1000, seed=0).safe
         assert 1.0 <= L <= 1.1
 
     def test_sin_quadratic(self):
         # curvature 2 + 6 cos 2x peaks at 8 near the origin
         L = estimate.estimate_lipschitz_sublevel(CAT["sin_quadratic"].oracle,
-                                                 [2.0], samples=3000, seed=0)
+                                                 [2.0], samples=3000, seed=0).safe
         assert 7.1 <= L <= 8.8
 
     def test_monotone_refinement(self):
@@ -40,7 +40,7 @@ class TestLipschitzEstimate:
                                                   samples=500, seed=4)
         L2 = estimate.estimate_lipschitz_sublevel(entry.oracle, [2.0],
                                                   samples=1000, seed=4)
-        assert L2 >= L1
+        assert L2.safe >= L1.safe
 
     def test_start_outside_the_domain(self):
         with pytest.raises(DomainExit, match="x0 outside the domain"):
@@ -121,11 +121,12 @@ class TestBlockedScan:
             return largest_ratio(XG)
         largest_ratio = estimate._largest_ratio
         monkeypatch.setattr(estimate, "_largest_ratio", spy)
-        L = estimate.estimate_lipschitz_sublevel(
+        est = estimate.estimate_lipschitz_sublevel(
             CAT[name].oracle, _start(CAT[name], {}), samples=500, seed=3)
         [(pts, grads)] = scans
-        assert pts.shape[0] == 501
-        assert L == exhaustive_ratio(pts, grads) * estimate.SAFETY_LIPSCHITZ
+        assert pts.shape[0] == 501 and est.samples == 500
+        assert est.value == exhaustive_ratio(pts, grads)
+        assert est.safe == est.value * estimate.SAFETY_LIPSCHITZ
 
     @pytest.mark.parametrize("budget", ["one_row", "default", "above_n2"])
     @pytest.mark.parametrize("dim", range(1, 7))
@@ -189,7 +190,7 @@ class TestEmpiricalModulus:
     def test_quadratic_is_one(self):
         oracle = dataclasses.replace(CAT["quadratic_1d"].oracle,
                                      domain=DomainSpec.box([-1.0], [1.0]))
-        gamma = estimate.empirical_modulus(oracle, samples=5000, seed=0)
+        gamma = estimate.empirical_modulus(oracle, samples=5000, seed=0).value
         assert gamma == pytest.approx(1.0, abs=0.02)
 
     def test_linear_is_zero_on_large_region(self):
@@ -197,16 +198,16 @@ class TestEmpiricalModulus:
             dim=1, value=lambda x: np.asarray(x)[..., 0],
             grad=lambda x: np.ones_like(np.asarray(x, dtype=float)[..., 0:1]),
             domain=DomainSpec.box([-1e6], [1e6]))
-        gamma = estimate.empirical_modulus(lin, samples=20_000, seed=0)
+        gamma = estimate.empirical_modulus(lin, samples=20_000, seed=0).value
         assert 0.0 <= gamma < 1e-4
 
     def test_sin_quadratic_certifiable(self):
         entry = CAT["sin_quadratic"]
         gamma = estimate.empirical_modulus(entry.oracle, samples=50_000,
                                            seed=3)
-        assert gamma > 0
+        assert gamma.value > 0
         report = check_strong_quasiconvexity(
-            entry.oracle, gamma * estimate.SAFETY_MODULUS,
+            entry.oracle, gamma.safe,
             SampleBudget(pairs=5000, seed=11))
         assert report.holds_on_samples
 
@@ -214,7 +215,7 @@ class TestEmpiricalModulus:
         entry = CAT["sin_quadratic"]
         g1 = estimate.empirical_modulus(entry.oracle, samples=2000, seed=4)
         g2 = estimate.empirical_modulus(entry.oracle, samples=4000, seed=4)
-        assert g2 <= g1
+        assert g2.value <= g1.value
 
     def test_insufficient_samples(self):
         with pytest.raises(Exception):
@@ -231,7 +232,8 @@ class TestEmpiricalModulus:
         for budget in (oracle.dim, 37 * oracle.dim, samples * oracle.dim):
             monkeypatch.setattr(verify, "_PAIR_BUDGET", budget)
             estimates.append(estimate.empirical_modulus(oracle, samples, 5))
-        assert estimates[0] == estimates[1] == estimates[2] > 0
+        assert estimates[0] == estimates[1] == estimates[2]
+        assert estimates[0].value > 0
 
     def test_memory_does_not_grow_with_the_sample_count(self):
         oracle = CAT["sin_quadratic"].oracle
@@ -262,7 +264,7 @@ class TestKappa:
     def test_half_square_ratio_is_two(self):
         entry = CAT["quadratic_1d"]
         k = estimate.estimate_kappa(entry.oracle, self.traj(entry, [1.0]))
-        assert k == pytest.approx(1.9)
+        assert k.value == pytest.approx(2.0) and k.safe == pytest.approx(1.9)
 
     def test_convex_entries_at_least_one(self):
         # max_two_quadratics is nonsmooth at its minimizer (0.5, 0); a
@@ -273,7 +275,7 @@ class TestKappa:
                 oracle = dataclasses.replace(oracle, known_minimizer=[0.5, 0.0])
             traj = flows.integrate_first_order(
                 oracle, FlowConfig(x0=[0.9, 0.7], t_end=3.0, dt=1e-3))
-            assert estimate.estimate_kappa(oracle, traj) >= 0.95
+            assert estimate.estimate_kappa(oracle, traj).safe >= 0.95
 
     def test_reference_run_stagnates_on_nonsmooth_minimizer(self):
         from sqcflow.core import StagnationFailure
@@ -284,7 +286,7 @@ class TestKappa:
     def test_gamma_over_L_lower_bound(self):
         entry = CAT["quadratic_2d"]
         k = estimate.estimate_kappa(entry.oracle, self.traj(entry, [1.0, 1.0]))
-        assert k >= 0.95 * 1.0 / 4.0
+        assert k.safe >= 0.95 * 1.0 / 4.0
 
     def test_no_valid_samples(self):
         entry = CAT["quadratic_1d"]
@@ -327,18 +329,18 @@ class TestCrossEstimateInvariants:
     def test_modulus_below_lipschitz(self, name, x0):
         entry = CAT[name]
         gamma = estimate.empirical_modulus(entry.oracle, samples=5000,
-                                           seed=6)
+                                           seed=6).value
         L = estimate.estimate_lipschitz_sublevel(entry.oracle, x0,
-                                                 samples=1000, seed=6)
+                                                 samples=1000, seed=6).safe
         assert gamma <= L * 1.2
 
     def test_safety_adjusted_window_nonempty(self):
         for name, x0 in (("quadratic_2d", [1.0, 1.0]), ("sin_quadratic", [2.0])):
             entry = CAT[name]
             gamma = estimate.empirical_modulus(entry.oracle, samples=5000,
-                                               seed=6) * estimate.SAFETY_MODULUS
+                                               seed=6).safe
             L = estimate.estimate_lipschitz_sublevel(entry.oracle, x0,
-                                                     samples=1000, seed=6)
+                                                     samples=1000, seed=6).safe
             assert gamma > 0
             assert solvers.step_window(gamma, L) > 0
             assert solvers.optimal_step(gamma, L) < solvers.step_window(gamma, L)

@@ -225,7 +225,7 @@ class TestFirstOrderCertificates:
         from sqcflow import estimate
         entry = CAT["sin_quadratic"]
         gamma = estimate.empirical_modulus(entry.oracle, samples=50_000,
-                                           seed=3) * estimate.SAFETY_MODULUS
+                                           seed=3).safe
         cfg = FlowConfig(x0=[2.0], t_end=6.0, dt=1e-3)
         traj = integrate_first_order(entry.oracle, cfg)
         cert = certify_first_order(traj, gamma)

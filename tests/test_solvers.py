@@ -47,7 +47,7 @@ class TestGradientDescent:
         # h(x_k) - h(x_{k+1}) >= beta (1 - beta L0/2) |grad|^2 for beta <= 2/L0
         entry = CAT["sin_quadratic"]
         L0 = estimate.estimate_lipschitz_sublevel(entry.oracle, [2.0],
-                                                  samples=2000, seed=0)
+                                                  samples=2000, seed=0).safe
         beta = 0.2
         assert beta <= 2.0 / L0
         traj = gradient_descent(entry.oracle,
@@ -77,7 +77,7 @@ class TestGradientDescent:
         entry = CAT["sqrt_norm_2d"]
         gamma = entry.constants_known["gamma"]
         L0 = estimate.estimate_lipschitz_sublevel(entry.oracle, [0.5, 0.5],
-                                                  samples=200, seed=1)
+                                                  samples=200, seed=1).safe
         beta = 0.9 * step_window(gamma, L0)
         traj = gradient_descent(entry.oracle,
                                 GDConfig(x0=[0.5, 0.5],
@@ -222,7 +222,7 @@ class TestGDCertificates:
         entry = CAT["quadratic_3d"]
         L_hat = estimate.estimate_lipschitz_sublevel(entry.oracle,
                                                      [1.0, 1.0, 0.5],
-                                                     samples=2000, seed=42)
+                                                     samples=2000, seed=42).safe
         beta = optimal_step(1.0, L_hat)
         traj = gradient_descent(entry.oracle,
                                 GDConfig(x0=[1.0, 1.0, 0.5],

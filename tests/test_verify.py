@@ -110,7 +110,7 @@ class TestGradientCharacterization:
     def test_sin_quadratic_at_empirical_modulus(self):
         entry = CAT["sin_quadratic"]
         gamma = estimate.empirical_modulus(entry.oracle, samples=50_000,
-                                           seed=3) * estimate.SAFETY_MODULUS
+                                           seed=3).safe
         assert gamma > 0
         assert check_gradient_characterization(entry.oracle, gamma,
                                                BUDGET).holds_on_samples
@@ -223,9 +223,9 @@ class TestPL:
     def test_sin_quadratic_with_empirical_constants(self):
         entry = CAT["sin_quadratic"]
         gamma = estimate.empirical_modulus(entry.oracle, samples=50_000,
-                                           seed=3) * estimate.SAFETY_MODULUS
+                                           seed=3).safe
         L = estimate.estimate_lipschitz_sublevel(entry.oracle, [3.0],
-                                                 samples=2000, seed=3)
+                                                 samples=2000, seed=3).safe
         mu = derive_pl_modulus(gamma, L)
         assert check_pl(entry.oracle, mu, BUDGET).holds_on_samples
 
@@ -312,7 +312,7 @@ class TestLadder:
     def test_sin_quadratic_nonconvex_but_strongly_quasiconvex(self):
         entry = CAT["sin_quadratic"]
         gamma = estimate.empirical_modulus(entry.oracle, samples=50_000,
-                                           seed=3) * estimate.SAFETY_MODULUS
+                                           seed=3).safe
         reports = check_implication_ladder(entry.oracle, gamma, BUDGET)
         by_name = {r.property_name: r for r in reports}
         assert by_name["strong_quasiconvexity"].holds_on_samples
