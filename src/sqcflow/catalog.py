@@ -74,7 +74,9 @@ def sqrt_norm(dim: int, radius: float) -> CatalogEntry:
         n = np.linalg.norm(x, axis=-1)
         if np.any(n < _ORIGIN_EXCLUSION):
             raise DomainViolation("gradient of sqrt(|x|) is undefined at the origin")
-        return x / (2.0 * n ** 1.5)[..., None]
+        # n * sqrt(n), not n ** 1.5: pow rounds differently for a numpy
+        # scalar than in an array loop, so one row would differ from a batch
+        return x / (2.0 * n * np.sqrt(n))[..., None]
 
     domain = DomainSpec.ball(
         np.zeros(dim), radius,
@@ -221,11 +223,12 @@ def _intersect_domains(d1: DomainSpec, d2: DomainSpec) -> DomainSpec:
 def max_combine(e1: CatalogEntry, e2: CatalogEntry) -> CatalogEntry:
     """Pointwise maximum of two entries.
 
-    The modulus of the max is the smaller of the two moduli.  On the tie
-    set |h1 - h2| < 1e-12 the gradient of the branch with the larger
-    gradient norm is returned (first branch on a norm tie); the tie set is
-    measure zero but breaks gradient Lipschitz continuity, so no Lipschitz
-    constant is carried over.
+    The modulus of the max is the smaller of the two moduli.  Off the tie
+    set |h1 - h2| < 1e-12 the gradient is the larger branch's.  On it the
+    gradient is the least-norm point of the subdifferential conv{g1, g2}:
+    with d = g1 - g2 that is g2 + t d, t = clip(-<g2, d> / |d|^2, 0, 1)
+    (t = 0 when g1 == g2), computed only on the tie rows.  The tie set is measure zero but breaks gradient
+    Lipschitz continuity, so no Lipschitz constant is carried over.
     """
     if e1.oracle.dim != e2.oracle.dim:
         raise InvalidParameter("entries have different dimensions")
@@ -237,11 +240,15 @@ def max_combine(e1: CatalogEntry, e2: CatalogEntry) -> CatalogEntry:
     def grad(x):
         h1, h2 = np.asarray(o1.value(x)), np.asarray(o2.value(x))
         g1, g2 = np.asarray(o1.grad(x)), np.asarray(o2.grad(x))
+        g = np.where((h1 >= h2)[..., None], g1, g2)
         tie = np.abs(h1 - h2) < _TIE_TOL
-        n1 = np.linalg.norm(g1, axis=-1)
-        n2 = np.linalg.norm(g2, axis=-1)
-        take_first = np.where(tie, n1 >= n2, h1 >= h2)
-        return np.where(take_first[..., None], g1, g2)
+        if np.any(tie):
+            a, d = g2[tie], g1[tie] - g2[tie]
+            dd = np.sum(d * d, axis=-1)
+            t = np.divide(-np.sum(a * d, axis=-1), dd,
+                          out=np.zeros_like(dd), where=dd > 0)
+            g[tie] = a + np.clip(t, 0.0, 1.0)[..., None] * d
+        return g
 
     gamma = None
     if o1.known_modulus is not None and o2.known_modulus is not None:
@@ -304,6 +311,25 @@ def sin_quadratic() -> CatalogEntry:
         provenance="quadratic plus squared sine; nonconvex, strongly "
                    "quasiconvex with unique minimizer at the origin",
     )
+
+
+def max_two_quadratics() -> CatalogEntry:
+    """h(x) = max{|x|^2 / 2, |x - c|^2 / 2} with c = (1, 0) in the plane.
+
+    Modulus 1, the smaller branch modulus, and nonsmooth at its minimizer
+    x_bar = c / 2 = (1/2, 0), where h* = 1/8.  By the parallelogram law
+    |x|^2 + |x - c|^2 = 2 |x - c/2|^2 + |c|^2 / 2 >= |c|^2 / 2, with
+    equality only at c / 2.  A maximum is at least the mean of its
+    branches, so h(x) >= (|x|^2 + |x - c|^2) / 4 >= |c|^2 / 8 = 1/8, and
+    h = 1/8 only at (1/2, 0).  Both branches give exactly 0.125 there, so
+    x_bar is on the tie set, and the gradient there, the least-norm point
+    of conv{(1/2, 0), (-1/2, 0)}, is exactly 0.
+    """
+    entry = max_combine(strongly_convex_quadratic(2, 1.0, 1.0),
+                        shifted_isotropic_quadratic(2, [1.0, 0.0]))
+    oracle = dataclasses.replace(entry.oracle,
+                                 known_minimizer=np.array([0.5, 0.0]))
+    return dataclasses.replace(entry, name="max_two_quadratics", oracle=oracle)
 
 
 def strongly_convex_quadratic(dim: int, gamma: float, L: float) -> CatalogEntry:
@@ -406,9 +432,7 @@ def default_catalog() -> dict[str, CatalogEntry]:
         sin_quadratic(),
         quadratic_fraction(np.eye(2), np.zeros(2), 0.0,
                            np.zeros((2, 2)), np.zeros(2), 2.0, 1.0, 3.0),
-        max_combine(strongly_convex_quadratic(2, 1.0, 1.0),
-                    shifted_isotropic_quadratic(2, [1.0, 0.0])
-                    ).renamed("max_two_quadratics"),
+        max_two_quadratics(),
         pl_degenerate_quadratic(),
     ]
     return {e.name: e for e in entries}

@@ -38,10 +38,9 @@ import numpy as np
 
 from . import __version__
 from .catalog import CatalogEntry, default_catalog, get_entry
-from .core import (InvalidParameter, MissingMinimizer, SqcflowError,
-                   Trajectory, positive)
-from .estimate import (REFERENCE_SAMPLES, empirical_modulus, estimate_kappa,
-                       estimate_lipschitz_sublevel, reference_minimizer)
+from .core import InvalidParameter, SqcflowError, Trajectory, positive
+from .estimate import (empirical_modulus, estimate_kappa,
+                       estimate_lipschitz_sublevel)
 from .flows import (FlowConfig, LyapunovParams, certify_first_order,
                     certify_first_order_values, certify_second_order,
                     integrate_first_order, integrate_second_order)
@@ -144,19 +143,8 @@ def _estimate(entry: CatalogEntry, key: str, seed: int, x0=None):
 def _probe_kappa(oracle, x0, t_end: float, dt: float):
     """The kappa ``Estimate`` along a first-order RK4 flow from ``x0`` to
     ``t_end`` in steps ``dt``."""
-    if oracle.known_minimizer is None:
-        raise MissingMinimizer("the kappa probe needs a known minimizer")
     traj = integrate_first_order(oracle, FlowConfig(x0=x0, t_end=t_end, dt=dt))
     return estimate_kappa(oracle, traj)
-
-
-def _minimizer(entry: CatalogEntry, notes: list):
-    """The catalog minimizer; without one the run notes that the
-    certificates that need it are skipped, and returns None."""
-    if entry.oracle.known_minimizer is None:
-        notes.append("no known minimizer; minimizer-dependent certificates "
-                     "skipped")
-    return entry.oracle.known_minimizer
 
 
 def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
@@ -232,32 +220,27 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
     gamma = _constant(entry, params, "gamma", notes,
                       _estimate(entry, "gamma", config.seed) if order == 2 else None)
     L = _constant(entry, params, "L", notes)
-    x_bar = None if gamma is None else _minimizer(entry, notes)
     if order == 1:
         traj = integrate_first_order(oracle, cfg)
-        if x_bar is not None:
+        if gamma is not None:
             constants["gamma"] = gamma
             certs.append(certify_first_order(traj, gamma))
             if L is not None:
                 constants["L"] = L
                 certs.append(certify_first_order_values(traj, gamma, L))
     else:
-        derive = None
         if L is not None:
             derive = ("kappa = gamma / L", lambda: gamma / L)
-        elif x_bar is not None:
+        else:
             derive = ("kappa estimated along a probe trajectory "
                       "(safety-adjusted)",
                       lambda: _probe_kappa(oracle, cfg.x0, cfg.t_end, cfg.dt).safe)
         kappa = _constant(entry, params, "kappa", notes, derive)
-        lyap = None
-        if kappa is not None:
-            lyap = LyapunovParams.from_constants(gamma, kappa, cfg.alpha)
-            constants.update({"kappa": kappa, "lam": lyap.lam, "xi": lyap.xi})
-        constants.update({"gamma": gamma, "alpha": cfg.alpha})
+        lyap = LyapunovParams.from_constants(gamma, kappa, cfg.alpha)
+        constants.update({"gamma": gamma, "alpha": cfg.alpha, "kappa": kappa,
+                          "lam": lyap.lam, "xi": lyap.xi})
         traj = integrate_second_order(oracle, cfg, lyap)
-        if lyap is not None and x_bar is not None:
-            certs.append(certify_second_order(traj))
+        certs.append(certify_second_order(traj))
 
     return _emit_run(config, out, traj, "t", certs, constants, notes)
 
@@ -281,10 +264,8 @@ def _run_gd(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     cfg = GDConfig(x0=x0, beta=beta, max_iters=params.get("max_iters", 1000),
                    stop_grad_tol=params.get("stop_grad_tol", 1e-10))
     traj = gradient_descent(entry.oracle, cfg)
-    certs = []
-    if _minimizer(entry, notes) is not None:
-        certs = [certify_gd_contraction(traj, gamma, L0),
-                 certify_gd_values(traj, gamma, L0)]
+    certs = [certify_gd_contraction(traj, gamma, L0),
+             certify_gd_values(traj, gamma, L0)]
     return _emit_run(config, out, traj, "k", certs,
                      {"gamma": gamma, "L0": L0, "beta": beta}, notes)
 
@@ -308,9 +289,7 @@ def _run_hb(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
                    max_iters=params.get("max_iters", 1000),
                    stop_grad_tol=params.get("stop_grad_tol", 1e-10))
     traj = heavy_ball(entry.oracle, cfg)
-    certs = []
-    if _minimizer(entry, notes) is not None:
-        certs = [certify_hb_energy(traj, gamma, L)]
+    certs = [certify_hb_energy(traj, gamma, L)]
     return _emit_run(config, out, traj, "k", certs,
                      {"gamma": gamma, "L": L, "theta": theta, "beta": beta},
                      notes)
@@ -326,19 +305,12 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
                                                   config.seed),
         "gamma": lambda: empirical_modulus(entry.oracle, samples, config.seed),
         "kappa": lambda: _probe_kappa(entry.oracle, x0, 5.0, 1e-3)}
-    if which in estimators:
-        est = estimators[which]()
-        payload = {"constant": which, "value": est.value,
-                   "safety_adjusted_value": est.safe, "samples": est.samples}
-    elif which == "minimizer":
-        x_bar = reference_minimizer(entry.oracle, x0, config.seed)
-        payload = {"constant": "minimizer",
-                   "value": [float(v) for v in x_bar],
-                   "safety_adjusted_value": None,
-                   "samples": REFERENCE_SAMPLES}
-    else:
+    if which not in estimators:
         raise InvalidParameter(
-            "estimate --constant must be one of L0, gamma, kappa, minimizer")
+            "estimate --constant must be one of L0, gamma, kappa")
+    est = estimators[which]()
+    payload = {"constant": which, "value": est.value,
+               "safety_adjusted_value": est.safe, "samples": est.samples}
     return _emit(config, out, "estimate.json", payload, True, {})
 
 
@@ -485,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("estimate", help="estimate a constant")
     _add_common(e)
-    e.add_argument("--constant", choices=("L0", "gamma", "kappa", "minimizer"))
+    e.add_argument("--constant", choices=("L0", "gamma", "kappa"))
     e.add_argument("--samples", type=int, default=None)
     e.add_argument("--x0", type=_parse_vector, default=None)
 

@@ -5,7 +5,7 @@ import pytest
 
 from sqcflow import catalog
 from sqcflow.core import DomainSpec, DomainViolation, InvalidParameter
-from sqcflow.sampling import sample_pairs
+from sqcflow.sampling import sample_pairs, sample_points
 from sqcflow.verify import SampleBudget, check_strong_quasiconvexity
 
 
@@ -111,6 +111,30 @@ class TestCombinators:
         x = np.array([0.25])
         assert m.oracle.value(x) == pytest.approx(0.28125)
         assert m.oracle.grad(x)[0] == pytest.approx(-0.75)
+
+    def test_max_tie_gradient_is_the_least_norm_subgradient(self):
+        # 1/2 (x1^2 + 4 x2^2) and 1/2 |x - (1, 0)|^2 tie exactly at
+        # (1/8, 1/2), with g1 = (1/8, 2), g2 = (-7/8, 1/2) of unequal norms;
+        # d = g1 - g2 = (1, 3/2) and t = -<g2, d> / |d|^2 = 1/26
+        e1 = catalog.strongly_convex_quadratic(2, 1.0, 4.0)
+        e2 = catalog.shifted_isotropic_quadratic(2, [1.0, 0.0])
+        m = catalog.max_combine(e1, e2).oracle
+        x = np.array([0.125, 0.5])
+        assert e1.oracle.value(x) == e2.oracle.value(x)
+        g = m.grad(x)
+        np.testing.assert_allclose(g, [-7 / 8 + 1 / 26, 1 / 2 + 3 / 52],
+                                   rtol=1e-15)
+        # off the tie set the larger branch's gradient, bit for bit, and a
+        # batch holding the tie row agrees with its rows one by one
+        X = np.concatenate([sample_points(m.domain, 2, 1000, 0), [x]])
+        h1, h2 = e1.oracle.value(X), e2.oracle.value(X)
+        off = np.abs(h1 - h2) >= 1e-12
+        assert off.sum() == 1000
+        branch = np.where((h1 >= h2)[:, None], e1.oracle.grad(X),
+                          e2.oracle.grad(X))
+        G = m.grad(X)
+        assert np.array_equal(G[off], branch[off])
+        assert np.array_equal(G, np.array([m.grad(row) for row in X]))
 
     def test_max_dimension_mismatch(self):
         with pytest.raises(InvalidParameter):

@@ -324,26 +324,6 @@ class TestEstimateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert 7.1 <= payload["safety_adjusted_value"] <= 8.8
 
-    def test_minimizer(self, capsys):
-        code = run(["estimate", "--function", "sin_quadratic", "--constant",
-                    "minimizer", "--x0", "2"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert abs(payload["value"][0]) < 1e-8
-
-    def test_minimizer_reports_the_samples_it_used(self, monkeypatch, capsys):
-        used = []
-
-        def spy(oracle, x0, samples=2000, seed=0):
-            used.append(samples)
-            return lipschitz(oracle, x0, samples, seed)
-        lipschitz = estimate.estimate_lipschitz_sublevel
-        monkeypatch.setattr(estimate, "estimate_lipschitz_sublevel", spy)
-        assert run(["estimate", "--function", "sin_quadratic", "--constant",
-                    "minimizer", "--x0", "2", "--samples", "100"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert used == [payload["samples"]] == [estimate.REFERENCE_SAMPLES]
-
     def test_non_finite_gradient_exits_numerical(self, monkeypatch, capsys):
         oracle = FunctionOracle(
             dim=1, value=lambda x: 2.5 * np.asarray(x)[..., 0] ** 4,
@@ -355,33 +335,6 @@ class TestEstimateCommand:
                     "--x0", "1", "--seed", "1"]) == 3
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["kind"] == "numerical"
-
-    @pytest.mark.parametrize("constant", ["minimizer"])
-    def test_minimizer_search_uses_the_run_seed(self, monkeypatch, capsys,
-                                                constant):
-        seeds = []
-
-        def spy(oracle, x0, samples=2000, seed=0):
-            seeds.append(seed)
-            raise StagnationFailure("stopped by the spy")
-        monkeypatch.setattr(estimate, "estimate_lipschitz_sublevel", spy)
-        assert run(["estimate", "--function", "max_two_quadratics",
-                    "--constant", constant, "--x0", "0.6,0.1",
-                    "--seed", "7"]) == 3
-        assert seeds == [7]
-
-    def test_kappa_without_catalog_minimizer_is_refused(self, monkeypatch,
-                                                        capsys):
-        # kappa is measured against the catalog minimizer: none is searched
-        # for, and nothing is integrated
-        def never(*args, **kwargs):
-            raise AssertionError("searched or integrated")
-        monkeypatch.setattr(cli, "reference_minimizer", never)
-        monkeypatch.setattr(cli, "integrate_first_order", never)
-        assert run(["estimate", "--function", "max_two_quadratics", "--x0",
-                    "0.6,0.1", "--constant", "kappa"]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and json.loads(err[0])["kind"] == "usage"
 
     def test_kappa_with_catalog_minimizer(self, capsys):
         assert run(["estimate", "--function", "quadratic_2d", "--constant",
@@ -571,12 +524,13 @@ class TestLadderPins:
     # SHA-256 of certificate.json from the ladder at the benchmark's 10000
     # pairs, for the benchmark's four entries and sin_quadratic, which
     # fails with witnesses capped at 25; taken before checks were
-    # evaluated in blocks
+    # evaluated in blocks (sqrt_norm_2d since its gradient computes
+    # n * sqrt(n), which rounds alike for one row and a batch)
     GOLDEN = {
         "quadratic_fraction":
             (0, "122cb457bfaf835c9a945006dd028cf101efc9870ceeb31f8ac3742d5ac9b303"),
         "sqrt_norm_2d":
-            (0, "896d9aab543c7f6f4658348b9a5091107ccef9b5af2c966365381282e0ee7563"),
+            (0, "fa0055ead3e88bcd1a2813010f2d41392768d0fae9ec0caf773a9612a5df6c3e"),
         "max_two_quadratics":
             (0, "d8db039c1325cb53f90550982844c0abb536da03dcf44ae4c573681e2fee02d4"),
         "quadratic_3d":
@@ -802,7 +756,7 @@ def _sha256(path):
 
 class TestResolutionBranches:
     """certificate.json and the constants and notes of meta.json, pinned at
-    each branch that resolves a constant, a minimizer or a start point."""
+    each branch that resolves a constant or a start point."""
 
     CASES = {
         # gamma and L0 both estimated
@@ -821,8 +775,8 @@ class TestResolutionBranches:
         "flow2_catalog": (
             ["flow", "--order", "2", "--function", "quadratic_2d", "--x0",
              "1,1", "--t-end", "2", "--dt", "0.01"], None),
-        # no catalog minimizer, so the certificates are skipped
-        "gd_stagnated": (
+        # nonsmooth at its catalog minimizer, yet certified
+        "gd_nonsmooth": (
             ["gd", "--function", "max_two_quadratics", "--optimal", "--x0",
              "1,1", "--max-iters", "50"], None),
         "ladder_estimated": (
@@ -839,9 +793,10 @@ class TestResolutionBranches:
     # taken from the code before the run path was folded into one resolver
     # and one writer; the two gd pins were retaken when the gd value
     # envelopes began to follow the step (gd_estimated then passes); the
-    # gd_stagnated note changed when runs stopped searching for a minimizer
-    # the catalog lacks (its certificate.json did not); the three gd cases
-    # gained the step in constants_used when gd began to record it there
+    # three gd cases gained the step in constants_used when gd began to
+    # record it there; gd_nonsmooth was taken when the catalog recorded the
+    # minimizer of max_two_quadratics, and L0 moved with it because the
+    # sublevel box is centered on that minimizer
     PINNED = {
         "config_override": (
             0, "7fba9c7135804802229494b2ad98ece2bc1bf1c86ba59404ae4ad0eecf7176e8",
@@ -874,12 +829,11 @@ class TestResolutionBranches:
              "L estimated on the initial sublevel set (safety-adjusted)"],
             {"function": "sin_quadratic", "seed": 0, "task": "gd",
              "task_params": {"max_iters": 200, "optimal": True, "x0": [2.0]}}),
-        "gd_stagnated": (
-            0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
-            {"L0": 99.25370854859926, "beta": 5.0754729627392584e-05,
+        "gd_nonsmooth": (
+            0, "eb323d8ee64ed82e061cd83a05731fd2468190f61fc7ae7a1d9245182960a720",
+            {"L0": 69.28750171372324, "beta": 0.00010415022191664883,
              "gamma": 1.0},
-            ["L estimated on the initial sublevel set (safety-adjusted)",
-             "no known minimizer; minimizer-dependent certificates skipped"],
+            ["L estimated on the initial sublevel set (safety-adjusted)"],
             {"function": "max_two_quadratics", "seed": 0, "task": "gd",
              "task_params": {"max_iters": 50, "optimal": True,
                              "x0": [1.0, 1.0]}}),
@@ -940,10 +894,11 @@ class TestFailingCertificates:
             "gd --function quadratic_2d --gamma 6 --L0 4 --beta 0.2 --x0 1,1 "
             "--max-iters 50",
             "5ec08c8d31f63148a3d81a4e5b35fafeaf29fc23ae77aafdf6451ed79185d810"),
-        # the step and gradient tail bounds fail
+        # the step tail bound fails at k = 101 (retaken when the sqrt_norm
+        # gradient began to compute n * sqrt(n): the gradient tail held then)
         "hb_tails": (
             "hb --function sqrt_norm_2d --theta 0.5 --x0 0.3,0.2 --max-iters 500",
-            "1dae5abb499c0fff4f42414c6799a62d6f9648cc65ced2695fdcbd284494f35b"),
+            "13c7688aa57a2a845db4669a51d2e6de1ced3ab6fc44ac3ca40d2720badc3353"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -981,7 +936,7 @@ class TestErrorPaths:
         "flow_zero_L_for_kappa": (
             "flow --function quadratic_2d --order 2 --x0 1,1 --L 0", 2, "usage"),
         # every constant a run resolves must be positive, used or not
-        "flow_negative_gamma_without_minimizer": (
+        "flow_negative_gamma_before_the_kappa_probe": (
             "flow --function max_two_quadratics --order 2 --x0 1,1 "
             "--gamma -1 --t-end 1", 2, "usage"),
         "flow_negative_L_without_modulus": (
@@ -991,8 +946,9 @@ class TestErrorPaths:
         "flow_order_1_second_order_flags": (
             "flow --function quadratic_2d --order 1 --x0 1,1 --t-end 1 "
             "--alpha 7 --v0 5,5 --kappa 3", 2, "usage"),
-        "estimate_kappa_without_minimizer": (
-            "estimate --function max_two_quadratics --constant kappa",
+        # every catalog entry records its minimizer, so none is searched for
+        "estimate_minimizer": (
+            "estimate --function max_two_quadratics --constant minimizer",
             2, "usage"),
         "estimate_zero_samples": (
             "estimate --function quadratic_2d --constant gamma --samples 0",
@@ -1019,9 +975,6 @@ class TestErrorPaths:
         "flow_order_2_stage_at_kink": (
             "flow --function sqrt_norm_1d --order 2 --x0 0.25 --dt 0.5 "
             "--t-end 1", 3, "numerical"),
-        "verify_pl_without_minimizer": (
-            "verify --function max_two_quadratics --property pl --mu 1",
-            2, "usage"),
         "estimate_gamma_too_few_pairs": (
             "estimate --function quadratic_2d --constant gamma --samples 5",
             2, "usage"),
@@ -1187,33 +1140,22 @@ class TestRunPremises:
     """Runs use the catalog minimizer and never search for one, and each
     run checks its start through the step loop."""
 
-    SKIPPED = "no known minimizer; minimizer-dependent certificates skipped"
-
     @pytest.fixture(autouse=True)
     def no_search(self, monkeypatch):
         def search(*args, **kwargs):
             raise StagnationFailure("minimizer search reached")
-        monkeypatch.setattr(cli, "reference_minimizer", search)
+        monkeypatch.setattr(estimate, "reference_minimizer", search)
 
+    # the catalog records the minimizer of the nonsmooth max_two_quadratics,
+    # so its runs are certified like any other
     @pytest.mark.parametrize("command", [
-        "gd --optimal --max-iters 50", "hb --theta 0.5 --max-iters 50",
-        "flow --order 1 --t-end 1 --dt 0.01",
-        "flow --order 2 --t-end 1 --dt 0.01"])
-    def test_no_minimizer_skips_its_certificates(self, tmp_path, capsys,
-                                                 command):
-        out = tmp_path / "out"
+        "gd --optimal --max-iters 300", "flow --order 1 --t-end 5",
+        "flow --order 2 --t-end 5"])
+    def test_nonsmooth_minimizer_is_certified(self, capsys, command):
         assert run(command.split() + [
-            "--function", "max_two_quadratics", "--x0", "1,1",
-            "--output-dir", str(out)]) == 0
-        assert capsys.readouterr().out == "[]\n"
-        meta = json.loads((out / "meta.json").read_text())
-        assert self.SKIPPED in meta["notes"]
-
-    def test_estimate_minimizer_still_searches(self, capsys):
-        assert run(["estimate", "--function", "max_two_quadratics",
-                    "--constant", "minimizer", "--x0", "0.6,0.1"]) == 3
-        err = capsys.readouterr().err.strip().splitlines()[-1]
-        assert json.loads(err)["error"] == "minimizer search reached"
+            "--function", "max_two_quadratics", "--x0", "1,1"]) == 0
+        certs = json.loads(capsys.readouterr().out)
+        assert certs and all(c["satisfied"] for c in certs)
 
     # hb checks x_prev itself, so it starts from inside the ball
     @pytest.mark.parametrize("command", [
@@ -1272,10 +1214,9 @@ class TestRunPremises:
 
 
 # the L estimator refuses a start outside the domain before it samples;
-# gd, hb and the minimizer search estimate L first, so its check covers them
+# gd and hb estimate L first, so its check covers them
 @pytest.mark.parametrize("command", [
-    "estimate --constant L0", "estimate --constant minimizer", "gd --optimal",
-    "hb --theta 0.5"])
+    "estimate --constant L0", "gd --optimal", "hb --theta 0.5"])
 def test_estimators_refuse_a_start_outside_the_domain(monkeypatch, capsys,
                                                       command):
     def sample(*args, **kwargs):

@@ -410,10 +410,22 @@ class TestOracleInvariants:
     def test_minimizer_gradient_is_zero(self):
         for name, entry in catalog.default_catalog().items():
             x_bar = entry.oracle.known_minimizer
-            if x_bar is None or name.startswith("sqrt_norm"):
-                continue  # sqrt norm is nonsmooth at its minimizer
+            if name.startswith("sqrt_norm"):
+                continue  # the gradient of sqrt(|x|) is undefined at 0
             g = np.asarray(entry.oracle.grad(x_bar))
             assert np.linalg.norm(g) <= 1e-8 * (1.0 + np.linalg.norm(x_bar))
+
+    @pytest.mark.parametrize("name", sorted(catalog.default_catalog()))
+    def test_minimizer_has_the_least_value(self, name):
+        # 10000 seeded domain points, each also pulled 10x and 100x toward
+        # x_bar, so a recorded point near, but off, the minimizer fails
+        o = catalog.default_catalog()[name].oracle
+        x_bar = o.known_minimizer
+        X = sample_points(o.domain, o.dim, 10_000, 3)
+        X = np.concatenate([x_bar + s * (X - x_bar) for s in (1.0, 0.1, 0.01)])
+        X = X[o.domain.contains(X)]
+        assert len(X) >= 10_000
+        assert np.all(o.value(x_bar) <= np.asarray(o.value(X)))
 
     def test_oracles_are_deterministic(self):
         entry = catalog.default_catalog()["sin_quadratic"]

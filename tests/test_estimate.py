@@ -267,12 +267,8 @@ class TestKappa:
         assert k.value == pytest.approx(2.0) and k.safe == pytest.approx(1.9)
 
     def test_convex_entries_at_least_one(self):
-        # max_two_quadratics is nonsmooth at its minimizer (0.5, 0); a
-        # gradient run cannot certify it, so the oracle is given that point
         for name in ("quadratic_2d", "quadratic_fraction", "max_two_quadratics"):
             oracle = CAT[name].oracle
-            if oracle.known_minimizer is None:
-                oracle = dataclasses.replace(oracle, known_minimizer=[0.5, 0.0])
             traj = flows.integrate_first_order(
                 oracle, FlowConfig(x0=[0.9, 0.7], t_end=3.0, dt=1e-3))
             assert estimate.estimate_kappa(oracle, traj).safe >= 0.95
@@ -297,7 +293,9 @@ class TestKappa:
 
     def test_needs_the_gap_column(self):
         # a run on an oracle without a minimizer records no h_gap
-        entry = CAT["max_two_quadratics"]
+        entry = catalog.max_combine(
+            catalog.strongly_convex_quadratic(2, 1.0, 1.0),
+            catalog.shifted_isotropic_quadratic(2, [1.0, 0.0]))
         with pytest.raises(MissingMinimizer):
             estimate.estimate_kappa(entry.oracle, self.traj(entry, [0.9, 0.7]))
 

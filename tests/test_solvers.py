@@ -288,14 +288,9 @@ def test_gd_is_the_explicit_euler_flow(name):
         x0=gd.states[0], t_end=3.0, dt=0.01, integrator="explicit_euler"))
     assert np.array_equal(gd.states, flow.states)
     assert np.array_equal(gd.h_values, flow.h_values)
-    if name.startswith("sqrt_norm"):
-        # the flow evaluates its gradients as one batch after the run, gd
-        # point by point during it; on sqrt(|x|) the two round apart, and
-        # the norms differ by up to 2 ulp on a few rows
-        assert not np.array_equal(gd.grad_norms, flow.grad_norms)
-        np.testing.assert_array_max_ulp(gd.grad_norms, flow.grad_norms, 2)
-    else:
-        assert np.array_equal(gd.grad_norms, flow.grad_norms)
+    # the flow evaluates its gradients as one batch after the run, gd point
+    # by point during it; every catalog gradient rounds alike both ways
+    assert np.array_equal(gd.grad_norms, flow.grad_norms)
 
 
 class TestHeavyBall:

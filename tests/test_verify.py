@@ -544,7 +544,7 @@ class TestSharedSamples:
         sin = reports["sin_quadratic", _ladder_gamma(CAT["sin_quadratic"])]
         assert sin["convexity"].violations_count > verify.MAX_WITNESSES
         assert len(sin["convexity"].violations) == verify.MAX_WITNESSES
-        # no L, no minimizer
+        # no L
         assert "pl" not in reports["max_two_quadratics", 1.0]
         assert "pl" in reports["quadratic_2d", 1.0]
         offset = reports["quadratic_2d", 1.2]["offset_monotonicity"]
