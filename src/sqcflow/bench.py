@@ -18,7 +18,7 @@ import numpy as np
 
 from . import catalog, cli, estimate, flows, solvers, verify
 from .core import InvalidParameter
-from .flows import FlowConfig, LyapunovParams
+from .flows import FlowConfig
 from .sampling import NestedSampler, inverse_normal_cdf
 from .solvers import GDConfig, HBConfig
 
@@ -167,15 +167,15 @@ def criterion_second_order_lyapunov(workdir: Path):
     entry = catalog.default_catalog()["quadratic_2d"]
     gamma, L, alpha = 1.0, 4.0, 3.0
     kappa = gamma / L
-    lyap = LyapunovParams.from_constants(gamma, kappa, alpha)
     lam_expected = min(np.sqrt(gamma / (2 * kappa)), 2 * alpha / (kappa + 4))
     cfg = FlowConfig(x0=[1.0, 1.0], t_end=20.0, dt=1e-3, alpha=alpha)
-    traj = flows.integrate_second_order(entry.oracle, cfg, lyap)
+    traj = flows.integrate_second_order(entry.oracle, cfg, gamma, kappa)
     cert = flows.certify_second_order(traj)
     elapsed = time.time() - t0
+    lam = traj.param("lam")
     ok = (cert.satisfied and cert.first_violation is None
-          and abs(lyap.lam - lam_expected) < 1e-15 and elapsed < 5.0)
-    return ok, (f"lam={lyap.lam:.6f} rate={cert.theoretical_rate:.4f} "
+          and abs(lam - lam_expected) < 1e-15 and elapsed < 5.0)
+    return ok, (f"lam={lam:.6f} rate={cert.theoretical_rate:.4f} "
                 f"empirical={cert.empirical_rate:.4f} "
                 f"satisfied={cert.satisfied} elapsed={elapsed:.2f}s")
 

@@ -47,9 +47,6 @@ class CatalogEntry:
             "provenance": self.provenance,
         }
 
-    def renamed(self, name: str) -> "CatalogEntry":
-        return dataclasses.replace(self, name=name)
-
 
 def sqrt_norm(dim: int, radius: float) -> CatalogEntry:
     """h(x) = sqrt(|x|) on the ball of the given radius.

@@ -41,7 +41,7 @@ from .catalog import CatalogEntry, default_catalog, get_entry
 from .core import InvalidParameter, SqcflowError, Trajectory, positive
 from .estimate import (empirical_modulus, estimate_kappa,
                        estimate_lipschitz_sublevel)
-from .flows import (FlowConfig, LyapunovParams, certify_first_order,
+from .flows import (FlowConfig, certify_first_order,
                     certify_first_order_values, certify_second_order,
                     integrate_first_order, integrate_second_order)
 from .solvers import (GDConfig, HBConfig, certify_gd_contraction,
@@ -236,11 +236,12 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
                       "(safety-adjusted)",
                       lambda: _probe_kappa(oracle, cfg.x0, cfg.t_end, cfg.dt).safe)
         kappa = _constant(entry, params, "kappa", notes, derive)
-        lyap = LyapunovParams.from_constants(gamma, kappa, cfg.alpha)
+        traj = integrate_second_order(oracle, cfg, gamma, kappa)
+        cert = certify_second_order(traj)
         constants.update({"gamma": gamma, "alpha": cfg.alpha, "kappa": kappa,
-                          "lam": lyap.lam, "xi": lyap.xi})
-        traj = integrate_second_order(oracle, cfg, lyap)
-        certs.append(certify_second_order(traj))
+                          "lam": cert.constants["lam"],
+                          "xi": cert.constants["xi"]})
+        certs.append(cert)
 
     return _emit_run(config, out, traj, "t", certs, constants, notes)
 

@@ -107,6 +107,16 @@ def positive(*values) -> bool:
     return all(0.0 < v < math.inf for v in values)
 
 
+def norm(v) -> float:
+    """Euclidean norm of a short vector, its squares summed left to right in
+    Python floats.  ``v.dot(v)`` is BLAS ddot, whose kernel OpenBLAS picks
+    by CPU, so its last bit, and a step loop's stop, could move with it."""
+    s = 0.0
+    for c in v.tolist():
+        s += c * c
+    return math.sqrt(s)
+
+
 def as_point(x, dim: Optional[int] = None) -> Vector:
     """Validate and convert to a finite float64 vector."""
     p = np.atleast_1d(np.asarray(x, dtype=np.float64))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import (NOISE_FLOOR, FunctionOracle, InvalidParameter,
                    RateCertificate, Trajectory, as_point, envelope_violations,
-                   positive, rate_certificate, step_rows)
+                   norm, positive, rate_certificate, step_rows)
 
 
 @dataclass(frozen=True)
@@ -50,39 +50,6 @@ class FlowConfig:
             raise InvalidParameter("need 0 < dt <= t_end and a finite t_end / dt")
         if self.stop_dist is not None and not 0.0 <= self.stop_dist < math.inf:
             raise InvalidParameter("stop_dist must be a nonnegative distance")
-
-
-@dataclass(frozen=True)
-class LyapunovParams:
-    """Parameters (lam, kappa) of the second-order energy Sigma.
-
-    The dissipation argument needs
-    lam <= min{sqrt(gamma / 2 kappa), 2 alpha / (kappa + 4)} and
-    xi = lam^2, so ``xi`` is derived from lam; use ``from_constants`` to
-    pick the largest admissible lam.
-    """
-
-    lam: float
-    kappa: float
-
-    def __post_init__(self):
-        if not positive(self.lam, self.kappa):
-            raise InvalidParameter("lam, xi, kappa must all be positive")
-
-    @classmethod
-    def from_constants(cls, gamma: float, kappa: float, alpha: float) -> "LyapunovParams":
-        if not positive(gamma, kappa, alpha):
-            raise InvalidParameter("gamma, kappa, alpha must all be positive")
-        return cls(lam=min(math.sqrt(gamma / (2.0 * kappa)),
-                           2.0 * alpha / (kappa + 4.0)), kappa=kappa)
-
-    @property
-    def xi(self) -> float:
-        return self.lam * self.lam
-
-    @property
-    def decay_exponent(self) -> float:
-        return 0.5 * self.lam * self.kappa
 
 
 def _step_fn(integrator: str):
@@ -109,8 +76,7 @@ def _flow_rows(oracle: FunctionOracle, config: FlowConfig, z0, f):
     if config.stop_dist is not None and x_bar is not None:
         # a run stops at the first row after row 0 within stop_dist
         def advance(rows, k):
-            r = rows[k, :d] - x_bar
-            if k and math.sqrt(r.dot(r)) <= config.stop_dist:
+            if k and norm(rows[k, :d] - x_bar) <= config.stop_dist:
                 return None
             return step(f, rows[k], dt)
     rows = step_rows(z0, max(1, int(round(config.t_end / dt))), dt, advance,
@@ -137,15 +103,23 @@ def integrate_first_order(oracle: FunctionOracle, config: FlowConfig) -> Traject
 
 
 def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
-                           lyap: Optional[LyapunovParams] = None) -> Trajectory:
+                           gamma: Optional[float] = None,
+                           kappa: Optional[float] = None) -> Trajectory:
     """Integrate the damped system as (x, v) with dv/dt = -alpha v - grad h(x).
 
-    Sigma, and with it lam and kappa as parameters, is recorded when
-    ``lyap`` is given and the oracle knows its minimizer; velocity
-    components are always recorded as diagnostics.
+    Given the modulus ``gamma`` and ``kappa``, and when the oracle knows its
+    minimizer, the run records Sigma, and lam and kappa as parameters.  The
+    dissipation argument needs lam <= min{sqrt(gamma / 2 kappa),
+    2 alpha / (kappa + 4)} for the alpha the run integrates with, and
+    xi = lam^2; the run takes the largest such lam.  Velocity components
+    are always recorded as diagnostics.
     """
     if config.alpha is None or not positive(config.alpha):
         raise InvalidParameter("second-order flow needs alpha > 0")
+    if (gamma is None) != (kappa is None):
+        raise InvalidParameter("gamma and kappa go together")
+    if gamma is not None and not positive(gamma, kappa):
+        raise InvalidParameter("gamma and kappa must be positive")
     v0 = np.zeros_like(config.x0) if config.v0 is None else as_point(config.v0)
     if v0.shape != config.x0.shape:
         raise InvalidParameter("v0 dimension must match x0")
@@ -164,12 +138,14 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
     h = np.asarray(oracle.value(X))
     g = np.asarray(oracle.grad(X))
     diags, params = {}, {}
-    if lyap is not None and x_bar is not None:
-        params = {"lam": lyap.lam, "kappa": lyap.kappa}
+    if gamma is not None and x_bar is not None:
+        lam = min(math.sqrt(gamma / (2.0 * kappa)), 2.0 * alpha / (kappa + 4.0))
+        xi = lam * lam
+        params = {"lam": lam, "kappa": kappa}
         diff = X - x_bar
         diags["Sigma"] = (h - h_star
-                          + 0.5 * np.sum((lyap.lam * diff + V) ** 2, axis=-1)
-                          + 0.5 * lyap.xi * np.sum(diff * diff, axis=-1))
+                          + 0.5 * np.sum((lam * diff + V) ** 2, axis=-1)
+                          + 0.5 * xi * np.sum(diff * diff, axis=-1))
     diags["v_norm"] = np.linalg.norm(V, axis=-1)
     for i in range(d):
         diags[f"v{i}"] = V[:, i]
@@ -217,12 +193,14 @@ def certify_first_order_values(traj: Trajectory, gamma: float,
 def certify_second_order(traj: Trajectory) -> RateCertificate:
     """Energy envelope Sigma(t) <= Sigma(0) exp(-lam kappa t / 2), with the
     lam and kappa the run computed Sigma with."""
-    lyap = LyapunovParams(lam=traj.param("lam"), kappa=traj.param("kappa"))
+    lam, kappa = traj.param("lam"), traj.param("kappa")
+    if not positive(lam, kappa):
+        raise InvalidParameter("lam and kappa must be positive")
     sigma = traj.diagnostic("Sigma")
-    rate = lyap.decay_exponent
+    rate = 0.5 * lam * kappa
     envelope = sigma[0] * np.exp(-rate * traj.times)
     floor = NOISE_FLOOR * (1.0 + float(sigma[0]))
     return rate_certificate(
-        "flow_second", {"lam": lyap.lam, "xi": lyap.xi, "kappa": lyap.kappa,
+        "flow_second", {"lam": lam, "xi": lam * lam, "kappa": kappa,
                         "sigma0": float(sigma[0])}, rate,
         traj.times, sigma, envelope_violations(sigma, envelope, floor))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (NOISE_FLOOR, RATE_SLACK, DomainExit, FunctionOracle,
                    InvalidParameter, ParameterWindowViolation, RateCertificate,
-                   Trajectory, as_point, envelope_violations, ineq_tol,
+                   Trajectory, as_point, envelope_violations, ineq_tol, norm,
                    positive, rate_certificate, step_rows)
 
 
@@ -111,7 +111,7 @@ def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
 
     def advance(rows, k):
         x, g = rows[k, :d], rows[k, d:2 * d]
-        if math.sqrt(g.dot(g)) <= tol:
+        if norm(g) <= tol:
             return None
         x_next = x - beta * g
         # x_next equal to x_k is an exact fixed point: beta grad h(x_k) = 0,
@@ -135,12 +135,12 @@ def heavy_ball(oracle: FunctionOracle, config: HBConfig) -> Trajectory:
         x = rows[k, :d]
         rows[k, d:2 * d] = oracle.grad(x)
         r = x - (rows[k - 1, :d] if k else x_prev)
-        rows[k, -1] = math.sqrt(r.dot(r))
+        rows[k, -1] = norm(r)
 
     def advance(rows, k):
         x, g = rows[k, :d], rows[k, d:2 * d]
         # a zero gradient alone is not a fixed point while momentum is live
-        if math.sqrt(g.dot(g)) <= tol and rows[k, -1] <= tol:
+        if norm(g) <= tol and rows[k, -1] <= tol:
             return None
         return x + config.theta * (x - (rows[k - 1, :d] if k else x_prev)) \
             - config.beta * g
@@ -159,8 +159,12 @@ def heavy_ball(oracle: FunctionOracle, config: HBConfig) -> Trajectory:
 
 def gd_window(gamma: float, L0: float, beta: float) -> float:
     """The step ``beta`` of a gd run, checked against the window of both gd
-    certificates, 0 < beta < min{gamma/L0^2, 2/L0}."""
+    certificates, 0 < beta < min{gamma/L0^2, 2/L0}, and their constants
+    against gamma < 2 L0 (their premises give gamma <= 2 L0, see
+    ``certify_gd_values``)."""
     top = step_window(gamma, L0)
+    if not gamma < 2.0 * L0:
+        raise ParameterWindowViolation("need gamma < 2 L0")
     if not beta < top:  # a NaN step is outside
         raise ParameterWindowViolation(
             f"beta={float(beta)} outside the certified window "
@@ -206,7 +210,7 @@ def certify_gd_values(traj: Trajectory, gamma: float, L0: float) -> RateCertific
     The premises are the modulus, <grad h(x), x - x_bar> >= (gamma/2)
     |x - x_bar|^2, so |grad h(x)| >= (gamma/2)|x - x_bar|, and an
     L0-Lipschitz gradient, so |grad h(x)| <= L0 |x - x_bar| (together
-    gamma <= 2 L0; a larger gamma is rejected) and h - h* <= (L0/2)
+    gamma <= 2 L0; ``gd_window`` refuses gamma >= 2 L0) and h - h* <= (L0/2)
     |x - x_bar|^2.  The first envelope is the contraction of
     ``certify_gd_contraction`` followed by that last bound.  The second is
     the descent lemma, h(x_{k+1}) <= h(x_k) - beta (1 - L0 beta/2)
@@ -218,8 +222,6 @@ def certify_gd_values(traj: Trajectory, gamma: float, L0: float) -> RateCertific
     gaps = traj.diagnostic("h_gap")
     dist0_sq = float(traj.diagnostic("dist")[0]) ** 2
     beta = gd_window(gamma, L0, traj.param("beta"))
-    if not gamma < 2.0 * L0:
-        raise ParameterWindowViolation("need gamma < 2 L0")
     q = gd_factor(beta, gamma, L0)
     f = 1.0 - beta * (1.0 - 0.5 * L0 * beta) * gamma ** 2 / (2.0 * L0)
     k = np.arange(1, len(traj), dtype=np.float64)

@@ -494,7 +494,8 @@ class TestTraceWriter:
     # SHA-256 of trace.csv from the per-cell writer, for the four command
     # shapes of the benchmark's trajectory workload at shorter lengths; gd's
     # taken once its constant beta column was dropped (the step is in
-    # meta.json and certificate.json), the other three before that
+    # meta.json and certificate.json), hb's once its step norms stopped
+    # calling BLAS, the other two before both
     GOLDEN = [
         (["flow", "--function", "quadratic_2d", "--order", "1",
           "--x0=0.775300,-0.626511", "--t-end", "2", "--dt", "0.001"],
@@ -509,7 +510,7 @@ class TestTraceWriter:
         (["hb", "--function", "quadratic_2d", "--theta", "0.9754",
           "--x0=0.864770,-0.918896", "--max-iters", "2000",
           "--stop-grad-tol", "0"],
-         "770755e580ec34fcfe3820d3b5da51639457388887c9dea8093cd45714279ee9"),
+         "fa4d01fc1ddcaeca102962487e2060724cc8aa06adb89a7c3dd71be2204361d5"),
     ]
 
     @pytest.mark.parametrize("argv,sha", GOLDEN, ids=["flow1", "flow2", "gd", "hb"])
@@ -518,6 +519,74 @@ class TestTraceWriter:
         data = (tmp_path / "trace.csv").read_bytes()
         assert data.count(b"\n") == 2002
         assert hashlib.sha256(data).hexdigest() == sha
+
+
+# runs the commands of argv[1] (JSON) into argv[2]/<index>; exit 77 when
+# numpy does not import under the setting (numpy 1.24 names its CPU
+# features differently)
+KERNEL_CHILD = """
+import json, sys
+try:
+    import numpy
+except Exception:
+    sys.exit(77)
+from sqcflow import cli
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    if cli.main(argv + ["--output-dir", f"{sys.argv[2]}/{i}"]) != 0:
+        sys.exit(1)
+"""
+
+
+class TestTraceKernels:
+    """trace.csv bytes do not depend on the BLAS kernel OpenBLAS picks by
+    CPU, nor on numpy's AVX-512 loops: each setting writes the default's
+    bytes, and those are pinned.  certificate.json bytes are promised only
+    across the AVX2 kernels, since the rate fit runs on LAPACK and on numpy's
+    exp / log loops."""
+
+    SETTINGS = {
+        "default": {},
+        "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+        "zen": {"OPENBLAS_CORETYPE": "Zen"},
+        "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+        "sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+        "no_avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"},
+    }
+    SAME_CERTIFICATE = ("haswell", "zen")
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Output directory of each setting, or None when its child could not
+        import numpy; the children run side by side."""
+        argv = json.dumps([a for a, _ in TestTraceWriter.GOLDEN])
+        base = {k: v for k, v in _env(OPENBLAS_NUM_THREADS="1").items()
+                if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        procs = {}
+        for name, extra in self.SETTINGS.items():
+            out = tmp_path_factory.mktemp(name)
+            procs[name] = (out, subprocess.Popen(
+                [sys.executable, "-c", KERNEL_CHILD, argv, str(out)],
+                env=dict(base, **extra), stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE))
+        runs = {}
+        for name, (out, proc) in procs.items():
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode in (0, 77), (name, err.decode())
+            runs[name] = out if proc.returncode == 0 else None
+        return runs
+
+    @pytest.mark.parametrize("setting", [s for s in SETTINGS if s != "default"])
+    def test_trace_bytes_are_kernel_free(self, runs, setting):
+        if runs[setting] is None:
+            pytest.skip(f"numpy does not import under {self.SETTINGS[setting]}")
+        files = ["trace.csv"]
+        if setting in self.SAME_CERTIFICATE:
+            files.append("certificate.json")
+        for i, (_, sha) in enumerate(TestTraceWriter.GOLDEN):
+            for name in files:
+                assert (runs[setting] / str(i) / name).read_bytes() == \
+                    (runs["default"] / str(i) / name).read_bytes(), (i, name)
+            assert _sha256(runs[setting] / str(i) / "trace.csv") == sha, i
 
 
 class TestLadderPins:
@@ -1190,6 +1259,9 @@ class TestRunPremises:
          "--t-end 100", "gamma must be positive"),
         ("gd --function sin_quadratic --optimal --beta 0.01 --x0 2",
          "gd --optimal reads no --beta"),
+        # no function has gamma > 2 L0; the optimal step is in the window
+        ("gd --function quadratic_2d --gamma 10 --L0 4 --optimal --x0 1,1 "
+         "--max-iters 50", "need gamma < 2 L0"),
         ("verify --function sin_quadratic --property ladder --mu 3",
          "verify --property ladder reads no --mu"),
         ("verify --function quadratic_2d --property strong_monotonicity "
@@ -1209,8 +1281,9 @@ class TestRunPremises:
                      "check_property", "check_implication_ladder"):
             monkeypatch.setattr(cli, name, never)
         assert run(command.split()) == 2
-        err = capsys.readouterr().err.strip().splitlines()[-1]
-        assert json.loads(err) == {"error": message, "kind": "usage"}
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in err] == \
+            [{"error": message, "kind": "usage"}]
 
 
 # the L estimator refuses a start outside the domain before it samples;

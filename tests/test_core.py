@@ -469,9 +469,12 @@ def _range_checks():
         "flow_t_end": lambda bad: flows.FlowConfig(x0=[1.0], t_end=bad,
                                                    dt=0.1),
         "flow_dt": lambda bad: flows.FlowConfig(x0=[1.0], t_end=1.0, dt=bad),
-        "lyapunov": lambda bad: flows.LyapunovParams(lam=bad, kappa=1.0),
-        "lyapunov_from_constants": lambda bad:
-            flows.LyapunovParams.from_constants(1.0, bad, 3.0),
+        "second_order_gamma": lambda bad: flows.integrate_second_order(
+            q1, flows.FlowConfig(x0=[1.0], t_end=1.0, dt=0.1, alpha=3.0),
+            bad, 0.5),
+        "second_order_kappa": lambda bad: flows.integrate_second_order(
+            q1, flows.FlowConfig(x0=[1.0], t_end=1.0, dt=0.1, alpha=3.0),
+            1.0, bad),
         "second_order_alpha": lambda bad: flows.integrate_second_order(
             q1, flows.FlowConfig(x0=[1.0], t_end=1.0, dt=0.1, alpha=bad)),
         "check_gamma": lambda bad: verify.check_property(
@@ -511,7 +514,7 @@ class TestCertificateContract:
             x0=[1.0, 1.0], theta=0.5, beta=0.05, max_iters=20))
         flow = flows.integrate_second_order(
             o, flows.FlowConfig(x0=[1.0, 1.0], t_end=1.0, dt=0.1, alpha=3.0),
-            flows.LyapunovParams.from_constants(1.0, 0.25, 3.0))
+            1.0, 0.25)
         return [
             (gd, lambda t: solvers.certify_gd_contraction(t, 1.0, 4.0)),
             (gd, lambda t: solvers.certify_gd_values(t, 1.0, 4.0)),

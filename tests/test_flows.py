@@ -4,7 +4,7 @@ import pytest
 from sqcflow import catalog, flows
 from sqcflow.core import (DomainExit, DomainSpec, FunctionOracle,
                           InvalidParameter, MissingMinimizer, NumericalBlowup)
-from sqcflow.flows import (FlowConfig, LyapunovParams, certify_first_order,
+from sqcflow.flows import (FlowConfig, certify_first_order,
                            certify_first_order_values, certify_second_order,
                            integrate_first_order, integrate_second_order)
 
@@ -186,23 +186,55 @@ class TestSecondOrderIntegration:
                                    0.5 + 1.0 - np.exp(-traj.times), atol=1e-9)
 
     def test_sigma_nonincreasing_with_admissible_params(self):
-        entry = CAT["quadratic_2d"]
-        lyap = LyapunovParams.from_constants(1.0, 0.25, 3.0)
         cfg = FlowConfig(x0=[1.0, 1.0], t_end=5.0, dt=1e-3, alpha=3.0)
-        traj = integrate_second_order(entry.oracle, cfg, lyap)
+        traj = integrate_second_order(CAT["quadratic_2d"].oracle, cfg, 1.0, 0.25)
         sigma = traj.diagnostic("Sigma")
         assert np.all(np.diff(sigma) <= 1e-9)
 
 
-class TestLyapunovParams:
-    def test_from_constants_picks_bound(self):
-        lyap = LyapunovParams.from_constants(1.0, 0.25, 3.0)
-        assert lyap.lam == pytest.approx(min(np.sqrt(2.0), 6.0 / 4.25))
-        assert lyap.xi == lyap.lam * lyap.lam
+class TestLyapunovPremise:
+    """The damped run derives lam from the alpha it integrates with."""
 
-    def test_positivity(self):
+    # gamma = 1, kappa = 0.25: sqrt(gamma / 2 kappa) = sqrt(2) bounds lam at
+    # alpha = 3, and 2 alpha / (kappa + 4) = 4/17 at alpha = 0.5
+    @pytest.mark.parametrize("alpha", [0.5, 3.0])
+    def test_lam_is_the_largest_admissible(self, alpha):
+        cfg = FlowConfig(x0=[1.0, 1.0], t_end=1.0, dt=1e-2, alpha=alpha)
+        traj = integrate_second_order(CAT["quadratic_2d"].oracle, cfg, 1.0, 0.25)
+        lam = traj.param("lam")
+        assert lam == min(np.sqrt(2.0), 2.0 * alpha / 4.25)
+        assert traj.params == {"lam": lam, "kappa": 0.25}
+        x, v = traj.states, np.column_stack([traj.diagnostic("v0"),
+                                             traj.diagnostic("v1")])
+        sigma = (traj.h_values + 0.5 * np.sum((lam * x + v) ** 2, axis=-1)
+                 + 0.5 * lam * lam * np.sum(x * x, axis=-1))
+        np.testing.assert_allclose(traj.diagnostic("Sigma"), sigma,
+                                   rtol=1e-15, atol=0.0)
+        cert = certify_second_order(traj)
+        assert cert.theoretical_rate == 0.5 * lam * 0.25
+        assert cert.constants["xi"] == lam * lam
+
+    # refused before any step: the gradient is never evaluated
+    @pytest.mark.parametrize("gamma,kappa", [
+        (np.nan, 0.25), (1.0, np.nan), (np.inf, 0.25), (1.0, np.inf),
+        (0.0, 0.25), (1.0, 0.0), (-1.0, 0.25), (1.0, -0.25),
+        (1.0, None), (None, 0.25)])
+    def test_constants_refused_before_any_step(self, gamma, kappa):
+        def grad(x):
+            raise AssertionError("the run started")
+        oracle = FunctionOracle(dim=1, value=lambda x: 0.5 * np.square(x)[..., 0],
+                                grad=grad, known_minimizer=np.zeros(1))
+        cfg = FlowConfig(x0=[1.0], t_end=1.0, dt=0.1, alpha=3.0)
         with pytest.raises(InvalidParameter):
-            LyapunovParams(lam=-1.0, kappa=0.5)
+            integrate_second_order(oracle, cfg, gamma, kappa)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_certificate_refuses_recorded_params(self, bad):
+        cfg = FlowConfig(x0=[1.0], t_end=1.0, dt=1e-2, alpha=3.0)
+        traj = integrate_second_order(CAT["quadratic_1d"].oracle, cfg, 1.0, 0.5)
+        traj.params["lam"] = bad
+        with pytest.raises(InvalidParameter):
+            certify_second_order(traj)
 
 
 class TestFirstOrderCertificates:
@@ -303,9 +335,8 @@ class TestStartAtMinimizer:
             assert cert.satisfied and cert.first_violation is None
 
     def test_second_order(self):
-        lyap = LyapunovParams.from_constants(1.0, 0.25, 3.0)
         cfg = FlowConfig(x0=[0.0, 0.0], t_end=1.0, dt=0.01, alpha=3.0)
-        traj = integrate_second_order(CAT["quadratic_2d"].oracle, cfg, lyap)
+        traj = integrate_second_order(CAT["quadratic_2d"].oracle, cfg, 1.0, 0.25)
         cert = certify_second_order(traj)
         assert np.isnan(cert.empirical_rate)
         assert cert.satisfied and cert.first_violation is None
@@ -313,16 +344,14 @@ class TestStartAtMinimizer:
 
 class TestSecondOrderCertificate:
     def test_quadratic_lyapunov_envelope(self):
-        entry = CAT["quadratic_2d"]
-        lyap = LyapunovParams.from_constants(1.0, 0.25, 3.0)
         cfg = FlowConfig(x0=[1.0, 1.0], t_end=10.0, dt=1e-3, alpha=3.0)
-        traj = integrate_second_order(entry.oracle, cfg, lyap)
+        traj = integrate_second_order(CAT["quadratic_2d"].oracle, cfg, 1.0, 0.25)
         cert = certify_second_order(traj)
         assert cert.satisfied
-        assert cert.theoretical_rate == pytest.approx(0.5 * lyap.lam * 0.25)
+        assert cert.theoretical_rate == pytest.approx(0.5 * traj.param("lam") * 0.25)
 
     def test_missing_sigma_diagnostics(self):
         cfg = FlowConfig(x0=[1.0], t_end=1.0, dt=1e-2, alpha=1.0)
-        traj = integrate_second_order(CAT["quadratic_1d"].oracle, cfg, lyap=None)
+        traj = integrate_second_order(CAT["quadratic_1d"].oracle, cfg)
         with pytest.raises(InvalidParameter):
             certify_second_order(traj)

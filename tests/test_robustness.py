@@ -9,7 +9,7 @@ import pytest
 
 from sqcflow import bench, cli
 from sqcflow.core import Trajectory
-from sqcflow.flows import (FlowConfig, LyapunovParams, certify_first_order,
+from sqcflow.flows import (FlowConfig, certify_first_order,
                            certify_first_order_values, certify_second_order,
                            integrate_first_order, integrate_second_order)
 
@@ -38,9 +38,8 @@ def test_flow_certificates_pass_on_every_start(entry):
         certs = [certify_first_order(traj, gamma),
                  certify_first_order_values(traj, gamma, L)]
         for alpha in (0.5, 3.0):
-            lyap = LyapunovParams.from_constants(gamma, gamma / L, alpha)
             traj = integrate_second_order(o, FlowConfig(
-                x0=x0, t_end=10.0, dt=0.05, alpha=alpha), lyap)
+                x0=x0, t_end=10.0, dt=0.05, alpha=alpha), gamma, gamma / L)
             certs.append(certify_second_order(traj))
         failed += [(list(x0), c.kind) for c in certs if not c.satisfied]
     assert failed == []
@@ -94,10 +93,9 @@ def test_flow_first_value_envelope(scale, first):
 def test_flow_second_sigma_envelope(scale, first):
     # gamma = 1, kappa = 0.5, alpha = 3: lam = min{1, 4/3} = 1, so the
     # exponent lam kappa / 2 is 0.25
-    lyap = LyapunovParams.from_constants(1.0, 0.5, 3.0)
     traj = _traj(np.ones(TIMES.size),
                  Sigma=_scaled(2.0 * np.exp(-0.25 * TIMES), scale))
-    traj.params.update(lam=lyap.lam, kappa=lyap.kappa)
+    traj.params.update(lam=1.0, kappa=0.5)
     cert = certify_second_order(traj)
     assert cert.first_violation == first
     assert cert.theoretical_rate == 0.25
