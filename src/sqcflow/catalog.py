@@ -52,15 +52,28 @@ def sqrt_norm(dim: int, radius: float) -> CatalogEntry:
     """h(x) = sqrt(|x|) on the ball of the given radius.
 
     Nonconvex, yet strongly quasiconvex on B(0, r) with modulus
-    gamma = 1 / (5^(1/4) 2^(5/4) sqrt(r)).  The gradient is undefined at
-    the origin; points with |x| < 1e-12 are rejected by the gradient and
-    excluded from sampling.
+    gamma = c r^(-3/2), c = 1 / (5^(1/4) 2^(5/4)) = 0.281 < 1/2.  The
+    gradient is undefined at the origin; points with |x| < 1e-12 are
+    rejected by the gradient and excluded from sampling.
+
+    Proof, for h = |x|^p with 0 < p <= 2 (here p = 1/2): take x, y in the
+    ball with |y| <= |x| = a, lam in [0, 1], z = (1 - lam) x + lam y and
+    delta = lam (1 - lam) |x - y|^2.  Then
+    |z|^2 = (1 - lam) |x|^2 + lam |y|^2 - delta <= a^2 - delta.  As
+    u -> u^(p/2) is increasing and concave,
+    |z|^p <= (a^2 - delta)^(p/2) <= a^p - (p/2) a^(p-2) delta, and
+    a^(p-2) >= r^(p-2) since a <= r and p <= 2.  So
+    h(z) <= max{h(x), h(y)} - lam (1 - lam) (gamma/2) |x - y|^2 holds with
+    gamma = p r^(p-2), here r^(-3/2) / 2; it is tight at x = -r e,
+    y = r e as lam -> 1.  Under x = r u, sqrt|x| scales by r^(1/2) and
+    |x - y|^2 by r^2, hence the r^(-3/2).  The catalog states
+    c r^(-3/2), below the exact modulus at every radius.
     """
     if radius <= 0:
         raise InvalidParameter("radius must be positive")
     if dim < 1:
         raise InvalidParameter("dimension must be >= 1")
-    gamma = 1.0 / (5.0 ** 0.25 * 2.0 ** 1.25 * radius ** 0.5)
+    gamma = 1.0 / (5.0 ** 0.25 * 2.0 ** 1.25 * radius ** 1.5)
 
     def value(x):
         x = np.asarray(x, dtype=np.float64)

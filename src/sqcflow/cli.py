@@ -8,6 +8,9 @@ and writes deterministic artifacts into --output-dir:
     certificate.json  RateCertificate(s) or ClassReport
     meta.json         resolved config + constants actually used
 
+A run integrates one flow: without L, the damped flow reads kappa on its
+own states (flows.integrate_second_order).
+
 Exit codes: 0 pass, 1 only a failed certificate or check, 2 a usage error
 and 3 a numerical failure, each ending stderr with one JSON line that names
 its kind (SqcflowError).  Closing stdout early does not change the code.
@@ -39,8 +42,7 @@ import numpy as np
 from . import __version__
 from .catalog import CatalogEntry, default_catalog, get_entry
 from .core import InvalidParameter, SqcflowError, Trajectory, positive
-from .estimate import (empirical_modulus, estimate_kappa,
-                       estimate_lipschitz_sublevel)
+from .estimate import empirical_modulus, estimate_lipschitz_sublevel
 from .flows import (FlowConfig, certify_first_order,
                     certify_first_order_values, certify_second_order,
                     integrate_first_order, integrate_second_order)
@@ -140,13 +142,6 @@ def _estimate(entry: CatalogEntry, key: str, seed: int, x0=None):
                                                 samples=2000, seed=seed).safe)
 
 
-def _probe_kappa(oracle, x0, t_end: float, dt: float):
-    """The kappa ``Estimate`` along a first-order RK4 flow from ``x0`` to
-    ``t_end`` in steps ``dt``."""
-    traj = integrate_first_order(oracle, FlowConfig(x0=x0, t_end=t_end, dt=dt))
-    return estimate_kappa(oracle, traj)
-
-
 def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
     name = params.get("property")
@@ -229,16 +224,16 @@ def _run_flow(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]
                 constants["L"] = L
                 certs.append(certify_first_order_values(traj, gamma, L))
     else:
-        if L is not None:
-            derive = ("kappa = gamma / L", lambda: gamma / L)
-        else:
-            derive = ("kappa estimated along a probe trajectory "
-                      "(safety-adjusted)",
-                      lambda: _probe_kappa(oracle, cfg.x0, cfg.t_end, cfg.dt).safe)
-        kappa = _constant(entry, params, "kappa", notes, derive)
+        kappa = _constant(entry, params, "kappa", notes,
+                          None if L is None else
+                          ("kappa = gamma / L", lambda: gamma / L))
         traj = integrate_second_order(oracle, cfg, gamma, kappa)
+        if kappa is None:
+            notes.append("kappa estimated on the run's own states "
+                         "(safety-adjusted)")
         cert = certify_second_order(traj)
-        constants.update({"gamma": gamma, "alpha": cfg.alpha, "kappa": kappa,
+        constants.update({"gamma": gamma, "alpha": cfg.alpha,
+                          "kappa": cert.constants["kappa"],
                           "lam": cert.constants["lam"],
                           "xi": cert.constants["xi"]})
         certs.append(cert)
@@ -304,11 +299,9 @@ def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[P
     estimators = {
         "L0": lambda: estimate_lipschitz_sublevel(entry.oracle, x0, samples,
                                                   config.seed),
-        "gamma": lambda: empirical_modulus(entry.oracle, samples, config.seed),
-        "kappa": lambda: _probe_kappa(entry.oracle, x0, 5.0, 1e-3)}
+        "gamma": lambda: empirical_modulus(entry.oracle, samples, config.seed)}
     if which not in estimators:
-        raise InvalidParameter(
-            "estimate --constant must be one of L0, gamma, kappa")
+        raise InvalidParameter("estimate --constant must be one of L0, gamma")
     est = estimators[which]()
     payload = {"constant": which, "value": est.value,
                "safety_adjusted_value": est.safe, "samples": est.samples}
@@ -458,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("estimate", help="estimate a constant")
     _add_common(e)
-    e.add_argument("--constant", choices=("L0", "gamma", "kappa"))
+    e.add_argument("--constant", choices=("L0", "gamma"))
     e.add_argument("--samples", type=int, default=None)
     e.add_argument("--x0", type=_parse_vector, default=None)
 

@@ -377,7 +377,10 @@ def rate_certificate(kind: str, constants: dict, rate: float, times, series,
     first one is ``first_violation``.  The rate is fitted to the samples
     of ``series`` above ``fit_floor``: the least-squares slope of their log
     against time is minus a decay exponent, against their index the log
-    of a per-step factor; NaN when fewer than 3 samples remain.
+    of a per-step factor; NaN when fewer than 3 samples remain.  The slope
+    is the closed form sum(t y) / sum(t t) over centred t and y, each sum
+    a ``math.fsum``, and the factor its ``math.exp``: no BLAS, LAPACK or
+    numpy AVX-512 loop moves their bytes (the logs are still numpy's).
     ``failed`` fails the certificate for a reason of its own, which
     ``notes`` should name.
     """
@@ -386,13 +389,15 @@ def rate_certificate(kind: str, constants: dict, rate: float, times, series,
         float(times[len(times) - len(violations) + bad[0]])
     decay = kind in _DECAY_KINDS
     pos = series > fit_floor
-    n = np.count_nonzero(pos)
-    if n < 3:
+    n, y = np.count_nonzero(pos), np.log(series[pos])
+    if n < 3 or not np.isfinite(y).all():  # an overflowed sample fits NaN
         empirical = math.nan
     else:
         at = times[pos] if decay else np.arange(n, dtype=np.float64)
-        slope = np.polyfit(at, np.log(series[pos]), 1)[0]
-        empirical = -slope if decay else np.exp(slope)
+        at = at - math.fsum(at.tolist()) / n
+        y -= math.fsum(y.tolist()) / n
+        slope = math.fsum((at * y).tolist()) / math.fsum((at * at).tolist())
+        empirical = -slope if decay else math.exp(slope)
     if math.isnan(empirical):
         within = True
     elif decay:

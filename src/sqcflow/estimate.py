@@ -3,8 +3,9 @@
 Sampled extrema are biased optimistically, so each estimator returns an
 ``Estimate``: the sampled extremum as ``value`` and, as ``safe``, that value
 times its ``SAFETY_*`` factor (L 1.1x, the modulus and kappa 0.95x), which
-is what a certificate reads.  Streams are nested (same seed, prefix
-property), so doubling the sample count can only tighten an estimate.
+is what a certificate reads; kappa is read on the states of the run that
+it certifies.  Streams are nested (same seed, prefix property), so
+doubling the sample count can only tighten an estimate.
 
 The Lipschitz estimate compares every pair of its samples in blocks.  A
 block of budget // (start + side) samples, side > sqrt(budget), meets
@@ -160,13 +161,11 @@ def empirical_modulus(oracle: FunctionOracle, samples: int = 20000,
 
 
 def estimate_kappa(oracle: FunctionOracle, traj) -> Estimate:
-    """Smallest sampled ratio <grad h(x), x - x_bar> / (h(x) - h(x_bar)).
-
-    Evaluated along a trajectory (x_bar the oracle's minimizer, the ratio's
-    denominator its ``h_gap`` column); safe at 0.95x.  Samples closer than
-    1e-12 to the optimal value are skipped.
+    """Smallest ratio <grad h(x), x - x_bar> / (h(x) - h*) over the states
+    of a run (x_bar the oracle's minimizer, h* its value); safe at 0.95x.
+    States closer than 1e-12 to the optimal value are skipped.
     """
-    gaps = traj.diagnostic("h_gap")
+    gaps = traj.h_values - oracle.minimum_value()
     valid = gaps > 1e-12
     if not np.any(valid):
         raise InsufficientSamples("no trajectory samples above the optimal value")

@@ -11,9 +11,9 @@ energy
     Sigma = h(x) - h* + 0.5 |lam (x - x_bar) + v|^2 + (xi/2) |x - x_bar|^2
 
 for the second-order flow, whose trajectory then records the lam and kappa
-it was computed with.  Certificates read these columns and parameters,
-compare each column against its exponential envelope and fit the observed
-decay exponent.
+it was computed with; a run given no kappa reads it on its own states.
+Certificates read these columns and parameters, compare each column
+against its exponential envelope and fit the observed decay exponent.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from .core import (NOISE_FLOOR, FunctionOracle, InvalidParameter,
                    RateCertificate, Trajectory, as_point, envelope_violations,
                    norm, positive, rate_certificate, step_rows)
+from .estimate import estimate_kappa
 
 
 @dataclass(frozen=True)
@@ -107,18 +108,19 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
                            kappa: Optional[float] = None) -> Trajectory:
     """Integrate the damped system as (x, v) with dv/dt = -alpha v - grad h(x).
 
-    Given the modulus ``gamma`` and ``kappa``, and when the oracle knows its
-    minimizer, the run records Sigma, and lam and kappa as parameters.  The
-    dissipation argument needs lam <= min{sqrt(gamma / 2 kappa),
-    2 alpha / (kappa + 4)} for the alpha the run integrates with, and
-    xi = lam^2; the run takes the largest such lam.  Velocity components
-    are always recorded as diagnostics.
+    Given the modulus ``gamma``, and when the oracle knows its minimizer,
+    the run records Sigma, and lam and kappa as parameters; without
+    ``kappa`` it takes ``estimate_kappa``'s safe value on its own states,
+    the only ones its dissipation argument reads.  That argument needs
+    lam <= min{sqrt(gamma / 2 kappa), 2 alpha / (kappa + 4)} for the alpha
+    the run integrates with, and xi = lam^2; the run takes the largest
+    such lam.  Velocity components are always recorded as diagnostics.
     """
     if config.alpha is None or not positive(config.alpha):
         raise InvalidParameter("second-order flow needs alpha > 0")
-    if (gamma is None) != (kappa is None):
-        raise InvalidParameter("gamma and kappa go together")
-    if gamma is not None and not positive(gamma, kappa):
+    if gamma is None and kappa is not None:
+        raise InvalidParameter("kappa needs gamma")
+    if not positive(*(c for c in (gamma, kappa) if c is not None)):
         raise InvalidParameter("gamma and kappa must be positive")
     v0 = np.zeros_like(config.x0) if config.v0 is None else as_point(config.v0)
     if v0.shape != config.x0.shape:
@@ -137,11 +139,17 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
     X, V = Z[:, :d], Z[:, d:]
     h = np.asarray(oracle.value(X))
     g = np.asarray(oracle.grad(X))
-    diags, params = {}, {}
+    traj = Trajectory(times=times, states=X, h_values=h,
+                      grad_norms=np.linalg.norm(g, axis=-1))
+    diags, params = traj.diagnostics, traj.params
     if gamma is not None and x_bar is not None:
+        if kappa is None:
+            kappa = estimate_kappa(oracle, traj).safe
+            if not positive(kappa):
+                raise InvalidParameter("kappa on the run's states is not positive")
         lam = min(math.sqrt(gamma / (2.0 * kappa)), 2.0 * alpha / (kappa + 4.0))
         xi = lam * lam
-        params = {"lam": lam, "kappa": kappa}
+        params.update(lam=lam, kappa=kappa)
         diff = X - x_bar
         diags["Sigma"] = (h - h_star
                           + 0.5 * np.sum((lam * diff + V) ** 2, axis=-1)
@@ -149,9 +157,7 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
     diags["v_norm"] = np.linalg.norm(V, axis=-1)
     for i in range(d):
         diags[f"v{i}"] = V[:, i]
-    return Trajectory(times=times, states=X, h_values=h,
-                      grad_norms=np.linalg.norm(g, axis=-1), diagnostics=diags,
-                      params=params)
+    return traj
 
 
 def certify_first_order(traj: Trajectory, gamma: float) -> RateCertificate:

@@ -6,7 +6,8 @@ import pytest
 from sqcflow import catalog
 from sqcflow.core import DomainSpec, DomainViolation, InvalidParameter
 from sqcflow.sampling import sample_pairs, sample_points
-from sqcflow.verify import SampleBudget, check_strong_quasiconvexity
+from sqcflow.verify import (SampleBudget, check_property,
+                            check_strong_quasiconvexity)
 
 
 class TestSqrtNorm:
@@ -14,10 +15,24 @@ class TestSqrtNorm:
         entry = catalog.sqrt_norm(2, 1.0)
         assert entry.constants_known["gamma"] == pytest.approx(0.28117, abs=1e-5)
 
+    # under x = r u, sqrt|x| scales by r^(1/2) and |x - y|^2 by r^2, so
+    # the modulus scales by r^(-3/2)
     def test_modulus_radius_scaling(self):
         g1 = catalog.sqrt_norm(2, 1.0).constants_known["gamma"]
         g4 = catalog.sqrt_norm(2, 4.0).constants_known["gamma"]
-        assert g4 == pytest.approx(0.5 * g1)
+        g_quarter = catalog.sqrt_norm(2, 0.25).constants_known["gamma"]
+        assert g4 == pytest.approx(g1 / 8.0)
+        assert g_quarter == pytest.approx(8.0 * g1)
+
+    # the stated modulus is below the exact r^(-3/2) / 2 at every radius;
+    # an r^(-1/2) law is refuted on 20000 pairs from r = 4 on
+    @pytest.mark.parametrize("radius", [0.25, 4.0, 16.0])
+    def test_modulus_holds_on_samples(self, radius):
+        entry = catalog.sqrt_norm(2, radius)
+        report = check_property("strong_quasiconvexity", entry.oracle,
+                                entry.constants_known["gamma"],
+                                SampleBudget(20000, 2, 0))
+        assert report.holds_on_samples and report.violations_count == 0
 
     def test_value_and_gradient(self):
         entry = catalog.sqrt_norm(2, 2.0)

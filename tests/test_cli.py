@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sqcflow
-from sqcflow import cli, core, estimate
+from sqcflow import cli, core, estimate, flows
 from sqcflow.catalog import CatalogEntry
 from sqcflow.core import FunctionOracle, StagnationFailure, Trajectory
 
@@ -262,7 +262,7 @@ class TestFlowCommand:
         assert code == 0
         certs = json.loads(capsys.readouterr().out)
         assert certs[0]["satisfied"]
-        assert "probe trajectory" in certs[0]["notes"]
+        assert "kappa estimated on the run's own states" in certs[0]["notes"]
 
     def test_far_start_value_envelope_passes(self, capsys):
         code = run(["flow", "--function", "quadratic_1d", "--order", "1",
@@ -336,23 +336,13 @@ class TestEstimateCommand:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["kind"] == "numerical"
 
-    def test_kappa_with_catalog_minimizer(self, capsys):
-        assert run(["estimate", "--function", "quadratic_2d", "--constant",
-                    "kappa", "--x0", "1,1"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["constant"] == "kappa"
-        assert payload["value"] * estimate.SAFETY_KAPPA == \
-            payload["safety_adjusted_value"]
-
     # the extremum the estimator sampled, not the safe value divided back
     # by its factor (which was an ulp off in each of these)
     @pytest.mark.parametrize("command,value", [
         ("--function quadratic_3d --constant L0 --samples 300 "
          "--x0=1,-0.7,1.3 --seed 1", 3.999993854274418),
         ("--function sin_quadratic --constant L0 --samples 2000 --seed 42 "
-         "--x0 2", 7.999991348831038),
-        ("--function sin_quadratic --constant kappa --x0 2",
-         0.5337865103712087)])
+         "--x0 2", 7.999991348831038)])
     def test_value_is_the_sampled_extremum(self, capsys, command, value):
         assert run(["estimate", *command.split()]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -391,7 +381,7 @@ class TestConfigAndSeeds:
         "--seed 4 --x0 2.1",
         # gamma and L0 estimated
         "gd --function sin_quadratic --optimal --x0 2 --max-iters 100",
-        # gamma estimated, kappa from a probe flow
+        # gamma estimated, kappa from the run's own states
         "flow --function sin_quadratic --order 2 --x0 2 --t-end 2 --dt 0.01",
     ], ids=["gd", "hb", "flow1", "flow2", "verify", "estimate",
             "gd_estimated", "flow2_probe"])
@@ -540,9 +530,9 @@ for i, argv in enumerate(json.loads(sys.argv[1])):
 class TestTraceKernels:
     """trace.csv bytes do not depend on the BLAS kernel OpenBLAS picks by
     CPU, nor on numpy's AVX-512 loops: each setting writes the default's
-    bytes, and those are pinned.  certificate.json bytes are promised only
-    across the AVX2 kernels, since the rate fit runs on LAPACK and on numpy's
-    exp / log loops."""
+    bytes, and those are pinned.  certificate.json bytes are promised across
+    the BLAS kernels, whose LAPACK the rate fit no longer calls, but not
+    across numpy's AVX-512 exp / log loops, which the fit still reads."""
 
     SETTINGS = {
         "default": {},
@@ -552,7 +542,7 @@ class TestTraceKernels:
         "sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
         "no_avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"},
     }
-    SAME_CERTIFICATE = ("haswell", "zen")
+    SAME_CERTIFICATE = ("haswell", "zen", "prescott", "sandybridge")
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
@@ -836,7 +826,8 @@ class TestResolutionBranches:
         "hb_estimated": (
             ["hb", "--function", "sin_quadratic", "--theta", "0.5", "--x0", "2",
              "--max-iters", "200"], None),
-        # gamma estimated, kappa from a probe flow
+        # gamma estimated, kappa from the run's own states (before, from a
+        # first-order probe flow, hence the name)
         "flow2_probe": (
             ["flow", "--order", "2", "--function", "sin_quadratic", "--alpha",
              "3", "--x0", "2", "--t-end", "2", "--dt", "0.01"], None),
@@ -865,7 +856,11 @@ class TestResolutionBranches:
     # three gd cases gained the step in constants_used when gd began to
     # record it there; gd_nonsmooth was taken when the catalog recorded the
     # minimizer of max_two_quadratics, and L0 moved with it because the
-    # sublevel box is centered on that minimizer
+    # sublevel box is centered on that minimizer; gd_estimated, hb_estimated
+    # and flow2_probe were retaken when the rate fit became a closed-form
+    # fsum slope (the last digit of empirical_rate moved), flow2_probe also
+    # when kappa came from the run's own states (its note moved; kappa,
+    # lam and trace.csv did not)
     PINNED = {
         "config_override": (
             0, "7fba9c7135804802229494b2ad98ece2bc1bf1c86ba59404ae4ad0eecf7176e8",
@@ -882,11 +877,11 @@ class TestResolutionBranches:
              "task_params": {"dt": 0.01, "order": 2, "t_end": 2.0,
                              "x0": [1.0, 1.0]}}),
         "flow2_probe": (
-            0, "5da87ad92c70468c56230e7174923430686b113dc1e47b28b6f478e29583182a",
+            0, "23d128ac3ea51ff874615761bceb8b35d4175507ef1c80219f567ef41f97203a",
             {"alpha": 3.0, "gamma": 0.7008359240138836, "kappa": 0.5070971848526482,
              "lam": 0.8312804749675892, "xi": 0.6910272280623406},
             ["gamma estimated empirically (safety-adjusted)",
-             "kappa estimated along a probe trajectory (safety-adjusted)"],
+             "kappa estimated on the run's own states (safety-adjusted)"],
             {"function": "sin_quadratic", "seed": 0, "task": "flow",
              "task_params": {"alpha": 3.0, "dt": 0.01, "order": 2, "t_end": 2.0,
                              "x0": [2.0]}}),
@@ -907,7 +902,7 @@ class TestResolutionBranches:
              "task_params": {"max_iters": 50, "optimal": True,
                              "x0": [1.0, 1.0]}}),
         "hb_estimated": (
-            0, "0e3da6daae74ff544cf82b0f60df24bf70f57dfd7a0e700df6b4b7ffc1b84a4a",
+            0, "d168c9dafdcb70c9ba8a7c2a8d36e208258c6cdb3d74a2e93c2b41f8c8110a8c",
             {"L": 8.799880525789774, "beta": 0.042614214920417275,
              "gamma": 0.7008359240138836, "theta": 0.5},
             ["gamma estimated empirically (safety-adjusted)",
@@ -946,13 +941,14 @@ class TestFailingCertificates:
     """Runs that fail a certificate of every kind, pinned at the exit code
     and the SHA-256 of certificate.json taken before the envelope checks
     were folded into one builder (gd_both since the gd value envelopes
-    follow the step)."""
+    follow the step, flow_first since the rate fit is a closed-form fsum
+    slope)."""
 
     CASES = {
         # both flow_first certificates fail: gamma = 3 overstates the modulus
         "flow_first": (
             "flow --function quadratic_2d --order 1 --x0 1,1 --gamma 3 --t-end 5",
-            "f508a0d0564f542fcad5ed5431a7ecd9a528d06395769c4239ae0c0a15db9868"),
+            "b14f9827bc09d2a7effe1c3c89ae564591bd468d33591e4fbe4d6b54da7b6f18"),
         "flow_second": (
             "flow --function quadratic_2d --order 2 --alpha 3 --x0 1,1 "
             "--t-end 5 --kappa 20",
@@ -1005,7 +1001,7 @@ class TestErrorPaths:
         "flow_zero_L_for_kappa": (
             "flow --function quadratic_2d --order 2 --x0 1,1 --L 0", 2, "usage"),
         # every constant a run resolves must be positive, used or not
-        "flow_negative_gamma_before_the_kappa_probe": (
+        "flow_negative_gamma_before_the_run": (
             "flow --function max_two_quadratics --order 2 --x0 1,1 "
             "--gamma -1 --t-end 1", 2, "usage"),
         "flow_negative_L_without_modulus": (
@@ -1019,6 +1015,9 @@ class TestErrorPaths:
         "estimate_minimizer": (
             "estimate --function max_two_quadratics --constant minimizer",
             2, "usage"),
+        # kappa belongs to a run's states, which flow --order 2 records
+        "estimate_kappa": (
+            "estimate --function quadratic_2d --constant kappa", 2, "usage"),
         "estimate_zero_samples": (
             "estimate --function quadratic_2d --constant gamma --samples 0",
             2, "usage"),
@@ -1034,15 +1033,17 @@ class TestErrorPaths:
         "sampling_failure": (
             "estimate --function degenerate_quadratic --constant L0 --x0 1,1 "
             "--samples 100", 3, "numerical"),
+        # a damped run from the minimizer has no state to read kappa on
         "insufficient_samples": (
-            "estimate --function quadratic_2d --constant kappa --x0 0,0",
+            "flow --function sin_quadratic --order 2 --x0 0 --t-end 1",
             2, "usage"),
         # an RK4 stage lands on the origin, where grad sqrt(|x|) is undefined
         "flow_stage_at_kink": (
             "flow --function sqrt_norm_1d --x0 0.25 --dt 0.5 --t-end 1",
             3, "numerical"),
+        # the damped run's third stage: x0 - dt^2 / 4 = 0 from rest
         "flow_order_2_stage_at_kink": (
-            "flow --function sqrt_norm_1d --order 2 --x0 0.25 --dt 0.5 "
+            "flow --function sqrt_norm_1d --order 2 --x0 0.25 --dt 1 "
             "--t-end 1", 3, "numerical"),
         "estimate_gamma_too_few_pairs": (
             "estimate --function quadratic_2d --constant gamma --samples 5",
@@ -1238,8 +1239,8 @@ class TestRunPremises:
                                    "kind": "numerical"}
 
     # a non-positive constant is refused as soon as it is resolved, and a
-    # flag the run does not read at once: before any estimate, kappa probe,
-    # step or check
+    # flag the run does not read at once: before any estimate, step or
+    # check
     @pytest.mark.parametrize("command,message", [
         ("hb --function quadratic_2d --x0 1,1 --theta 0.5 --L -1 --beta 0.1",
          "L must be positive"),
@@ -1277,13 +1278,69 @@ class TestRunPremises:
             raise AssertionError("the run started")
         for name in ("gradient_descent", "heavy_ball", "integrate_first_order",
                      "integrate_second_order", "empirical_modulus",
-                     "estimate_lipschitz_sublevel", "estimate_kappa",
-                     "check_property", "check_implication_ladder"):
+                     "estimate_lipschitz_sublevel", "check_property",
+                     "check_implication_ladder"):
             monkeypatch.setattr(cli, name, never)
         assert run(command.split()) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert [json.loads(line) for line in err] == \
             [{"error": message, "kind": "usage"}]
+
+
+class TestOwnStateKappa:
+    """Without L, the damped flow reads kappa on its own states, so no
+    second-order run integrates a first-order flow."""
+
+    @pytest.fixture(autouse=True)
+    def no_first_order_flow(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a first-order flow was integrated")
+        monkeypatch.setattr(cli, "integrate_first_order", never)
+        monkeypatch.setattr(flows, "integrate_first_order", never)
+
+    @staticmethod
+    def smallest_ratio(oracle, out):
+        """min <grad h(x), x - x_bar> / (h(x) - h*) over the rows of
+        trace.csv whose gap exceeds 1e-12."""
+        rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+        X, h = rows[:, 1:1 + oracle.dim], rows[:, 1 + oracle.dim]
+        gap = h - oracle.minimum_value()
+        keep = gap > 1e-12
+        inner = np.sum(np.asarray(oracle.grad(X[keep]))
+                       * (X[keep] - oracle.known_minimizer), axis=1)
+        return float(np.min(inner / gap[keep]))
+
+    # sqrt_norm_2d's run at t = 20 stays in the ball (exit 3 would be a
+    # state leaving it); integrator chatter decides its verdict, left
+    # unpinned; on sqrt|x| every ratio is 1/2
+    @pytest.mark.parametrize("name,start,codes,raw", [
+        ("sin_quadratic", "--x0 -2.7 --t-end 5", (0,), None),
+        ("max_two_quadratics", "--x0 1,1 --t-end 5", (0,), 1.0 + 2.0 ** -0.5),
+        ("sqrt_norm_2d", "--x0 0.3,0.2 --t-end 20", (0, 1), 0.5)],
+        ids=["sin_quadratic", "max_two_quadratics", "sqrt_norm_2d"])
+    def test_kappa_is_read_on_the_run(self, tmp_path, capsys, name, start,
+                                      codes, raw):
+        code = run(["flow", "--function", name, "--order", "2",
+                    "--output-dir", str(tmp_path), *start.split()])
+        assert code in codes
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["notes"][-1] == \
+            "kappa estimated on the run's own states (safety-adjusted)"
+        ratio = self.smallest_ratio(cli.get_entry(name).oracle, tmp_path)
+        kappa = meta["constants_used"]["kappa"]
+        assert kappa == pytest.approx(estimate.SAFETY_KAPPA * ratio, rel=1e-12)
+        if raw is not None:
+            assert ratio == pytest.approx(raw, abs=1e-9)
+
+    # with L, kappa = gamma / L is proved, so nothing is estimated
+    def test_known_L_estimates_nothing(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("kappa was estimated")
+        monkeypatch.setattr(flows, "estimate_kappa", never)
+        assert run(["flow", "--function", "quadratic_2d", "--order", "2",
+                    "--x0", "1,1", "--t-end", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["constants"]["kappa"] \
+            == 0.25
 
 
 # the L estimator refuses a start outside the domain before it samples;

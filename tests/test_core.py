@@ -105,6 +105,11 @@ class TestFitLinearRate:
     def test_too_short(self):
         assert np.isnan(fitted([1.0, 0.5]))
 
+    # a diverging run overflows its series; its logs have no finite slope
+    @pytest.mark.parametrize("times", [None, np.arange(4.0)])
+    def test_overflowed_sample(self, times):
+        assert np.isnan(fitted([np.inf, 1.0, 0.5, np.inf], times))
+
     def test_decay_exponent(self):
         t = np.linspace(0.0, 3.0, 40)
         assert fitted(np.exp(-2.0 * t), t) == pytest.approx(2.0)

@@ -291,8 +291,8 @@ class TestKappa:
         with pytest.raises(InsufficientSamples):
             estimate.estimate_kappa(entry.oracle, traj)
 
-    def test_needs_the_gap_column(self):
-        # a run on an oracle without a minimizer records no h_gap
+    def test_needs_the_minimizer(self):
+        # the gaps are measured against the oracle's minimum
         entry = catalog.max_combine(
             catalog.strongly_convex_quadratic(2, 1.0, 1.0),
             catalog.shifted_isotropic_quadratic(2, [1.0, 0.0]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqcflow import catalog, flows
+from sqcflow import catalog, estimate, flows
 from sqcflow.core import (DomainExit, DomainSpec, FunctionOracle,
                           InvalidParameter, MissingMinimizer, NumericalBlowup)
 from sqcflow.flows import (FlowConfig, certify_first_order,
@@ -217,8 +217,7 @@ class TestLyapunovPremise:
     # refused before any step: the gradient is never evaluated
     @pytest.mark.parametrize("gamma,kappa", [
         (np.nan, 0.25), (1.0, np.nan), (np.inf, 0.25), (1.0, np.inf),
-        (0.0, 0.25), (1.0, 0.0), (-1.0, 0.25), (1.0, -0.25),
-        (1.0, None), (None, 0.25)])
+        (0.0, 0.25), (1.0, 0.0), (-1.0, 0.25), (1.0, -0.25), (None, 0.25)])
     def test_constants_refused_before_any_step(self, gamma, kappa):
         def grad(x):
             raise AssertionError("the run started")
@@ -227,6 +226,38 @@ class TestLyapunovPremise:
         cfg = FlowConfig(x0=[1.0], t_end=1.0, dt=0.1, alpha=3.0)
         with pytest.raises(InvalidParameter):
             integrate_second_order(oracle, cfg, gamma, kappa)
+
+    # without kappa the run reads it on its own states, which costs one
+    # gradient call; given kappa, the run makes no call beyond the flow's
+    def test_kappa_from_the_run_states(self):
+        calls = []
+        q2 = CAT["quadratic_2d"].oracle
+        oracle = FunctionOracle(dim=2, value=q2.value,
+                                grad=lambda x: calls.append(1) or q2.grad(x),
+                                known_minimizer=q2.known_minimizer)
+        cfg = FlowConfig(x0=[1.0, 1.0], t_end=1.0, dt=1e-2, alpha=3.0)
+        counts = []
+        for constants in [(), (1.0, 0.25), (1.0,)]:
+            calls.clear()
+            traj = integrate_second_order(oracle, cfg, *constants)
+            counts.append(len(calls))
+        assert counts[1] == counts[0] and counts[2] == counts[0] + 1
+        kappa = estimate.estimate_kappa(oracle, traj).safe
+        # on a quadratic <grad h(x), x - x_bar> = 2 (h(x) - h*)
+        assert kappa == pytest.approx(2.0 * estimate.SAFETY_KAPPA, rel=1e-12)
+        assert traj.params == {"lam": min(np.sqrt(1.0 / (2.0 * kappa)),
+                                          6.0 / (kappa + 4.0)),
+                               "kappa": kappa}
+        assert certify_second_order(traj).satisfied
+
+    # a gradient that points away from the minimizer has no positive kappa
+    def test_non_positive_kappa_on_the_states_is_refused(self):
+        oracle = FunctionOracle(dim=1, value=lambda x: 0.5 * np.square(x)[..., 0],
+                                grad=lambda x: -np.asarray(x, dtype=float),
+                                known_minimizer=np.zeros(1))
+        cfg = FlowConfig(x0=[1.0], t_end=0.5, dt=0.1, alpha=3.0)
+        with pytest.raises(InvalidParameter, match="kappa on the run's states"):
+            integrate_second_order(oracle, cfg, 1.0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_certificate_refuses_recorded_params(self, bad):
