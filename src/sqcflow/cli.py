@@ -57,6 +57,9 @@ EXIT_CERT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+_TRACE_BLOCK = 1024  # rows of trace.csv formatted at once
+
+
 @dataclass
 class ExperimentConfig:
     function: str
@@ -72,19 +75,20 @@ class ExperimentConfig:
 
 
 def write_trace_csv(path: Path, traj: Trajectory, index_name: str) -> None:
-    """The trajectory, its diagnostics in the order the run recorded them."""
+    """The trajectory, its diagnostics in the order the run recorded them,
+    formatted in blocks of _TRACE_BLOCK rows, one ``%`` template a block."""
     dim = traj.states.shape[1]
     diag_names = list(traj.diagnostics)
     header = [index_name] + [f"x{i}" for i in range(dim)] \
         + ["h", "grad_norm"] + diag_names
-    table = np.column_stack([traj.times, traj.states, traj.h_values,
-                             traj.grad_norms]
-                            + [traj.diagnostics[n] for n in diag_names])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    columns = [traj.times, traj.states, traj.h_values, traj.grad_norms] \
+        + [traj.diagnostics[n] for n in diag_names]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for values in table:
-            fh.write(row % tuple(values.tolist()))
+        for lo in range(0, len(traj), _TRACE_BLOCK):
+            block = np.column_stack([c[lo:lo + _TRACE_BLOCK] for c in columns])
+            rows = (",".join(["%.17g"] * block.shape[1]) + "\n") * len(block)
+            fh.write(rows % tuple(block.ravel().tolist()))
 
 
 def write_json(path: Path, obj) -> None:

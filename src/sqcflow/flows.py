@@ -3,10 +3,11 @@
 First order:   dx/dt = -grad h(x)
 Second order:  d2x/dt2 + alpha dx/dt + grad h(x) = 0   (viscous damping)
 
-Both are integrated with fixed-step explicit Euler or classical RK4 and
-record per-sample diagnostics, including the quadratic distance energy
-E = 0.5 |x - x_bar|^2 for the first-order flow and the damped Lyapunov
-energy
+Both are integrated with fixed-step explicit Euler or classical RK4 on
+lists of floats (``core.step_rows``; ``stop_dist`` needs the oracle's
+minimizer) and record per-sample diagnostics, including the quadratic
+distance energy E = 0.5 |x - x_bar|^2 for the first-order flow and the
+damped Lyapunov energy
 
     Sigma = h(x) - h* + 0.5 |lam (x - x_bar) + v|^2 + (xi/2) |x - x_bar|^2
 
@@ -25,8 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .core import (NOISE_FLOOR, FunctionOracle, InvalidParameter,
-                   RateCertificate, Trajectory, as_point, envelope_violations,
-                   norm, positive, rate_certificate, step_rows)
+                   MissingMinimizer, RateCertificate, Trajectory, as_point,
+                   envelope_violations, norm, positive, rate_certificate,
+                   step_rows)
 from .estimate import estimate_kappa
 
 
@@ -54,34 +56,42 @@ class FlowConfig:
 
 
 def _step_fn(integrator: str):
+    """A step of z' = f(z) on lists, in numpy's order of operations."""
     if integrator == "rk4":
         def step(f, z, dt):
+            c2, c6 = 0.5 * dt, dt / 6.0
             k1 = f(z)
-            k2 = f(z + 0.5 * dt * k1)
-            k3 = f(z + 0.5 * dt * k2)
-            k4 = f(z + dt * k3)
-            return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = f([a + c2 * b for a, b in zip(z, k1)])
+            k3 = f([a + c2 * b for a, b in zip(z, k2)])
+            k4 = f([a + dt * b for a, b in zip(z, k3)])
+            return [a + c6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                    for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
     else:
         def step(f, z, dt):
-            return z + dt * f(z)
+            return [a + dt * b for a, b in zip(z, f(z))]
     return step
 
 
-def _flow_rows(oracle: FunctionOracle, config: FlowConfig, z0, f):
+def _grad(oracle: FunctionOracle, x: list) -> list:
+    """grad h(x) as a list, the oracle called on a fresh array."""
+    return np.asarray(oracle.grad(np.array(x))).tolist()
+
+
+def _flow_rows(oracle: FunctionOracle, config: FlowConfig, z0: list, f):
     """Times and states of z' = f(z), whose first oracle.dim entries are x."""
-    d, dt, x_bar = oracle.dim, config.dt, oracle.known_minimizer
+    dt, x_bar, stop = float(config.dt), oracle.known_minimizer, config.stop_dist
+    if stop is not None and x_bar is None:
+        raise MissingMinimizer("stop_dist needs the oracle's minimizer")
     step = _step_fn(config.integrator)
 
-    def advance(rows, k):
-        return step(f, rows[k], dt)
-    if config.stop_dist is not None and x_bar is not None:
-        # a run stops at the first row after row 0 within stop_dist
-        def advance(rows, k):
-            if k and norm(rows[k, :d] - x_bar) <= config.stop_dist:
-                return None
-            return step(f, rows[k], dt)
-    rows = step_rows(z0, max(1, int(round(config.t_end / dt))), dt, advance,
-                     lambda z: oracle.domain.contains(z[:d]))
+    def advance(z, rows, k):
+        # a run stops at the first row after row 0 within stop_dist of x_bar
+        if stop is not None and k and norm(
+                [a - b for a, b in zip(z, x_bar.tolist())]) <= stop:
+            return None
+        return step(f, z, dt)
+    rows = step_rows(oracle, z0, max(1, int(round(config.t_end / dt))), dt,
+                     advance)
     return np.arange(rows.shape[0]) * dt, rows
 
 
@@ -90,8 +100,8 @@ def integrate_first_order(oracle: FunctionOracle, config: FlowConfig) -> Traject
     x = as_point(config.x0, oracle.dim)
     x_bar = oracle.known_minimizer
     h_star = oracle.minimum_value() if x_bar is not None else None
-    times, S = _flow_rows(oracle, config, x,
-                          lambda z: -np.asarray(oracle.grad(z)))
+    times, S = _flow_rows(oracle, config, x.tolist(),
+                          lambda z: [-g for g in _grad(oracle, z)])
     h = np.asarray(oracle.value(S))
     g = np.asarray(oracle.grad(S))
     diags = {}
@@ -132,10 +142,10 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
     h_star = oracle.minimum_value() if x_bar is not None else None
 
     def f(z):
-        x, v = z[:d], z[d:]
-        return np.concatenate([v, -alpha * v - np.asarray(oracle.grad(x))])
+        v = z[d:]
+        return v + [-alpha * b - g for b, g in zip(v, _grad(oracle, z[:d]))]
 
-    times, Z = _flow_rows(oracle, config, np.concatenate([x0, v0]), f)
+    times, Z = _flow_rows(oracle, config, x0.tolist() + v0.tolist(), f)
     X, V = Z[:, :d], Z[:, d:]
     h = np.asarray(oracle.value(X))
     g = np.asarray(oracle.grad(X))

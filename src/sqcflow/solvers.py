@@ -8,6 +8,9 @@ Heavy ball:       x_{k+1} = x_k + theta (x_k - x_{k-1}) - beta grad h(x_k),
 the explicit discretization of the damped second-order flow under
 theta = 1 - alpha eta, beta = eta^2.
 
+Both step lists of floats (``core.step_rows``) into rows [x | grad h(x)],
+which heavy ball ends with |x - x_prev|.
+
 Each run records the parameters it used in ``Trajectory.params`` (``beta``
 of gd, ``theta`` and ``beta`` of heavy ball).  Certificates read them with
 the run's columns, check the closed-form contraction / energy inequalities
@@ -103,24 +106,24 @@ def _trajectory(oracle, rows, params) -> Trajectory:
 
 def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
     """Run the gradient method; the trajectory records its step in ``params``."""
-    x = as_point(config.x0, oracle.dim)
-    d, beta, tol = oracle.dim, config.beta, config.stop_grad_tol
+    x = as_point(config.x0, oracle.dim).tolist()
+    d, beta, tol = oracle.dim, float(config.beta), config.stop_grad_tol
 
     def fill(rows, k):
         rows[k, d:2 * d] = oracle.grad(rows[k, :d])
 
-    def advance(rows, k):
-        x, g = rows[k, :d], rows[k, d:2 * d]
+    def advance(x, rows, k):
+        g = rows[k, d:2 * d].tolist()
         if norm(g) <= tol:
             return None
-        x_next = x - beta * g
+        x_next = [a - beta * b for a, b in zip(x, g)]
         # x_next equal to x_k is an exact fixed point: beta grad h(x_k) = 0,
         # so x_k is stationary and the run stops there
-        return None if x_next.tolist() == x.tolist() else x_next
+        return None if x_next == x else x_next
 
-    rows = step_rows(x, config.max_iters, 1, advance, oracle.domain.contains,
-                     width=2 * d, fill=fill)
-    return _trajectory(oracle, rows, {"beta": float(beta)})
+    rows = step_rows(oracle, x, config.max_iters, 1, advance, width=2 * d,
+                     fill=fill)
+    return _trajectory(oracle, rows, {"beta": beta})
 
 
 def heavy_ball(oracle: FunctionOracle, config: HBConfig) -> Trajectory:
@@ -129,30 +132,33 @@ def heavy_ball(oracle: FunctionOracle, config: HBConfig) -> Trajectory:
     x_prev = as_point(config.x_prev, oracle.dim)
     if not oracle.domain.contains(x_prev):
         raise DomainExit(0, "starting points outside the domain")
-    d, tol = oracle.dim, config.stop_grad_tol
+    d, theta, beta = oracle.dim, float(config.theta), float(config.beta)
+    tol, x_prev = config.stop_grad_tol, x_prev.tolist()
+
+    def previous(rows, k):
+        return rows[k - 1, :d].tolist() if k else x_prev
 
     def fill(rows, k):
         x = rows[k, :d]
         rows[k, d:2 * d] = oracle.grad(x)
-        r = x - (rows[k - 1, :d] if k else x_prev)
+        r = [a - p for a, p in zip(x.tolist(), previous(rows, k))]
         rows[k, -1] = norm(r)
 
-    def advance(rows, k):
-        x, g = rows[k, :d], rows[k, d:2 * d]
+    def advance(x, rows, k):
+        row = rows[k].tolist()
         # a zero gradient alone is not a fixed point while momentum is live
-        if norm(g) <= tol and rows[k, -1] <= tol:
+        if norm(row[d:2 * d]) <= tol and row[-1] <= tol:
             return None
-        return x + config.theta * (x - (rows[k - 1, :d] if k else x_prev)) \
-            - config.beta * g
+        return [(a + theta * (a - p)) - beta * b
+                for a, p, b in zip(x, previous(rows, k), row[d:2 * d])]
 
-    rows = step_rows(x, config.max_iters, 1, advance, oracle.domain.contains,
+    rows = step_rows(oracle, x.tolist(), config.max_iters, 1, advance,
                      width=2 * d + 1, fill=fill)
-    traj = _trajectory(oracle, rows, {"theta": float(config.theta),
-                                      "beta": float(config.beta)})
+    traj = _trajectory(oracle, rows, {"theta": theta, "beta": beta})
     diags = traj.diagnostics
     diags["step_norm"] = rows[:, -1]
     if oracle.known_minimizer is not None:
-        diags["energy"] = diags["h_gap"] + (config.theta ** 2 / (2.0 * config.beta)) \
+        diags["energy"] = diags["h_gap"] + (theta ** 2 / (2.0 * beta)) \
             * diags["step_norm"] ** 2
     return traj
 

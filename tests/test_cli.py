@@ -481,6 +481,19 @@ class TestTraceWriter:
         assert rows[1].split(",")[1] == "nan" and rows[2].split(",")[1] == "nan"
         assert rows[3].split(",")[1] == "-0"
 
+    @pytest.mark.parametrize("n", [1, cli._TRACE_BLOCK, 2 * cli._TRACE_BLOCK,
+                                   2 * cli._TRACE_BLOCK + 1])
+    def test_blocks_match_per_cell_formatting(self, tmp_path, n):
+        # one row, whole blocks only, and a last block of one row
+        t = np.arange(n, dtype=float)
+        traj = Trajectory(times=t * 0.1, states=np.column_stack([np.sin(t), -t]),
+                          h_values=np.exp(-t), grad_norms=np.sqrt(t),
+                          diagnostics={"E": t / 3.0})
+        path = tmp_path / "trace.csv"
+        cli.write_trace_csv(path, traj, "t")
+        assert path.read_text() == reference_trace_csv(traj, "t", ["E"])
+        assert path.read_text().count("\n") == n + 1
+
     # SHA-256 of trace.csv from the per-cell writer, for the four command
     # shapes of the benchmark's trajectory workload at shorter lengths; gd's
     # taken once its constant beta column was dropped (the step is in

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,21 @@ class TestStepLoopSemantics:
         assert dist[-1] <= 1e-2 < dist[:-1].min()
         assert len(traj) < 5000
         assert traj.times[-1] == (len(traj) - 1) * 0.01
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_stop_dist_needs_the_minimizer(self, order):
+        entry = catalog.max_combine(
+            catalog.strongly_convex_quadratic(2, 1.0, 1.0),
+            catalog.shifted_isotropic_quadratic(2, [1.0, 0.0]))
+        assert entry.oracle.known_minimizer is None
+        calls = []
+        oracle = dataclasses.replace(
+            entry.oracle, grad=lambda x: calls.append(1) or entry.oracle.grad(x))
+        cfg = FlowConfig(x0=[1.0, 1.0], t_end=5.0, dt=0.01, stop_dist=0.5,
+                         alpha=3.0 if order == 2 else None)
+        with pytest.raises(MissingMinimizer, match="stop_dist"):
+            INTEGRATE[order](oracle, cfg)
+        assert not calls  # refused before any step
 
 
 class TestSecondOrderIntegration:
