@@ -201,9 +201,9 @@ def quadratic_fraction(A, a, alpha: float, B, b, beta: float,
 
 
 def _intersect_domains(d1: DomainSpec, d2: DomainSpec) -> DomainSpec:
-    if d1.kind == "all_space" and d1.predicate is None:
+    if d1.everywhere:
         return d2
-    if d2.kind == "all_space" and d2.predicate is None:
+    if d2.everywhere:
         return d1
 
     def both(x):

@@ -1,11 +1,12 @@
 """Shared data model: oracles, domains, trajectories, the step loop of
 flows and solvers, and rate certificates.
 
-Vectors are plain ``numpy.float64`` arrays (``step_rows`` steps lists of
-floats).  Oracles evaluate a scalar objective h and its gradient; both
-callables must broadcast over leading axes, i.e. accept ``(..., dim)``
-input and return ``(...)`` / ``(..., dim)``.
-Everything here is immutable after construction and safe to share.
+Vectors are plain ``numpy.float64`` arrays.  Oracles evaluate a scalar
+objective h and its gradient; both callables must broadcast over leading
+axes, i.e. accept ``(..., dim)`` input and return ``(...)`` / ``(..., dim)``.
+Everything here is immutable after construction and safe to share.  Flows
+and solvers step their state, a row of ``step_rows``, as a list of floats;
+``trajectory`` reads h and |grad h| over the rows in one batch call each.
 
 Every rate certificate follows one rule (``envelope_violations`` and
 ``rate_certificate``).  A sample breaks an envelope when it lies above the
@@ -21,6 +22,7 @@ rate * (1 - RATE_SLACK).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -112,11 +114,18 @@ def norm(v) -> float:
     """Euclidean norm of a short list or array, its squares summed left to
     right in Python floats.  ``v.dot(v)`` is BLAS ddot, whose kernel
     OpenBLAS picks by CPU, so its last bit, and a step loop's stop, could
-    move with it."""
-    s = 0.0
-    for c in (v.tolist() if isinstance(v, np.ndarray) else v):
+    move with it.  When that sum is below the smallest normal float and an
+    entry is nonzero, the squares underflowed, so the entries are first
+    divided by the largest |entry|; every other input keeps its bytes."""
+    v = v.tolist() if isinstance(v, np.ndarray) else v
+    s, m = 0.0, 1.0
+    for c in v:
         s += c * c
-    return math.sqrt(s)
+    if s < sys.float_info.min and any(v):
+        s, m = 0.0, max(map(abs, v))
+        for c in v:
+            s += (c / m) * (c / m)
+    return m * math.sqrt(s)
 
 
 def as_point(x, dim: Optional[int] = None) -> Vector:
@@ -178,6 +187,11 @@ class DomainSpec:
                 f"domain predicate returned shape {mask.shape} for points of "
                 f"shape {X.shape}; expected () or {X.shape[:-1]}")
         return np.broadcast_to(mask, X.shape[:-1])
+
+    @property
+    def everywhere(self) -> bool:
+        """All of R^n with no predicate: it holds every point, unasked."""
+        return self.kind == "all_space" and self.predicate is None
 
     def contains(self, x) -> np.ndarray:
         """Membership of ``(..., dim)`` points, as a ``(...)`` mask."""
@@ -284,23 +298,32 @@ class Trajectory:
         return self.params[name]
 
 
+def check_start(domain: DomainSpec, x, message: str = "x0 outside the domain"):
+    """Raise DomainExit at 0 with ``message`` when the start ``x`` is
+    outside ``domain``; a domain ``everywhere`` is never asked."""
+    if not domain.everywhere and not domain.contains(x):
+        raise DomainExit(0, message)
+
+
+def grad_at(oracle: FunctionOracle, x: list) -> list:
+    """grad h(x) as a list, the oracle called on a fresh array."""
+    return np.asarray(oracle.grad(np.array(x))).tolist()
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def step_rows(oracle: FunctionOracle, first: list, n_max: int, unit, advance,
-              *, width=None, fill=None) -> np.ndarray:
-    """Rows 0..n of a fixed-step recursion making at most ``n_max`` steps.
+def step_rows(oracle: FunctionOracle, first: list, n_max: int, unit,
+              advance) -> np.ndarray:
+    """Rows 0..n of a fixed-step recursion making at most ``n_max`` steps;
+    row k is the state after k steps.
 
     A state is a list of Python floats whose first ``oracle.dim`` entries
     are a point.  Rows live in one buffer that doubles when full, so memory
     follows the steps made, not ``n_max``.  A ``first`` outside
-    ``oracle.domain`` raises DomainExit at 0.  Row 0 begins with ``first``;
-    ``width`` (default ``len(first)``) leaves room for the columns ``fill``
-    writes.  Step k, in order: ``advance(state, rows, k)`` returns the next
-    state, a new list, or None to stop before stepping; a non-finite state
-    raises NumericalBlowup and one outside the domain DomainExit, both at
-    ``(k + 1) * unit``; the state starts row k + 1 and ``fill(rows, k + 1)``
-    ends it (``fill(rows, 0)`` runs first).  The buffer is replaced when it
-    grows, so ``advance`` and ``fill`` must keep no reference to it between
-    calls.  All of R^n with no predicate holds every point: never asked.
+    ``oracle.domain`` raises DomainExit at 0 (``check_start``).  Step k:
+    ``advance(state, k)`` returns the next state, a new list, or None to
+    stop before stepping; a non-finite state raises NumericalBlowup and one
+    outside the domain DomainExit, both at ``(k + 1) * unit``.  A domain
+    ``everywhere`` is never asked.
 
     Lists, because an RK4 step on a 3-element array makes about 20 ufunc
     calls that cost more than their arithmetic.  Python's float + and *
@@ -311,17 +334,13 @@ def step_rows(oracle: FunctionOracle, first: list, n_max: int, unit, advance,
     vCPUs, Python 3.11, numpy 2.4); a batch of starts would step arrays.
     """
     d, domain = oracle.dim, oracle.domain
-    ask = domain.kind != "all_space" or domain.predicate is not None
-    if ask and not domain.contains(first[:d]):
-        raise DomainExit(0, "x0 outside the domain")
-    n = len(first)
-    rows = np.empty((min(n_max, 1024) + 1, width or n))
-    rows[0, :n] = first
-    if fill is not None:
-        fill(rows, 0)
+    check_start(domain, first[:d])
+    ask = not domain.everywhere
+    rows = np.empty((min(n_max, 1024) + 1, len(first)))
+    rows[0] = first
     state, k = first, 0
     while k < n_max:
-        state = advance(state, rows, k)
+        state = advance(state, k)
         if state is None:
             break
         if not all(map(math.isfinite, state)):
@@ -333,10 +352,25 @@ def step_rows(oracle: FunctionOracle, first: list, n_max: int, unit, advance,
             grown = np.empty((min(2 * k, n_max + 1), rows.shape[1]))
             grown[:k] = rows
             rows = grown
-        rows[k, :n] = state
-        if fill is not None:
-            fill(rows, k)
+        rows[k] = state
     return rows[:k + 1]
+
+
+def trajectory(oracle: FunctionOracle, states: np.ndarray, unit,
+               params: Optional[dict] = None) -> Trajectory:
+    """The trajectory of ``states``, row k at time k * ``unit``, with h and
+    |grad h| read in one batch call each.  |grad h| is ``np.linalg.norm``'s
+    where the squares sum to a normal float, else ``norm``'s: below that
+    every partial sum is exact, so both sums, and their tests, agree."""
+    h = np.asarray(oracle.value(states))
+    g = np.asarray(oracle.grad(states))
+    s = np.add.reduce(g * g, axis=-1)
+    grad_norms = np.sqrt(s)
+    for i in np.flatnonzero(s < sys.float_info.min):
+        grad_norms[i] = norm(g[i])
+    return Trajectory(
+        times=np.arange(states.shape[0], dtype=np.float64) * unit,
+        states=states, h_values=h, grad_norms=grad_norms, params=params or {})
 
 
 @dataclass

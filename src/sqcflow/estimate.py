@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DomainExit, DomainSamplingFailure, DomainSpec,
-                   FunctionOracle, InsufficientSamples, InvalidParameter,
-                   NumericalBlowup, StagnationFailure, as_point)
+from .core import (DomainSamplingFailure, DomainSpec, FunctionOracle,
+                   InsufficientSamples, InvalidParameter, NumericalBlowup,
+                   StagnationFailure, as_point, check_start)
 from .sampling import sample_pairs, sample_points
 from .verify import _PAIR_BUDGET, PROPERTIES, _blocks, _penalty
 
@@ -90,8 +90,7 @@ def estimate_lipschitz_sublevel(oracle: FunctionOracle, x0,
     if samples < 2:
         raise InvalidParameter("need at least 2 samples")
     x0 = as_point(x0, oracle.dim)
-    if not oracle.domain.contains(x0):
-        raise DomainExit(0, "x0 outside the domain")
+    check_start(oracle.domain, x0)
     level = float(oracle.value(x0))
     region = _sublevel_region(oracle, x0, level)
     pts = sample_points(region, oracle.dim, samples, seed,

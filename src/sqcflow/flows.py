@@ -4,10 +4,11 @@ First order:   dx/dt = -grad h(x)
 Second order:  d2x/dt2 + alpha dx/dt + grad h(x) = 0   (viscous damping)
 
 Both are integrated with fixed-step explicit Euler or classical RK4 on
-lists of floats (``core.step_rows``; ``stop_dist`` needs the oracle's
-minimizer) and record per-sample diagnostics, including the quadratic
-distance energy E = 0.5 |x - x_bar|^2 for the first-order flow and the
-damped Lyapunov energy
+lists of floats (``core.step_rows``: a row is the state, x or [x | v];
+``stop_dist`` needs the oracle's minimizer), read h and |grad h| over
+their points in one batch (``core.trajectory``) and record per-sample
+diagnostics, including the quadratic distance energy E = 0.5 |x - x_bar|^2
+for the first-order flow and the damped Lyapunov energy
 
     Sigma = h(x) - h* + 0.5 |lam (x - x_bar) + v|^2 + (xi/2) |x - x_bar|^2
 
@@ -27,8 +28,8 @@ import numpy as np
 
 from .core import (NOISE_FLOOR, FunctionOracle, InvalidParameter,
                    MissingMinimizer, RateCertificate, Trajectory, as_point,
-                   envelope_violations, norm, positive, rate_certificate,
-                   step_rows)
+                   envelope_violations, grad_at, norm, positive,
+                   rate_certificate, step_rows, trajectory)
 from .estimate import estimate_kappa
 
 
@@ -72,45 +73,35 @@ def _step_fn(integrator: str):
     return step
 
 
-def _grad(oracle: FunctionOracle, x: list) -> list:
-    """grad h(x) as a list, the oracle called on a fresh array."""
-    return np.asarray(oracle.grad(np.array(x))).tolist()
-
-
 def _flow_rows(oracle: FunctionOracle, config: FlowConfig, z0: list, f):
-    """Times and states of z' = f(z), whose first oracle.dim entries are x."""
+    """Rows of z' = f(z), whose first oracle.dim entries are x."""
     dt, x_bar, stop = float(config.dt), oracle.known_minimizer, config.stop_dist
     if stop is not None and x_bar is None:
         raise MissingMinimizer("stop_dist needs the oracle's minimizer")
     step = _step_fn(config.integrator)
 
-    def advance(z, rows, k):
+    def advance(z, k):
         # a run stops at the first row after row 0 within stop_dist of x_bar
         if stop is not None and k and norm(
                 [a - b for a, b in zip(z, x_bar.tolist())]) <= stop:
             return None
         return step(f, z, dt)
-    rows = step_rows(oracle, z0, max(1, int(round(config.t_end / dt))), dt,
+    return step_rows(oracle, z0, max(1, int(round(config.t_end / dt))), dt,
                      advance)
-    return np.arange(rows.shape[0]) * dt, rows
 
 
 def integrate_first_order(oracle: FunctionOracle, config: FlowConfig) -> Trajectory:
     """Integrate dx/dt = -grad h(x) from config.x0 up to t_end."""
     x = as_point(config.x0, oracle.dim)
     x_bar = oracle.known_minimizer
-    h_star = oracle.minimum_value() if x_bar is not None else None
-    times, S = _flow_rows(oracle, config, x.tolist(),
-                          lambda z: [-g for g in _grad(oracle, z)])
-    h = np.asarray(oracle.value(S))
-    g = np.asarray(oracle.grad(S))
-    diags = {}
+    S = _flow_rows(oracle, config, x.tolist(),
+                   lambda z: [-g for g in grad_at(oracle, z)])
+    traj = trajectory(oracle, S, float(config.dt))
     if x_bar is not None:
         diff = S - x_bar
-        diags["E"] = 0.5 * np.sum(diff * diff, axis=-1)
-        diags["h_gap"] = h - h_star
-    return Trajectory(times=times, states=S, h_values=h,
-                      grad_norms=np.linalg.norm(g, axis=-1), diagnostics=diags)
+        traj.diagnostics["E"] = 0.5 * np.sum(diff * diff, axis=-1)
+        traj.diagnostics["h_gap"] = traj.h_values - oracle.minimum_value()
+    return traj
 
 
 def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
@@ -139,18 +130,14 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
     alpha = float(config.alpha)
     d = oracle.dim
     x_bar = oracle.known_minimizer
-    h_star = oracle.minimum_value() if x_bar is not None else None
 
     def f(z):
         v = z[d:]
-        return v + [-alpha * b - g for b, g in zip(v, _grad(oracle, z[:d]))]
+        return v + [-alpha * b - g for b, g in zip(v, grad_at(oracle, z[:d]))]
 
-    times, Z = _flow_rows(oracle, config, x0.tolist() + v0.tolist(), f)
+    Z = _flow_rows(oracle, config, x0.tolist() + v0.tolist(), f)
     X, V = Z[:, :d], Z[:, d:]
-    h = np.asarray(oracle.value(X))
-    g = np.asarray(oracle.grad(X))
-    traj = Trajectory(times=times, states=X, h_values=h,
-                      grad_norms=np.linalg.norm(g, axis=-1))
+    traj = trajectory(oracle, X, float(config.dt))
     diags, params = traj.diagnostics, traj.params
     if gamma is not None and x_bar is not None:
         if kappa is None:
@@ -161,7 +148,7 @@ def integrate_second_order(oracle: FunctionOracle, config: FlowConfig,
         xi = lam * lam
         params.update(lam=lam, kappa=kappa)
         diff = X - x_bar
-        diags["Sigma"] = (h - h_star
+        diags["Sigma"] = (traj.h_values - oracle.minimum_value()
                           + 0.5 * np.sum((lam * diff + V) ** 2, axis=-1)
                           + 0.5 * xi * np.sum(diff * diff, axis=-1))
     diags["v_norm"] = np.linalg.norm(V, axis=-1)

@@ -8,8 +8,8 @@ Heavy ball:       x_{k+1} = x_k + theta (x_k - x_{k-1}) - beta grad h(x_k),
 the explicit discretization of the damped second-order flow under
 theta = 1 - alpha eta, beta = eta^2.
 
-Both step lists of floats (``core.step_rows``) into rows [x | grad h(x)],
-which heavy ball ends with |x - x_prev|.
+Both step lists of floats (``core.step_rows``), one row per iterate, and
+take grad h(x_k) in the step; heavy ball keeps x_{k-1} and its step norms.
 
 Each run records the parameters it used in ``Trajectory.params`` (``beta``
 of gd, ``theta`` and ``beta`` of heavy ball).  Certificates read them with
@@ -26,10 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (NOISE_FLOOR, RATE_SLACK, DomainExit, FunctionOracle,
-                   InvalidParameter, ParameterWindowViolation, RateCertificate,
-                   Trajectory, as_point, envelope_violations, ineq_tol, norm,
-                   positive, rate_certificate, step_rows)
+from .core import (NOISE_FLOOR, RATE_SLACK, FunctionOracle, InvalidParameter,
+                   ParameterWindowViolation, RateCertificate, Trajectory,
+                   as_point, check_start, envelope_violations, grad_at,
+                   ineq_tol, norm, positive, rate_certificate, step_rows,
+                   trajectory)
 
 
 def step_window(gamma: float, L0: float) -> float:
@@ -89,31 +90,23 @@ class HBConfig:
             raise InvalidParameter("stop_grad_tol must be >= 0")
 
 
-def _trajectory(oracle, rows, params) -> Trajectory:
-    """Trajectory of solver rows laid out as [x | grad h(x) | step record]."""
-    d = oracle.dim
-    S = np.ascontiguousarray(rows[:, :d])
-    h = np.asarray(oracle.value(S))
-    diags = {}
+def _trajectory(oracle, X, params) -> Trajectory:
+    """The iterates' trajectory, with the minimizer's columns if known."""
+    traj = trajectory(oracle, X, 1, params)
     if oracle.known_minimizer is not None:
-        diags["h_gap"] = h - oracle.minimum_value()
-        diags["dist"] = np.linalg.norm(S - oracle.known_minimizer, axis=-1)
-    return Trajectory(times=np.arange(S.shape[0], dtype=np.float64), states=S,
-                      h_values=h,
-                      grad_norms=np.linalg.norm(rows[:, d:2 * d], axis=-1),
-                      diagnostics=diags, params=params)
+        traj.diagnostics["h_gap"] = traj.h_values - oracle.minimum_value()
+        traj.diagnostics["dist"] = np.linalg.norm(X - oracle.known_minimizer,
+                                                  axis=-1)
+    return traj
 
 
 def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
     """Run the gradient method; the trajectory records its step in ``params``."""
     x = as_point(config.x0, oracle.dim).tolist()
-    d, beta, tol = oracle.dim, float(config.beta), config.stop_grad_tol
+    beta, tol = float(config.beta), config.stop_grad_tol
 
-    def fill(rows, k):
-        rows[k, d:2 * d] = oracle.grad(rows[k, :d])
-
-    def advance(x, rows, k):
-        g = rows[k, d:2 * d].tolist()
+    def advance(x, k):
+        g = grad_at(oracle, x)
         if norm(g) <= tol:
             return None
         x_next = [a - beta * b for a, b in zip(x, g)]
@@ -121,42 +114,35 @@ def gradient_descent(oracle: FunctionOracle, config: GDConfig) -> Trajectory:
         # so x_k is stationary and the run stops there
         return None if x_next == x else x_next
 
-    rows = step_rows(oracle, x, config.max_iters, 1, advance, width=2 * d,
-                     fill=fill)
-    return _trajectory(oracle, rows, {"beta": beta})
+    X = step_rows(oracle, x, config.max_iters, 1, advance)
+    return _trajectory(oracle, X, {"beta": beta})
 
 
 def heavy_ball(oracle: FunctionOracle, config: HBConfig) -> Trajectory:
     """Run the two-term momentum recursion from (x_prev, x0)."""
-    x = as_point(config.x0, oracle.dim)
-    x_prev = as_point(config.x_prev, oracle.dim)
-    if not oracle.domain.contains(x_prev):
-        raise DomainExit(0, "starting points outside the domain")
-    d, theta, beta = oracle.dim, float(config.theta), float(config.beta)
-    tol, x_prev = config.stop_grad_tol, x_prev.tolist()
+    x = as_point(config.x0, oracle.dim).tolist()
+    x_prev = as_point(config.x_prev, oracle.dim).tolist()
+    check_start(oracle.domain, x_prev, "starting points outside the domain")
+    theta, beta = float(config.theta), float(config.beta)
+    tol = config.stop_grad_tol
+    steps = [norm([a - p for a, p in zip(x, x_prev)])]  # |x_k - x_{k-1}|
 
-    def previous(rows, k):
-        return rows[k - 1, :d].tolist() if k else x_prev
-
-    def fill(rows, k):
-        x = rows[k, :d]
-        rows[k, d:2 * d] = oracle.grad(x)
-        r = [a - p for a, p in zip(x.tolist(), previous(rows, k))]
-        rows[k, -1] = norm(r)
-
-    def advance(x, rows, k):
-        row = rows[k].tolist()
+    def advance(x, k):
+        nonlocal x_prev
+        g = grad_at(oracle, x)
         # a zero gradient alone is not a fixed point while momentum is live
-        if norm(row[d:2 * d]) <= tol and row[-1] <= tol:
+        if norm(g) <= tol and steps[k] <= tol:
             return None
-        return [(a + theta * (a - p)) - beta * b
-                for a, p, b in zip(x, previous(rows, k), row[d:2 * d])]
+        x_next = [(a + theta * (a - p)) - beta * b
+                  for a, p, b in zip(x, x_prev, g)]
+        x_prev = x
+        steps.append(norm([a - p for a, p in zip(x_next, x)]))
+        return x_next
 
-    rows = step_rows(oracle, x.tolist(), config.max_iters, 1, advance,
-                     width=2 * d + 1, fill=fill)
-    traj = _trajectory(oracle, rows, {"theta": theta, "beta": beta})
+    X = step_rows(oracle, x, config.max_iters, 1, advance)
+    traj = _trajectory(oracle, X, {"theta": theta, "beta": beta})
     diags = traj.diagnostics
-    diags["step_norm"] = rows[:, -1]
+    diags["step_norm"] = np.array(steps)
     if oracle.known_minimizer is not None:
         diags["energy"] = diags["h_gap"] + (theta ** 2 / (2.0 * beta)) \
             * diags["step_norm"] ** 2

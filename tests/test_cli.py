@@ -987,6 +987,76 @@ class TestFailingCertificates:
         assert (code, _sha256(out / "certificate.json")) == (1, sha)
 
 
+class TestSolverTracePins:
+    """trace.csv and certificate.json of gd and hb on the catalog entries
+    whose gradients are not elementwise (a matrix product, a norm, a
+    maximum), plus hb from its own x_prev: exit code, rows, and SHA-256 of
+    both files, taken while the solvers still wrote grad h(x_k) and
+    |x_k - x_{k-1}| into widened step rows, before gradients were read in
+    one batch."""
+
+    CASES = {
+        "gd_quadratic_fraction": (
+            "gd --function quadratic_fraction --optimal --x0 1,-0.5 "
+            "--max-iters 300", 0, 57,
+            "0ed47098319acfe2c05949585afc8dc37e14c7061137584e89c69ac18b4602f9",
+            "b2b52ba750c001f1ea32fff3cc062e578459db2f226b4ab805fd5a830a7eb3fa"),
+        "gd_sin_quadratic": (
+            "gd --function sin_quadratic --optimal --x0 2 --max-iters 300",
+            0, 301,
+            "6bee507feb07d601fde36f893d89b8cd0aa0ed567116575542d10de907d4abb1",
+            "8c0b0480dbe4f30172a1aeea0db382b20dd35f113e01c4e124b19fdda1adf1a1"),
+        "gd_max_two_quadratics": (
+            "gd --function max_two_quadratics --optimal --x0 1,1 "
+            "--max-iters 300", 0, 301,
+            "e102ed477c7b18f8f7e748307f5a90080840ca8b1bf360a413904a7000ea9573",
+            "18cc58dd720c31fcd06c854d7e88ff4e048194db999480cf82732c8d305098ae"),
+        "gd_sqrt_norm_2d": (
+            "gd --function sqrt_norm_2d --optimal --x0 0.3,0.2 --max-iters 300",
+            0, 301,
+            "8ad4427931537cd274c1890bd1641fd5adac4e5f32e6dc192d111245566388f8",
+            "1989cb7b18af3d7ee5755efb6aff6205afff447ede456d76050459183b6a7117"),
+        "hb_quadratic_fraction": (
+            "hb --function quadratic_fraction --theta 0.5 --x0 1,-0.5 "
+            "--max-iters 300", 0, 67,
+            "2b25fabfc72dee1f8f6966ddc39a094e524055f4398df7f7af1cc05be161fea2",
+            "1155d0f554693c611b7ea70572203a051568b4f4c0093d895179ce8b5d4bb0e2"),
+        "hb_sin_quadratic": (
+            "hb --function sin_quadratic --theta 0.5 --x0 2 --max-iters 300",
+            0, 77,
+            "c68668a56e88110d56ff79df6ade38913a9a10774dc2ec1d439ce2d620a270a3",
+            "d168c9dafdcb70c9ba8a7c2a8d36e208258c6cdb3d74a2e93c2b41f8c8110a8c"),
+        # fails hb_energy from k = 120: no finite L holds across the kink
+        # at x_bar
+        "hb_max_two_quadratics": (
+            "hb --function max_two_quadratics --theta 0.5 --x0 1,1 "
+            "--max-iters 300", 1, 301,
+            "bb6feb46166f8cfd0b376ef22f2c13593772f0fd80a66921fb5adb21b213b6af",
+            "495b2d8fb4d31f6c5cd094b71b6056cbbfb404ad5960213c0c832d34e461bd8d"),
+        # fails hb_energy from k = 101, as TestFailingCertificates' hb_tails
+        "hb_sqrt_norm_2d": (
+            "hb --function sqrt_norm_2d --theta 0.5 --x0 0.3,0.2 "
+            "--max-iters 300", 1, 301,
+            "c0883a2a751cd6dd0acdc7e021554992b4926aa06738c56d9e0a3aa9f1aa7c9c",
+            "7a06a79acf0e0446ce3b5da8ca29a720da49ce0fae18728d62ba8eef4ce83327"),
+        "hb_x_prev": (
+            "hb --function quadratic_1d --theta 0.5 --beta 0.5 --x0 1 "
+            "--x-prev 0.5 --max-iters 200", 0, 68,
+            "adcbc105881786c744cc49775a6be16f8c6d352ffb4ae5078e07ebd42cd8b68c",
+            "76c9caaefb6754320f5af29df0985e4dcfee3454b4f4d61ba46fdcc3c2859a30"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pinned(self, tmp_path, capsys, case):
+        command, *pinned = self.CASES[case]
+        out = tmp_path / "out"
+        code = run(command.split() + ["--output-dir", str(out)])
+        trace = out / "trace.csv"
+        got = [code, trace.read_bytes().count(b"\n") - 1, _sha256(trace),
+               _sha256(out / "certificate.json")]
+        assert got == pinned
+
+
 class TestErrorPaths:
     """Exit code and stderr kind of each error path of ``cli.main``.
 

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import statistics
 import tracemalloc
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 from sqcflow import catalog, flows, sampling, solvers, verify
-from sqcflow.core import (DomainSamplingFailure, DomainSpec, DomainViolation,
-                          FunctionOracle, InvalidParameter, MissingMinimizer,
-                          ParameterWindowViolation, Trajectory, as_point,
-                          envelope_violations, rate_certificate)
+from sqcflow.core import (DomainExit, DomainSamplingFailure, DomainSpec,
+                          DomainViolation, FunctionOracle, InvalidParameter,
+                          MissingMinimizer, ParameterWindowViolation,
+                          Trajectory, as_point, check_start,
+                          envelope_violations, norm, rate_certificate,
+                          trajectory)
 from sqcflow.sampling import (NestedSampler, inverse_normal_cdf, sample_pairs,
                               sample_points)
 
@@ -212,6 +215,91 @@ class TestPointsAndDomains:
         assert d.contains(np.zeros((4, 3))).shape == (4,)
         assert not d.contains(np.zeros((4, 3))).any()
         assert not d.contains(np.zeros(3))
+
+
+def row_norms(G):
+    """The grad_norm column ``core.trajectory`` records where grad h is G."""
+    G = np.asarray(G, dtype=np.float64)
+    oracle = FunctionOracle(dim=G.shape[1], value=lambda X: np.zeros(len(X)),
+                            grad=lambda X: G)
+    return trajectory(oracle, np.zeros_like(G), 1).grad_norms
+
+
+class TestNorms:
+    TINY = np.finfo(np.float64).tiny
+
+    def test_normal_sums_keep_their_bytes(self):
+        rng = np.random.default_rng(5)
+        for scale in (1e-150, 1e-100, 1.0, 1e100, 1e150):
+            for v in scale * rng.standard_normal((50, 3)):
+                s = 0.0
+                for c in v.tolist():
+                    s += c * c
+                assert norm(v) == math.sqrt(s)
+                assert norm(v.tolist()) == math.sqrt(s)
+
+    @pytest.mark.parametrize("v,expected", [
+        ([2.0 ** -600], 2.0 ** -600),
+        ([5e-324], 5e-324),
+        ([-3e-170, 0.0, 4e-170], 5e-170),
+        ([1e-160, 1e-160], math.sqrt(2.0) * 1e-160)])
+    def test_underflowing_squares_are_rescaled(self, v, expected):
+        # every square here sums below the smallest normal float
+        assert sum(c * c for c in v) < self.TINY
+        assert norm(v) == pytest.approx(expected, rel=1e-15)
+        assert row_norms([v])[0] == pytest.approx(expected, rel=1e-15)
+
+    def test_zero_and_non_finite_rows(self):
+        assert norm([0.0, -0.0]) == 0.0
+        assert math.isnan(norm([math.nan, 1e-200]))
+        assert norm([math.inf, 1e-200]) == math.inf
+        got = row_norms([[0.0, -0.0], [math.nan, 1e-200], [math.inf, 0.0]])
+        assert got[0] == 0.0 and math.isnan(got[1]) and got[2] == math.inf
+
+    def test_grad_norms_are_numpy_norms_above_underflow(self):
+        rng = np.random.default_rng(6)
+        G = rng.standard_normal((400, 3)) * \
+            10.0 ** rng.uniform(-150, 150, (400, 1))
+        G[:5] = [[1e-170, 0.0, 0.0], [0.0, 0.0, 0.0], [3e-200, 4e-200, 0.0],
+                 [1e-300, 1e-300, 1e-300], [1e-150, 1e-160, 0.0]]
+        got, numpy_norms = row_norms(G), np.linalg.norm(G, axis=-1)
+        low = np.add.reduce(G * G, axis=-1) < self.TINY
+        assert low.tolist()[:5] == [True, True, True, True, False]
+        assert got[~low].tobytes() == numpy_norms[~low].tobytes()
+        np.testing.assert_allclose(got[low], [1e-170, 0.0, 5e-200,
+                                              math.sqrt(3.0) * 1e-300],
+                                   rtol=1e-15)
+
+
+    def test_gd_runs_to_its_exact_fixed_point(self):
+        # x_k = grad h(x_k) = 2^-k; 2^-1074 steps to itself
+        oracle = catalog.default_catalog()["quadratic_1d"].oracle
+        traj = solvers.gradient_descent(oracle, solvers.GDConfig(
+            x0=[1.0], beta=0.5, max_iters=2000, stop_grad_tol=0.0))
+        assert traj.grad_norms.tolist() == [2.0 ** -k for k in range(1075)]
+
+
+class TestCheckStart:
+    def test_everywhere_is_never_asked(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(DomainSpec, "contains",
+                            lambda self, x: asked.append(1) or False)
+        check_start(DomainSpec.all_space(), [1e300, -1e300])
+        assert asked == []
+        with pytest.raises(DomainExit):
+            check_start(DomainSpec.all_space(lambda x: True), [0.0])
+        assert asked == [1]
+
+    @pytest.mark.parametrize("message", [None, "starting points outside "
+                                               "the domain"])
+    def test_outside_raises_at_zero(self, message):
+        ball = DomainSpec.ball([0.0, 0.0], 1.0)
+        check_start(ball, [0.5, 0.5])
+        args = () if message is None else (message,)
+        with pytest.raises(DomainExit) as exc:
+            check_start(ball, np.array([1.0, 1.0]), *args)
+        assert exc.value.where == 0
+        assert str(exc.value) == (message or "x0 outside the domain")
 
 
 def _probe_oracles():

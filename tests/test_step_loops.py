@@ -1,6 +1,8 @@
 """The step loops of flows and solvers, which step lists of Python floats,
-against a numpy copy of the array recursion they replaced: the same row
-buffers byte for byte, the same stops, the same errors at the same time."""
+against a numpy copy of the array recursion they replaced, whose gd and
+heavy-ball rows also held grad h(x_k) and |x_k - x_{k-1}|: the same states,
+batch gradients and step norms byte for byte, the same stops, the same
+errors at the same time."""
 
 import dataclasses
 import math
@@ -146,19 +148,21 @@ LIST_RUNS = {"flow1": integrate_first_order, "flow2": integrate_second_order,
 
 
 def outcome(run):
-    """The row buffer's shape and bytes, or the error's class and time."""
+    """Shape and bytes of each column block, or the error's class and time."""
     try:
-        rows = run()
+        blocks = run()
     except (NumericalBlowup, DomainExit) as exc:
         return type(exc).__name__, exc.where
-    return rows.shape, rows.tobytes()
+    return tuple((b.shape, np.ascontiguousarray(b).tobytes()) for b in blocks)
 
 
 @pytest.fixture
 def both(monkeypatch):
     """``both(kind, oracle, config)``: the outcomes of the array copy and of
-    the library run, whose row buffer is caught on its way out of
-    ``core.step_rows``."""
+    the library run as column blocks: the states (the whole row of a flow),
+    then for gd and hb grad h at each state and for hb the step norms.  The
+    library's states are caught on their way out of ``core.step_rows``, its
+    gradients taken in one batch on ``traj.states``."""
     caught = []
 
     def catching(*args, **kw):
@@ -167,12 +171,25 @@ def both(monkeypatch):
     monkeypatch.setattr(flows, "step_rows", catching)
     monkeypatch.setattr(solvers, "step_rows", catching)
 
+    def reference(kind, oracle, config):
+        rows, d = ARRAY_RUNS[kind](oracle, config), oracle.dim
+        if kind.startswith("flow"):
+            return [rows]
+        return [rows[:, :d], rows[:, d:2 * d]] + \
+            ([rows[:, 2 * d:]] if kind == "hb" else [])
+
+    def library(kind, oracle, config):
+        traj = LIST_RUNS[kind](oracle, config)
+        blocks = [caught.pop()]
+        if not kind.startswith("flow"):
+            blocks.append(np.asarray(oracle.grad(traj.states)))
+        if kind == "hb":
+            blocks.append(traj.diagnostics["step_norm"][:, None])
+        return blocks
+
     def run(kind, oracle, config):
-        def library():
-            LIST_RUNS[kind](oracle, config)
-            return caught.pop()
-        return (outcome(lambda: ARRAY_RUNS[kind](oracle, config)),
-                outcome(library))
+        return (outcome(lambda: reference(kind, oracle, config)),
+                outcome(lambda: library(kind, oracle, config)))
     return run
 
 
@@ -229,20 +246,22 @@ class TestSameRowsAsTheArrayRecursion:
                 assert new == ref, (kind, config)
                 # the degenerate quadratic's flow ends on its minimizer set,
                 # away from the one minimizer it records
-                assert (ref[0][0] < 2001) == (name != "degenerate_quadratic")
+                assert (ref[0][0][0] < 2001) == \
+                    (name != "degenerate_quadratic")
 
     def test_decay_into_subnormals(self, both):
         oracle = CAT["quadratic_2d"].oracle
         config = FlowConfig(x0=[1.0, 1.0], t_end=800.0, dt=0.01)
         ref, new = both("flow1", oracle, config)
         assert new == ref
-        states = np.frombuffer(ref[1]).reshape(ref[0])
+        states = np.frombuffer(ref[0][1]).reshape(ref[0][0])
         assert np.any((states != 0) & (np.abs(states) < np.finfo(float).tiny))
 
     @pytest.mark.parametrize("oracle,config,rows", [
-        # x_k = g_k = 2^-k until g^2 underflows to 0, a norm at tolerance 0
+        # x_k = g_k = 2^-k down to 2^-1074, whose step rounds back to it:
+        # an exact fixed point (the norm rescales squares that underflow)
         (CAT["quadratic_1d"].oracle,
-         GDConfig(x0=[1.0], beta=0.5, max_iters=2000, stop_grad_tol=0.0), 539),
+         GDConfig(x0=[1.0], beta=0.5, max_iters=2000, stop_grad_tol=0.0), 1075),
         # x_1 = 0 exactly, whose zero gradient meets the tolerance 0
         (CAT["quadratic_1d"].oracle,
          GDConfig(x0=[1.0], beta=1.0, max_iters=10, stop_grad_tol=0.0), 2),
@@ -257,8 +276,8 @@ class TestSameRowsAsTheArrayRecursion:
     def test_gd_stops(self, both, oracle, config, rows):
         ref, new = both("gd", oracle, config)
         assert new == ref
-        assert ref[0][0] < config.max_iters + 1
-        assert rows is None or ref[0][0] == rows
+        assert ref[0][0][0] < config.max_iters + 1
+        assert rows is None or ref[0][0][0] == rows
 
     @pytest.mark.parametrize("config", [
         HBConfig(x0=[0.0], theta=0.5, beta=0.5, max_iters=3),
@@ -326,3 +345,48 @@ class TestDomainTest:
         traj = integrate_first_order(
             oracle, FlowConfig(x0=[1.0, -1.0], t_end=2.0, dt=0.01))
         assert len(traj) == 201 and len(asked) == calls
+
+    @pytest.mark.parametrize("domain,calls", [
+        (DomainSpec.all_space(), 0),
+        (DomainSpec.ball([0.0, 0.0], 10.0), 22)])
+    def test_heavy_ball_asks_x_prev_like_x0(self, monkeypatch, domain, calls):
+        # x_prev, then x0 and each of the 20 steps' states
+        asked = []
+        contains = DomainSpec.contains
+        monkeypatch.setattr(DomainSpec, "contains",
+                            lambda self, x: asked.append(1) or contains(self, x))
+        oracle = dataclasses.replace(CAT["quadratic_2d"].oracle, domain=domain)
+        traj = heavy_ball(oracle, HBConfig(x0=[1.0, -1.0], x_prev=[0.5, 0.5],
+                                           theta=0.5, beta=0.1, max_iters=20))
+        assert len(traj) == 21 and len(asked) == calls
+
+
+class TestOracleCalls:
+    """gd and heavy ball take grad h at one point per step, the step that
+    stops included, then read h and grad h over all iterates in one batch
+    call each; h* is one more single-point h call."""
+
+    @pytest.mark.parametrize("kind,config", [
+        ("gd", GDConfig(x0=[1.0, -1.0], beta=0.2, max_iters=30)),
+        ("gd", GDConfig(x0=[1.0, -1.0], beta=0.2, max_iters=10 ** 6,
+                        stop_grad_tol=1e-8)),
+        ("hb", HBConfig(x0=[1.0, -1.0], theta=0.5, beta=0.1, max_iters=30)),
+        ("hb", HBConfig(x0=[1.0, -1.0], theta=0.5, beta=0.1,
+                        max_iters=10 ** 6, stop_grad_tol=1e-8))])
+    def test_calls(self, kind, config):
+        base, calls = CAT["quadratic_2d"].oracle, []
+
+        def value(x):
+            calls.append(("h", np.ndim(x)))
+            return base.value(x)
+
+        def grad(x):
+            calls.append(("grad", np.ndim(x)))
+            return base.grad(x)
+        oracle = dataclasses.replace(base, value=value, grad=grad)
+        n = len(LIST_RUNS[kind](oracle, config))
+        stopped = n - 1 < config.max_iters
+        assert stopped == (config.max_iters > 30)
+        steps = n - 1 + stopped
+        assert calls[:steps] == [("grad", 1)] * steps
+        assert sorted(calls[steps:]) == [("grad", 2), ("h", 1), ("h", 2)]
