@@ -135,15 +135,15 @@ def _constant(entry: CatalogEntry, params: dict, key: str, notes: list,
 
 
 def _estimate(entry: CatalogEntry, key: str, seed: int, x0=None):
-    """How a task estimates gamma (20000 pairs) or L (2000 points below
-    h(x0)): the (note, function) pair that ``_constant`` takes."""
+    """How a task estimates gamma or L (on the sublevel set of h(x0)), each
+    at its estimator's default budget: the (note, function) pair that
+    ``_constant`` takes."""
     if key == "gamma":
         return ("gamma estimated empirically (safety-adjusted)",
-                lambda: empirical_modulus(entry.oracle, samples=20000,
-                                          seed=seed).safe)
+                lambda: empirical_modulus(entry.oracle, seed=seed).safe)
     return ("L estimated on the initial sublevel set (safety-adjusted)",
             lambda: estimate_lipschitz_sublevel(entry.oracle, x0,
-                                                samples=2000, seed=seed).safe)
+                                                seed=seed).safe)
 
 
 def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
@@ -156,6 +156,8 @@ def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Pat
     # the one constant the check reads; only the ladder and the properties
     # with interpolation weights read --lambdas
     key = "mu" if prop is not None and prop.param == "mu" else "gamma"
+    if prop is not None and name == prop.weak_name:
+        key = None  # a weak name runs at modulus 0
     unread = [k for k in ("gamma", "mu")
               if k != key and params.get(k) is not None]
     if prop is not None and not prop.lambdas \
@@ -168,7 +170,9 @@ def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Pat
                           lambdas_per_pair=params.get("lambdas", 2),
                           seed=config.seed)
     notes: list[str] = []
-    if key == "mu":
+    if key is None:
+        modulus = 0.0
+    elif key == "mu":
         modulus = params.get("mu")
     else:  # only the ladder estimates an unknown modulus
         modulus = _constant(entry, params, "gamma", notes,
@@ -189,7 +193,7 @@ def _run_verify(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Pat
         payload = report.to_dict()
         ok = report.holds_on_samples
     return _emit(config, out, "certificate.json", payload, ok,
-                 {key: modulus}, notes)
+                 {} if key is None else {key: modulus}, notes)
 
 
 def _default_dt(entry: CatalogEntry, params: dict) -> float:
@@ -298,12 +302,15 @@ def _run_hb(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
 def _run_estimate(entry: CatalogEntry, config: ExperimentConfig, out: Optional[Path]):
     params = config.task_params
     which = params.get("constant")
-    samples = params.get("samples", 2000)
+    # without --samples, each estimator's own default budget
+    budget = {} if params.get("samples") is None \
+        else {"samples": params["samples"]}
     x0 = _start(entry, params)
     estimators = {
-        "L0": lambda: estimate_lipschitz_sublevel(entry.oracle, x0, samples,
-                                                  config.seed),
-        "gamma": lambda: empirical_modulus(entry.oracle, samples, config.seed)}
+        "L0": lambda: estimate_lipschitz_sublevel(entry.oracle, x0,
+                                                  seed=config.seed, **budget),
+        "gamma": lambda: empirical_modulus(entry.oracle, seed=config.seed,
+                                           **budget)}
     if which not in estimators:
         raise InvalidParameter("estimate --constant must be one of L0, gamma")
     est = estimators[which]()

@@ -21,6 +21,7 @@ its temporaries do not grow with the sample count either.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -50,16 +51,20 @@ class Estimate(NamedTuple):
 
 
 def _sublevel_region(oracle: FunctionOracle, x0, level: float) -> DomainSpec:
-    """Axis-aligned box guaranteed to meet the sublevel set.
+    """The sublevel set {h <= level} of the oracle's domain, as a domain
+    whose predicate is the domain's and h <= level.
 
-    Bounded oracle domains are used directly.  Otherwise the box is grown
-    by doubling along each axis from the best-known center until the value
-    exceeds the level; unbounded growth means the sublevel set is not
-    compact and sampling it is hopeless.
+    A bounded domain bounds it directly.  Otherwise the bounding box is
+    grown by doubling along each axis from the best-known center until the
+    value exceeds the level; unbounded growth means the sublevel set is
+    not compact and sampling it is hopeless.
     """
     dom = oracle.domain
+
+    def below(X):
+        return dom.predicate_mask(X) & (np.asarray(oracle.value(X)) <= level)
     if dom.kind != "all_space":
-        return dom
+        return dataclasses.replace(dom, predicate=below)
     center = oracle.known_minimizer if oracle.known_minimizer is not None else x0
     halfwidth = np.empty(oracle.dim)
     for i in range(oracle.dim):
@@ -76,7 +81,7 @@ def _sublevel_region(oracle: FunctionOracle, x0, level: float) -> DomainSpec:
                 f"sublevel set appears unbounded along coordinate {i}")
         halfwidth[i] = t
     return DomainSpec.box(center - halfwidth, center + halfwidth,
-                          predicate=dom.predicate)
+                          predicate=below)
 
 
 def estimate_lipschitz_sublevel(oracle: FunctionOracle, x0,
@@ -85,16 +90,20 @@ def estimate_lipschitz_sublevel(oracle: FunctionOracle, x0,
 
     Takes the largest difference quotient |g(x)-g(y)| / |x-y| over all
     pairs of sampled sublevel points (x0 included, so an x0 outside the
-    domain raises DomainExit before any sampling).
+    domain raises DomainExit before any sampling).  An x0 at the known
+    minimum value raises InsufficientSamples, also before any sampling.
     """
     if samples < 2:
         raise InvalidParameter("need at least 2 samples")
     x0 = as_point(x0, oracle.dim)
     check_start(oracle.domain, x0)
     level = float(oracle.value(x0))
-    region = _sublevel_region(oracle, x0, level)
-    pts = sample_points(region, oracle.dim, samples, seed,
-                        accept=lambda X: np.asarray(oracle.value(X)) <= level)
+    if oracle.known_minimizer is not None and level <= oracle.minimum_value():
+        raise InsufficientSamples(
+            "x0 attains the minimum value, so its sublevel set holds no "
+            "second point to sample")
+    pts = sample_points(_sublevel_region(oracle, x0, level), oracle.dim,
+                        samples, seed)
     pts = np.concatenate([x0[None, :], pts])
     grads = np.asarray(oracle.grad(pts))
     bad = np.flatnonzero(~np.isfinite(grads).all(axis=-1))

@@ -18,10 +18,10 @@ computed directly from the key and j.  Word w gives the uniform
 rows take consecutive uniforms in row-major order.
 
 Rows map onto the domain's base region by construction; only the
-domain's vectorized predicate (and an optional ``accept`` mask) can
-reject a candidate.  Sampling fails once 1000 consecutive candidates
-before the last one needed are rejected, counted exactly across chunk
-boundaries, so neither the samples nor the failure depend on chunking.
+domain's vectorized predicate can reject a candidate.  Sampling fails
+once 1000 consecutive candidates before the last one needed are
+rejected, counted exactly across chunk boundaries, so neither the
+samples nor the failure depend on chunking.
 """
 
 from __future__ import annotations
@@ -213,20 +213,15 @@ def _accepted(n: int, width: int, seed: int, draw) -> list:
     return out
 
 
-def sample_points(domain: DomainSpec, dim: int, n: int, seed: int,
-                  accept=None) -> np.ndarray:
-    """Draw n points from the domain, rejecting on predicate and ``accept``.
-
-    ``accept`` is an optional vectorized (n, dim) -> bool mask used e.g. for
-    sublevel-set restriction.  Raises DomainSamplingFailure after 1000
-    consecutive rejected candidates.
+def sample_points(domain: DomainSpec, dim: int, n: int,
+                  seed: int) -> np.ndarray:
+    """Draw n points from the domain, rejecting on its predicate (a
+    sublevel set is a domain whose predicate reads h).  Raises
+    DomainSamplingFailure after 1000 consecutive rejected candidates.
     """
     def draw(rows):
         X = points_from_rows(domain, dim, rows)
-        keep = domain.predicate_mask(X)
-        if accept is not None:
-            keep = keep & np.asarray(accept(X), dtype=bool)
-        return (X,), keep
+        return (X,), domain.predicate_mask(X)
 
     return _accepted(n, point_width(domain, dim), seed, draw)[0]
 

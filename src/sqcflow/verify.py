@@ -22,11 +22,10 @@ A check draws its whole sample, O(pairs (2 dim + weights)) floats, then
 dim)`` rows (one at the least): the temporaries stay at one block whatever
 the sample count.  Every oracle evaluates each row on its own, so the
 blocks give the margins, counts and witnesses of one whole-sample pass.
-The implication ladder's checks read only three samples: points, pairs
-with the budget's weights and pairs with one weight (the same sample at a
-budget of one weight).  It draws each once, and one pass over its blocks
-feeds every check that reads them, so its memory is still one sample plus
-one block.
+``_check`` runs every check, alone or in the ladder.  Runs that read one
+sample (points, or pairs at one weight count) share it: it is drawn once
+and each block is evaluated once.  An ordered-pair check reads a block,
+then its (y, x) mirror, which evaluates only its interpolation points.
 """
 
 from __future__ import annotations
@@ -158,6 +157,21 @@ class _Batch:
     @cached_property
     def h_star(self):
         return self.oracle.minimum_value()
+
+
+class _Mirror(_Batch):
+    """A block's (y, x) order: it reads h and grad h at the swapped ends and
+    |x - y|^2 from the block, on first use; only h(y + lam (x - y)) is new."""
+
+    def __init__(self, block: _Batch):
+        super().__init__(block.oracle, block.y, block.x, block.lam)
+        self.block = block
+
+    hx = property(lambda self: self.block.hy)
+    hy = property(lambda self: self.block.hx)
+    gx = property(lambda self: self.block.gy)
+    gy = property(lambda self: self.block.gx)
+    d2 = property(lambda self: self.block.d2)
 
 
 def _inner(g, v):
@@ -299,25 +313,16 @@ def _blocks(oracle: FunctionOracle, x, y=None, lam=None):
 
 def _draw(props: list[Property], oracle: FunctionOracle, budget: SampleBudget):
     """Draw the properties' shared sample (points, or pairs with one weight
-    count) and yield (batch, swapped): its (x, y) blocks, then its (y, x)
-    blocks if a property takes ordered pairs; weights if one reads them."""
-    prop = props[0]
-    lam = None
-    if prop.sample == "points":
-        orders = [(sample_points(oracle.domain, oracle.dim, budget.pairs,
-                                 budget.seed), None)]
-    else:
-        X, Y, LAM = sample_pairs(oracle.domain, oracle.dim, budget.pairs,
-                                 _weight_count(prop, budget), budget.seed)
-        ordered = any(p.sample == "ordered pairs" for p in props)
-        orders = [(X, Y), (Y, X)][:1 + ordered]
-        if any(p.lambdas for p in props):
-            fixed = np.broadcast_to(_FIXED_LAMBDAS, (LAM.shape[0], 3))
-            lam = np.concatenate([LAM, fixed], axis=1)
-        del LAM
-    for swapped, (x, y) in enumerate(orders):
-        for s in _blocks(oracle, x, y, lam):
-            yield s, bool(swapped)
+    count) and yield its (x, y) blocks; weights if one reads them."""
+    if props[0].sample == "points":
+        yield from _blocks(oracle, sample_points(oracle.domain, oracle.dim,
+                                                 budget.pairs, budget.seed))
+        return
+    X, Y, lam = sample_pairs(oracle.domain, oracle.dim, budget.pairs,
+                             _weight_count(props[0], budget), budget.seed)
+    lam = np.concatenate([lam, np.broadcast_to(_FIXED_LAMBDAS, (len(lam), 3))],
+                         axis=1) if any(p.lambdas for p in props) else None
+    yield from _blocks(oracle, X, Y, lam)
 
 
 def _witness(s: _Batch, lhs, rhs, flat_index: int, note: str) -> Witness:
@@ -334,10 +339,11 @@ def _check(runs: list[tuple[Property, float]], oracle: FunctionOracle,
            budget: SampleBudget) -> list[ClassReport]:
     """Sample each (property, modulus) run and report every violation.
 
-    The runs share one sample (see ``_draw``): it is drawn once, and every
-    run reads the oracle values each block caches.
+    Each sample is drawn once, in the order the runs first need it (see
+    the module docstring), and every run reads the values its blocks cache.
     """
-    for prop, modulus in runs:
+    groups: dict = {}
+    for r, (prop, modulus) in enumerate(runs):
         if prop.param == "mu":
             if not positive(modulus):
                 raise InvalidParameter("mu must be positive")
@@ -345,31 +351,36 @@ def _check(runs: list[tuple[Property, float]], oracle: FunctionOracle,
                 raise MissingMinimizer(f"{prop.checker} needs a known minimizer")
         elif not 0.0 <= modulus < math.inf:
             raise InvalidParameter(f"{prop.param} must be nonnegative")
-    # per run, each premise note keeps its first witnesses in sample order
+        groups.setdefault((prop.sample == "points", _weight_count(prop, budget)),
+                          []).append((r, prop, modulus))
+    # per run and premise note, the first witnesses of each order in turn
     witnesses = [{} for _ in runs]
     tested, count = [0] * len(runs), [0] * len(runs)
-    for s, swapped in _draw([prop for prop, _ in runs], oracle, budget):
-        for r, (prop, modulus) in enumerate(runs):
-            if swapped and prop.sample != "ordered pairs":
-                continue
-            lhs, rhs = prop.inequality(s, modulus)
-            violated = lhs - rhs < -ineq_tol(lhs, rhs)
-            premises = {"": True} if prop.premise is None \
-                else prop.premise(s, modulus)
-            for note, mask in premises.items():
-                active = np.broadcast_to(mask, violated.shape)
-                flat = np.flatnonzero(active & violated)
-                tested[r] += int(np.count_nonzero(active))
-                count[r] += flat.size
-                kept = witnesses[r].setdefault(note, [])
-                kept += [_witness(s, lhs, rhs, i, note)
-                         for i in flat[:MAX_WITNESSES - len(kept)]]
+    for group in groups.values():
+        for block in _draw([prop for _, prop, _ in group], oracle, budget):
+            for order, s in enumerate((block, _Mirror(block))):
+                for r, prop, modulus in group:
+                    if order and prop.sample != "ordered pairs":
+                        continue
+                    lhs, rhs = prop.inequality(s, modulus)
+                    violated = lhs - rhs < -ineq_tol(lhs, rhs)
+                    premises = {"": True} if prop.premise is None \
+                        else prop.premise(s, modulus)
+                    for note, mask in premises.items():
+                        active = np.broadcast_to(mask, violated.shape)
+                        flat = np.flatnonzero(active & violated)
+                        tested[r] += int(np.count_nonzero(active))
+                        count[r] += flat.size
+                        kept = witnesses[r].setdefault(note, ([], []))[order]
+                        kept += [_witness(s, lhs, rhs, i, note)
+                                 for i in flat[:MAX_WITNESSES - len(kept)]]
+        del block, s  # their views would keep the sample through the next draw
     return [ClassReport(
         property_name=prop.weak_name if modulus == 0 and prop.weak_name
         else prop.name,
         holds_on_samples=count[r] == 0,
-        violations=[w for kept in witnesses[r].values()
-                    for w in kept][:MAX_WITNESSES],
+        violations=[w for xy, yx in witnesses[r].values()
+                    for w in (xy + yx)[:MAX_WITNESSES]][:MAX_WITNESSES],
         samples_tested=tested[r], violations_count=count[r],
         params={prop.param: modulus})
         for r, (prop, modulus) in enumerate(runs)]
@@ -503,34 +514,23 @@ def check_implication_ladder(oracle: FunctionOracle, gamma: float,
     (the pseudo- and quasimonotonicity checks run at gamma/2, the PL check
     at gamma^2 / 2L when the oracle knows L and a minimizer).
 
-    The checks read only three samples: points, pairs with the budget's
-    weights and pairs with one weight (one sample when the budget has one
-    weight).  Each is drawn once, and one pass over its blocks feeds every
-    check that reads it; the reports are those of the checks run one by
-    one.
+    The checks read three samples, which ``_check`` draws once each:
+    points, pairs with the budget's weights and pairs with one weight (one
+    sample at one weight).  The reports are those of the checks run alone.
     """
-    if not 0.0 <= gamma < math.inf:
-        raise InvalidParameter("gamma must be nonnegative")
     runs = []
     for prop in _TABLE:
-        # at gamma = 0 a property runs once, under its weak name if any
+        # at gamma = 0 a property runs once, under its weak name if any; a
+        # gamma that is not finite and >= 0 fails in _check's first run
         for modulus in dict.fromkeys(f * gamma for f in prop.ladder):
             if prop.param == "mu":
                 L = oracle.known_lipschitz
-                if modulus == 0 or L is None or oracle.known_minimizer is None:
+                if not positive(modulus) or L is None \
+                        or oracle.known_minimizer is None:
                     continue
                 modulus = derive_pl_modulus(modulus, L)
             runs.append((prop, modulus))
-    # the runs of each sample, in the order the table first needs it
-    groups: dict = {}
-    for i, (prop, _) in enumerate(runs):
-        groups.setdefault((prop.sample == "points", _weight_count(prop, budget)),
-                          []).append(i)
-    reports = {}
-    for group in groups.values():
-        reports.update(zip(group, _check([runs[i] for i in group], oracle,
-                                         budget)))
-    return [reports[i] for i in range(len(runs))]
+    return _check(runs, oracle, budget)
 
 
 def ladder_soundness(reports: list[ClassReport]) -> list[str]:

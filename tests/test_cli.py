@@ -102,13 +102,18 @@ class TestVerifyCommand:
                 "quasimonotonicity"} <= set(names)
 
     # meta.json records the one constant the check reads: the function's
-    # modulus for a gamma property, even one checked at half of it
+    # modulus for a gamma property, even one checked at half of it, and
+    # none for a weak name, which runs at modulus 0
     @pytest.mark.parametrize("command,constants,params", [
         ("--property strong_pseudomonotonicity", {"gamma": 1.0},
          {"gamma_half": 0.5}),
         ("--property strong_quasiconvexity --gamma 0.5", {"gamma": 0.5},
          {"gamma": 0.5}),
-        ("--property pl --mu 0.5", {"mu": 0.5}, {"mu": 0.5})])
+        ("--property pl --mu 0.5", {"mu": 0.5}, {"mu": 0.5}),
+        ("--property convexity", {}, {"gamma": 0.0}),
+        ("--property quasiconvexity", {}, {"gamma": 0.0}),
+        ("--property monotonicity", {}, {"gamma": 0.0}),
+        ("--property quasimonotonicity", {}, {"gamma": 0.0})])
     def test_constants_used(self, tmp_path, capsys, command, constants,
                             params):
         out = tmp_path / "out"
@@ -117,6 +122,12 @@ class TestVerifyCommand:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["constants_used"] == constants
         assert json.loads(capsys.readouterr().out)["params"] == params
+
+    def test_weak_name_needs_no_modulus(self, capsys):
+        # sin_quadratic knows no modulus, and quasiconvexity reads none
+        assert run(["verify", "--function", "sin_quadratic", "--property",
+                    "quasiconvexity", "--pairs", "200"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"] == {"gamma": 0.0}
 
 
 class TestGDCommand:
@@ -351,6 +362,19 @@ class TestEstimateCommand:
     def test_unknown_constant(self):
         assert run(["estimate", "--function", "quadratic_1d", "--constant",
                     "L0", "--samples", "1"]) == 2
+
+    # without --samples, the estimate a run would make: 20000 pairs for
+    # gamma, 2000 sublevel points for L0
+    @pytest.mark.parametrize("command,key,samples", [
+        ("--function sin_quadratic --constant gamma", "gamma", 20000),
+        ("--function sin_quadratic --constant L0 --x0 2", "L", 2000)])
+    def test_default_budget_is_the_runs(self, capsys, command, key, samples):
+        entry = cli.get_entry("sin_quadratic")
+        assert run(["estimate", *command.split()]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        _, estimate_like_a_run = cli._estimate(entry, key, 0, np.array([2.0]))
+        assert payload["samples"] == samples
+        assert payload["safety_adjusted_value"] == estimate_like_a_run()
 
 
 class TestConfigAndSeeds:
@@ -1252,6 +1276,22 @@ class TestErrorPaths:
         "gd_optimal_beta": (
             "gd --function quadratic_2d --optimal --beta 0.01 --x0 1,1",
             2, "usage"),
+        # a weak name runs at modulus 0 and reads neither constant
+        "verify_weak_name_gamma": (
+            "verify --function quadratic_2d --property convexity --gamma -1 "
+            "--pairs 200", 2, "usage"),
+        "verify_weak_name_mu": (
+            "verify --function sin_quadratic --property quasimonotonicity "
+            "--mu 1 --pairs 200", 2, "usage"),
+        # the sublevel set of a minimizer holds no second point to estimate
+        # L on
+        "gd_optimal_from_the_minimizer": (
+            "gd --function sin_quadratic --optimal --x0 0", 2, "usage"),
+        "hb_from_the_minimizer": (
+            "hb --function sin_quadratic --x0 0", 2, "usage"),
+        "estimate_L0_from_the_minimizer": (
+            "estimate --function sin_quadratic --constant L0 --x0 0",
+            2, "usage"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1354,7 +1394,11 @@ class TestRunPremises:
         ("verify --function quadratic_2d --property pl --mu 0.5 --gamma 1",
          "verify --property pl reads no --gamma"),
         ("verify --function quadratic_2d --property pl --mu 0.5 --lambdas 2",
-         "verify --property pl reads no --lambdas")])
+         "verify --property pl reads no --lambdas"),
+        ("verify --function quadratic_2d --property convexity --gamma -1",
+         "verify --property convexity reads no --gamma"),
+        ("verify --function quadratic_2d --property monotonicity --mu 1 "
+         "--gamma 1", "verify --property monotonicity reads no --gamma, --mu")])
     def test_constants_are_checked_before_the_run(self, monkeypatch, capsys,
                                                   command, message):
         def never(*args, **kwargs):

@@ -47,6 +47,17 @@ class TestLipschitzEstimate:
             estimate.estimate_lipschitz_sublevel(CAT["sqrt_norm_2d"].oracle,
                                                  [3.0, 3.0])
 
+    @pytest.mark.parametrize("name", ["sin_quadratic", "quadratic_2d",
+                                      "max_two_quadratics"])
+    def test_start_at_the_minimizer_is_refused_before_sampling(
+            self, monkeypatch, name):
+        def never(*args):
+            raise AssertionError("sampled")
+        monkeypatch.setattr(estimate, "sample_points", never)
+        o = CAT[name].oracle
+        with pytest.raises(InsufficientSamples, match="minimum value"):
+            estimate.estimate_lipschitz_sublevel(o, o.known_minimizer)
+
     def test_unbounded_sublevel_fails(self):
         with pytest.raises(DomainSamplingFailure):
             estimate.estimate_lipschitz_sublevel(

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -418,8 +420,7 @@ class TestBlockedEvaluation:
         prop = verify.PROPERTIES[name]
         o, budget = CAT["quadratic_2d"].oracle, SampleBudget(pairs=201, seed=4)
         monkeypatch.setattr(verify, "_PAIR_BUDGET", pair_budget)
-        drawn = list(verify._draw([prop], o, budget))
-        blocks = [b for b, _ in drawn]
+        blocks = list(verify._draw([prop], o, budget))
         if prop.sample == "points":
             X, Y = sample_points(o.domain, o.dim, budget.pairs,
                                  budget.seed), None
@@ -427,15 +428,9 @@ class TestBlockedEvaluation:
             X, Y, LAM = sample_pairs(
                 o.domain, o.dim, budget.pairs,
                 budget.lambdas_per_pair if prop.lambdas else 1, budget.seed)
-            if prop.sample == "ordered pairs":
-                X, Y, LAM = np.concatenate([X, Y]), np.concatenate([Y, X]), \
-                    np.concatenate([LAM, LAM])
-        # every row once, in order: the (x, y) blocks, then the (y, x) ones,
-        # which alone are flagged as swapped
+        # every row once, in order, and in the (x, y) order alone, ordered
+        # pairs too: a check reads (y, x) from each block's mirror
         assert np.array_equal(np.concatenate([b.x for b in blocks]), X)
-        swapped = np.concatenate([np.full(b.x.shape[0], flag)
-                                  for b, flag in drawn])
-        assert np.array_equal(swapped, np.arange(X.shape[0]) >= budget.pairs)
         if Y is None:
             assert all(b.y is None and b.lam is None for b in blocks)
         else:
@@ -444,6 +439,8 @@ class TestBlockedEvaluation:
             lam = np.concatenate([b.lam for b in blocks])
             assert np.array_equal(lam[:, :2], LAM)
             assert (lam[:, 2:] == [0.0, 0.5, 1.0]).all()
+        else:
+            assert all(b.lam is None for b in blocks)
         for b in blocks:
             rows, per_row = b.x.shape[0], o.dim * (1 if b.lam is None
                                                    else b.lam.shape[1])
@@ -578,17 +575,19 @@ class TestSharedSamples:
         # pairs with the budget's 2 weights, pairs with 1, points: in the
         # order the ladder first needs them
         assert draws == [("pairs", 2), ("pairs", 1), ("points", None)]
-        # n = 200 rows per sample and order, one block each.  Pairs with
-        # weights: the convexity and quasiconvexity checks read h(x), h(y)
-        # and h(x + lam (y - x)) at 2 + 3 weights, sharp quasiconvexity also
-        # grad h(y), and it alone reads the (y, x) order too: values
-        # 2 (2 + 5) n, gradients 2 n.  Pairs without weights: its four
-        # ordered-pair checks read both orders of h(x), h(y) (gradient
-        # characterization's premise), grad h(x) and grad h(y): values 4 n,
-        # gradients 4 n.  Points: PL reads h(x), grad h(x) and h at the
-        # minimizer once: values n + 1, gradients n.  Drawn once per check,
-        # the 13 checks would evaluate 47 n + 1 value and 25 n gradient rows.
-        assert rows == {"value": 19 * n + 1, "grad": 7 * n}
+        # n = 200 rows per sample, one block each.  Pairs with weights: the
+        # convexity and quasiconvexity checks read h(x), h(y) and
+        # h(x + lam (y - x)) at 2 + 3 weights, and sharp quasiconvexity also
+        # grad h(y); its (y, x) order reads h and grad h from the block and
+        # evaluates only h(y + lam (x - y)): values (2 + 5 + 5) n, gradients
+        # 2 n.  Pairs without weights: its four ordered-pair checks read
+        # h(x), h(y) (gradient characterization's premise), grad h(x) and
+        # grad h(y), each once for both orders: values 2 n, gradients 2 n.
+        # Points: PL reads h(x), grad h(x) and h at the minimizer once:
+        # values n + 1, gradients n.  Drawn and evaluated once per check
+        # and order, the 13 checks would evaluate 47 n + 1 value and 25 n
+        # gradient rows; a separate (y, x) pass, 19 n + 1 and 7 n.
+        assert rows == {"value": 15 * n + 1, "grad": 5 * n}
 
     def test_one_weight_draws_one_pairs_sample(self, monkeypatch):
         draws = []
@@ -602,6 +601,83 @@ class TestSharedSamples:
                                            budget)
         assert len(reports) == 13
         assert draws == [1]
+
+
+
+class TestOrderedPairPins:
+    """Single ordered-pair checks whose violations reach the witness cap:
+    each premise note keeps its (x, y) witnesses, then its (y, x) ones, at
+    most MAX_WITNESSES across both orders, and then the report keeps at
+    most MAX_WITNESSES over its notes."""
+
+    # (property, entry, modulus, weights per pair): (violations_count,
+    # witnesses kept, how many of them from the (y, x) order, SHA-256 of
+    # the report's sorted JSON), taken while the (y, x) order was a second
+    # pass over the sample.  In each order on its own at least one note
+    # fills the cap, or the (y, x) witnesses fill what the (x, y) ones
+    # leave: gradient characterization at 1.15 (20 then 18), sharp
+    # quasiconvexity at 3 (18 then 27; 14 then 9 at one weight) and on
+    # sin_quadratic (10 and 10), offset monotonicity at 1.1 (21 then 21
+    # under each note).
+    PINS = {
+        ("offset_monotonicity", "quadratic_2d", 1.2, 2): (
+            212, 25, 0,
+            "ad05a38596eef7ede17d528d4586880d1a57d1809d8c61650ad450c5ecb5a7ae"),
+        ("offset_monotonicity", "quadratic_2d", 1.1, 2): (
+            84, 25, 4,
+            "fc2beece8bceea21d2fa7f6ea2b105163a052a36aec47344a4cd84c6e0d2271c"),
+        ("gradient_characterization", "quadratic_2d", 1.2, 2): (
+            53, 25, 0,
+            "ef850b6ba06705b49b741ca7178aa474d6ec81411c21a97db80e3231a13cc63b"),
+        ("gradient_characterization", "quadratic_2d", 1.15, 2): (
+            38, 25, 5,
+            "9a63a49bb529a499716cd1c30378759d55d4e14caf45a4188a087096d70c584a"),
+        ("sharp_quasiconvexity", "quadratic_2d", 4.0, 2): (
+            149, 25, 0,
+            "de58e4548b33b0c954ee9675a0f00dfd832eb8cec3bd4b3d7b416f648d449a91"),
+        ("sharp_quasiconvexity", "quadratic_2d", 3.0, 2): (
+            45, 25, 7,
+            "77365dbda09c8a88cc6c17353fc30e3ce973f90cc5842860f1b0ace9eb186f66"),
+        ("sharp_quasiconvexity", "quadratic_2d", 4.0, 1): (
+            75, 25, 0,
+            "3dfe3b1b43cb2c5f94114ce17c97d47423bce062c27f6e0485314937e1960afc"),
+        ("sharp_quasiconvexity", "quadratic_2d", 3.0, 1): (
+            23, 23, 9,
+            "74d796c0a8b8da47ef098d334a4e97c757c1134ef0f7466b915b771dfa750070"),
+        ("sharp_quasiconvexity", "sin_quadratic", 2.0, 2): (
+            20, 20, 10,
+            "052efb625d79c564524deefa25048bc93d7450c6ff88e57272e27573cc6e9424"),
+        ("strong_pseudomonotonicity", "degenerate_quadratic", 0.6, 2): (
+            615, 25, 0,
+            "ed3fcb1f184c3c37dad8404e83daa08cb6b33fcdfd66b9be9818054c0c944465"),
+        ("strong_quasimonotonicity", "degenerate_quadratic", 0.6, 2): (
+            615, 25, 0,
+            "c796a36130b4eef6950fe28cca00dc112f4ad93ca55b62200dcbb7cde7dfa940"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINS))
+    def test_reports_are_pinned(self, case):
+        name, entry, modulus, lambdas = case
+        count, kept, swapped, sha = self.PINS[case]
+        o = CAT[entry].oracle
+        report = check_property(name, o, modulus, SampleBudget(
+            pairs=2000, lambdas_per_pair=lambdas))
+        assert (report.violations_count, len(report.violations)) == \
+            (count, kept)
+        # the witnesses of the (x, y) order are those at a sampled x, and
+        # under each note they come first
+        X, _, _ = sample_pairs(o.domain, o.dim, 2000,
+                               lambdas if verify.PROPERTIES[name].lambdas
+                               else 1, 0)
+        first = {tuple(x) for x in X}
+        for note in {w.note for w in report.violations}:
+            from_xy = [tuple(w.x) in first for w in report.violations
+                       if w.note == note]
+            assert from_xy == sorted(from_xy, reverse=True)
+        assert sum(tuple(w.x) not in first
+                   for w in report.violations) == swapped
+        data = json.dumps(report.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(data).hexdigest() == sha
 
 
 # Hand-derived (lhs, rhs) of every property at x = (1, 1/2), y = (-1, 1),
